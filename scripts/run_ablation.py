@@ -42,8 +42,7 @@ def main():
     ap.add_argument("--lambda2", type=float, default=10.0)
     args = ap.parse_args()
 
-    params = HyperParams(seed=0, lambda1=args.lambda1, lambda2=args.lambda2,
-                         knn=args.knn)
+    params = HyperParams(lambda1=args.lambda1, lambda2=args.lambda2, knn=args.knn)
     nmi = {v: [] for v in VARIANTS}
     acc = {v: [] for v in VARIANTS}
     for seed in range(1, args.seeds + 1):

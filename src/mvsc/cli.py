@@ -12,11 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
+from .data import NORMALIZE_MODES
 from .errors import DataIOError, NumericalError, ValidationError
 from .pipeline import LAMBDA_GRID, RunConfig, cmd_ablate, cmd_run, cmd_sweep
 from .solver import VARIANTS, Z_UPDATE_MODES, HyperParams
-
-_NORMALIZE_CHOICES = ("none", "unit_column", "zscore_feature")
 
 
 def _add_common(sp):
@@ -36,9 +35,9 @@ def _add_common(sp):
     sp.add_argument("--knn", type=int, default=None,
                     help="graph neighbor count (default min(10, n/clusters))")
     sp.add_argument("--restarts", type=int, default=30,
-                    help="independent seeded runs (default %(default)s)")
+                    help="seeded clusterings of the one fit (default %(default)s)")
     sp.add_argument("--seed", type=int, default=0,
-                    help="base seed; restart r uses seed+r")
+                    help="base k-means seed; restart r clusters with seed+r")
     sp.add_argument("--max-iter", type=int, default=HyperParams.max_iter)
     sp.add_argument("--eps", type=float, default=HyperParams.eps,
                     help="stopping tolerance on the constraint residuals")
@@ -52,7 +51,7 @@ def _add_common(sp):
                     help="write per-iteration residual/objective traces")
     sp.add_argument("--z-update", choices=Z_UPDATE_MODES, default="derived",
                     help="Z-step right-hand side (as-printed kept for comparison)")
-    sp.add_argument("--normalize", choices=_NORMALIZE_CHOICES,
+    sp.add_argument("--normalize", choices=NORMALIZE_MODES,
                     default="unit_column", help="per-view preprocessing")
 
 
@@ -94,7 +93,6 @@ def config_from_args(args):
         knn=args.knn,
         eps=args.eps,
         max_iter=args.max_iter,
-        seed=args.seed,
         variant=args.variant,
         z_update=args.z_update,
     )
@@ -105,6 +103,7 @@ def config_from_args(args):
         synthetic=args.synthetic,
         normalize=args.normalize,
         restarts=args.restarts,
+        seed=args.seed,
         dump_graphs=args.dump_graphs,
         trace_residuals=args.trace_residuals,
     )

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DegenerateInputError, ValidationError
+from .errors import DegenerateInputError, NumericalError, ValidationError
 
 # Consensus entries at or below this are treated as zero when forming the
 # support: products of several kernels underflow easily.
@@ -36,7 +36,7 @@ def gaussian_kernel(X):
 
     sigma is the median Euclidean distance over distinct column pairs.
     Returns (S, sigma); raises DegenerateInputError when sigma is zero
-    (all columns identical).
+    (all columns identical) and NumericalError when a distance overflows.
     """
     n = X.shape[1]
     if n < 2:
@@ -44,6 +44,10 @@ def gaussian_kernel(X):
     d2 = pairwise_sq_dists(X)
     iu = np.triu_indices(n, k=1)
     sigma = float(np.median(np.sqrt(d2[iu])))
+    if not (np.isfinite(sigma) and np.isfinite(d2).all()):
+        raise NumericalError(
+            "pairwise distances overflow; rescale the view or normalize it"
+        )
     if sigma == 0.0:
         raise DegenerateInputError(
             "median pairwise distance is zero; kernel bandwidth undefined"
@@ -181,7 +185,7 @@ def fuse_weights(consensus, second_order, alpha):
             )
         W = shared + np.where(consensus.omega_bar, alpha * ups.similarity, 0.0)
         weights.append(W)
-        laplacians.append(np.diag(W.sum(axis=1)) - W)
+        laplacians.append(laplacian_from_weights(W))
     return FusedGraph(weights=weights, laplacians=laplacians)
 
 

@@ -1,17 +1,15 @@
 """Batch orchestration: multi-restart runs, ablations, and lambda sweeps.
 
-Every entry point is deterministic given its config: restart r uses seed
-base_seed + r for both the solver initialization and the k-means inside
-spectral clustering, result rows are emitted in restart order regardless
-of worker completion order, and no timestamps or environment details
-leak into the artifacts, so re-running a command overwrites its outputs
-byte-identically.
+A configuration (dataset, graphs, hyperparameters) is a convex problem
+with one solution, so it is fitted once; restarts re-seed only the
+k-means inside spectral clustering. Restart r uses seed base_seed + r,
+rows are emitted in restart order, and no timestamps or environment
+details leak into the artifacts, so re-running a command overwrites its
+outputs byte-identically.
 """
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,27 +17,13 @@ import numpy as np
 from . import graphs as _graphs
 from .data import generate_synthetic, load_dataset, load_synthetic_spec, normalize_views
 from .errors import NumericalError, ValidationError
-from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std
-from .solver import HyperParams, fit, variant_label
+from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std, nmi
+from .solver import HyperParams, fit, variant_graphs, variant_label
 from .spectral import affinity_from_representation, spectral_cluster
 
 LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
 ABLATION_ORDER = ("lrr-bsv", "msc-naive", "grmsc-naive", "grmsc")
-
-
-def resolve_threads():
-    """Worker-pool width: MVSC_THREADS if set, else the CPU count."""
-    raw = os.environ.get("MVSC_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValidationError(f"MVSC_THREADS must be an integer, got {raw!r}")
-    if value < 1:
-        raise ValidationError(f"MVSC_THREADS must be positive, got {value}")
-    return value
 
 
 @dataclass
@@ -52,6 +36,7 @@ class RunConfig:
     synthetic: Path | None = None
     normalize: str = "unit_column"
     restarts: int = 30
+    seed: int = 0  # k-means seed of restart 0; restart r uses seed + r
     # False = off, True = dump under out_dir/graphs, str/Path = dump there
     dump_graphs: object = False
     trace_residuals: bool = False
@@ -84,62 +69,55 @@ class RestartResult:
     error: str | None = None
     exception: Exception | None = None
     state: object = None
+    view: int | None = None  # index of the fit kept: for lrr-bsv, the view
 
 
-def build_shared_graphs(dataset, params):
-    """Graphs depend only on (views, knn, alpha, variant), not on the
-    restart seed or the lambdas, so one build serves a whole batch."""
-    if params.effective_lambda2 <= 0 or params.variant == "lrr-bsv":
-        return None
-    knn = params.resolve_knn(dataset.n_samples, dataset.n_clusters)
-    mode = "first_order" if params.variant == "grmsc-naive" else "fused"
-    return _graphs.build_graph_set(dataset.views, knn, params.alpha, mode=mode)
-
-
-def run_one_restart(dataset, params, index, graphs=None, trace=False):
-    """One seeded end-to-end run: fit, spectral clustering, metrics."""
-    seed = params.seed + index
-    p = replace(params, seed=seed)
+def _restart(dataset, fits, index, seed):
+    """Cluster every fitted representation with one k-means seed, keep
+    the best by NMI (ties go to the lowest index), and score it."""
     try:
-        Z, state = fit(dataset, p, graphs=graphs, trace_objective=trace)
-        A = affinity_from_representation(Z)
-        labels = spectral_cluster(A, dataset.n_clusters, seed)
-        report = evaluate(labels, dataset.labels)
+        labels = [
+            spectral_cluster(affinity_from_representation(Z), dataset.n_clusters, seed)
+            for Z, _ in fits
+        ]
+        best = 0
+        if len(fits) > 1:
+            best = max(range(len(fits)), key=lambda k: nmi(labels[k], dataset.labels))
+        state = fits[best][1]
         return RestartResult(
             index=index,
             seed=seed,
-            report=report,
-            labels=labels,
+            report=evaluate(labels[best], dataset.labels),
+            labels=labels[best],
             converged=state.converged,
             iterations=state.iteration,
             state=state,
+            view=best,
         )
     except (ValidationError, NumericalError) as exc:
         return RestartResult(index=index, seed=seed, error=str(exc), exception=exc)
 
 
-def run_restarts(dataset, params, restarts, graphs=None, trace=False, threads=None):
-    """All restarts of one configuration, in a worker pool.
+def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
+    """One fit of the configuration, then one seeded clustering per restart.
 
-    Failures are captured per restart; if nothing succeeds the first
-    failure is re-raised.
+    lrr-bsv fits each view as its own one-view dataset and, per restart,
+    keeps the view whose clustering scores the best NMI. A failed fit
+    raises; a failed clustering fills its restart's error field, and if
+    every restart fails the first failure is re-raised.
     """
     if dataset.labels is None:
         raise ValidationError(
             "evaluation needs ground-truth labels; the manifest declares none"
         )
-    if graphs is None:
-        graphs = build_shared_graphs(dataset, params)
-    width = threads if threads is not None else resolve_threads()
-
-    def worker(index):
-        return run_one_restart(dataset, params, index, graphs=graphs, trace=trace)
-
-    if width == 1 or restarts == 1:
-        results = [worker(i) for i in range(restarts)]
+    if params.variant == "lrr-bsv":
+        fits = [
+            fit(replace(dataset, views=[X]), params, trace_objective=trace)
+            for X in dataset.views
+        ]
     else:
-        with ThreadPoolExecutor(max_workers=width) as pool:
-            results = list(pool.map(worker, range(restarts)))
+        fits = [fit(dataset, params, graphs=graphs, trace_objective=trace)]
+    results = [_restart(dataset, fits, r, seed + r) for r in range(restarts)]
     if all(r.report is None for r in results):
         raise results[0].exception
     return results
@@ -242,7 +220,7 @@ def _maybe_dump_graphs(config, dataset, params, graphs):
         if probe.variant in ("msc-naive", "lrr-bsv"):
             probe = replace(probe, variant="grmsc")
         probe = replace(probe, lambda2=max(probe.lambda2, 1.0))
-        graphs = build_shared_graphs(dataset, probe)
+        graphs = variant_graphs(dataset, probe)
     if config.dump_graphs is True:
         target = Path(config.out_dir) / "graphs"
     else:
@@ -256,10 +234,10 @@ def cmd_run(config):
     dataset = resolve_dataset(config)
     params = config.params
     out = Path(config.out_dir)
-    graphs = build_shared_graphs(dataset, params)
+    graphs = variant_graphs(dataset, params)
     results = run_restarts(
         dataset, params, config.restarts, graphs=graphs,
-        trace=config.trace_residuals,
+        trace=config.trace_residuals, seed=config.seed,
     )
     write_csv(out / "report.csv", report_rows(dataset, params, results))
     write_csv(out / "summary.csv", [summary_row(dataset, params, results)])
@@ -279,7 +257,7 @@ def cmd_ablate(config):
     summary = []
     for variant in ABLATION_ORDER:
         params = replace(config.params, variant=variant)
-        results = run_restarts(dataset, params, config.restarts)
+        results = run_restarts(dataset, params, config.restarts, seed=config.seed)
         write_csv(
             out / f"report_{variant_label(variant)}.csv",
             report_rows(dataset, params, results),
@@ -297,14 +275,16 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
     # graphs do not depend on the lambdas; build once for the whole grid
-    graphs = build_shared_graphs(
+    graphs = variant_graphs(
         dataset, replace(config.params, lambda2=max(config.params.lambda2, 1.0))
     )
     rows = []
     for l1 in grid1:
         for l2 in grid2:
             params = replace(config.params, lambda1=float(l1), lambda2=float(l2))
-            results = run_restarts(dataset, params, config.restarts, graphs=graphs)
+            results = run_restarts(
+                dataset, params, config.restarts, graphs=graphs, seed=config.seed
+            )
             mean, std, n_runs = summarize(results)
             row = {
                 "lambda1": _fmt(l1),

@@ -20,18 +20,18 @@ the stationarity condition and fails gradient checks.
 
 Variants: "grmsc" (full model), "grmsc-naive" (first-order graphs used
 directly, no consensus split), "msc-naive" (lambda2 = 0), and "lrr-bsv"
-(independent single-view solves, best view selected by NMI against
-ground truth).
+(plain LRR on a single view; the pipeline fits each view on its own and
+picks the best one).
+
+The solver only optimizes: it is deterministic, starts from Z = 0 as
+LRR's ALM does, and never sees labels or clusterings.
 """
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as _metrics
-from . import spectral as _spectral
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .graphs import build_graph_set
 from .linalg import inf_norm, l21_norm, nuclear_norm, prox_l21, solve_spd, svt
 
@@ -60,7 +60,6 @@ class HyperParams:
     mu_max: float = 1e6
     eps: float = 1e-6
     max_iter: int = 300
-    seed: int = 0
     variant: str = "grmsc"
     z_update: str = "derived"
 
@@ -120,16 +119,12 @@ class SolverState:
     view_residual_history: list = field(default_factory=list)
     mu_history: list = field(default_factory=list)
     objective_history: list = field(default_factory=list)
-    selected_view: int | None = None
 
 
 def _init_state(X_list, params):
     n = X_list[0].shape[1]
-    rng = np.random.default_rng(params.seed)
-    # uniform on [0, 1/n] keeps the initial reconstruction residual O(1)
-    Z = rng.uniform(0.0, 1.0 / n, size=(n, n))
     return SolverState(
-        Z=Z,
+        Z=np.zeros((n, n)),
         Q=np.zeros((n, n)),
         E=[np.zeros_like(X) for X in X_list],
         Y1=[np.zeros_like(X) for X in X_list],
@@ -214,6 +209,10 @@ def objective_value(state, X_list, graphs, params):
 def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=False):
     state = _init_state(X_list, params)
     gram = sum(X.T @ X for X in X_list)
+    if not np.isfinite(gram).all():
+        raise NumericalError(
+            "sum of X^T X over views overflows; rescale the views or normalize them"
+        )
     for _ in range(params.max_iter):
         state.E = update_E(state, X_list, params.lambda1)
         state.Q = update_Q(state)
@@ -224,6 +223,11 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
         R_zq = state.Z - state.Q
         view_resids = [inf_norm(R) for R in R_list]
         zq_resid = inf_norm(R_zq)
+        if not np.isfinite([*view_resids, zq_resid]).all():
+            raise NumericalError(
+                f"constraint residuals are not finite at iteration "
+                f"{state.iteration + 1} (mu={state.mu:.3e})"
+            )
 
         state.mu_history.append(state.mu)
         state.view_residual_history.append(view_resids)
@@ -243,23 +247,17 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
     return state.Z, state
 
 
-def _fit_best_single_view(dataset, params, trace_objective):
-    if dataset.labels is None:
-        raise ValidationError(
-            "variant lrr-bsv selects the best view by NMI and needs ground-truth labels"
-        )
-    best = None
-    for k, X in enumerate(dataset.views):
-        Z, state = _alm_loop(
-            [X], [], params, 0.0, trace_objective=trace_objective
-        )
-        A = _spectral.affinity_from_representation(Z)
-        labels = _spectral.spectral_cluster(A, dataset.n_clusters, params.seed)
-        score = _metrics.nmi(labels, dataset.labels)
-        if best is None or score > best[0]:
-            state.selected_view = k
-            best = (score, Z, state)
-    return best[1], best[2]
+def variant_graphs(dataset, params):
+    """The graph set a variant regularizes with: per-view first-order
+    graphs for grmsc-naive, the fused consensus/second-order set for
+    grmsc, and None when the graph term is off. Graphs depend only on
+    (views, knn, alpha, variant), so one build serves every lambda and
+    restart of a batch."""
+    if params.effective_lambda2 <= 0:
+        return None
+    knn = params.resolve_knn(dataset.n_samples, dataset.n_clusters)
+    mode = "first_order" if params.variant == "grmsc-naive" else "fused"
+    return build_graph_set(dataset.views, knn, params.alpha, mode=mode)
 
 
 def fit(dataset, params, graphs=None, trace_objective=False):
@@ -269,28 +267,23 @@ def fit(dataset, params, graphs=None, trace_objective=False):
     was reached with residuals still above eps (that is a flagged result,
     not an error). Graphs are built once up front unless a precomputed
     GraphSet is supplied (it must match the dataset and variant).
-    Deterministic given (dataset, params).
+    Deterministic given (dataset, params). Variant lrr-bsv is plain LRR
+    and takes one view at a time. Raises NumericalError when the data
+    or the iterates overflow.
     """
-    if params.variant == "lrr-bsv":
-        return _fit_best_single_view(dataset, params, trace_objective)
-    X_list = dataset.views
+    if params.variant == "lrr-bsv" and dataset.n_views != 1:
+        raise ValidationError(
+            f"variant lrr-bsv fits one view at a time, got {dataset.n_views} views"
+        )
     lambda2 = params.effective_lambda2
     if lambda2 > 0:
         if graphs is None:
-            n = X_list[0].shape[1]
-            knn = params.resolve_knn(n, dataset.n_clusters)
-            mode = "first_order" if params.variant == "grmsc-naive" else "fused"
-            graphs = build_graph_set(X_list, knn, params.alpha, mode=mode)
+            graphs = variant_graphs(dataset, params)
         L_list = graphs.laplacians
     else:
         graphs = None
         L_list = []
     return _alm_loop(
-        X_list, L_list, params, lambda2, graphs=graphs,
+        dataset.views, L_list, params, lambda2, graphs=graphs,
         trace_objective=trace_objective,
     )
-
-
-def replace_params(params, **changes):
-    """HyperParams copy with fields changed (validation re-runs)."""
-    return dataclasses.replace(params, **changes)

@@ -55,7 +55,7 @@ ACCEPTANCE_SPEC = SyntheticSpec(
 # Ablation setting: denser graphs (knn=30) and a stronger graph weight,
 # where per-view graphs admit marginal wrong edges that the consensus
 # product suppresses; see README for the calibration story.
-ABLATION_PARAMS = HyperParams(seed=0, lambda1=0.5, lambda2=10.0, knn=30)
+ABLATION_PARAMS = HyperParams(lambda1=0.5, lambda2=10.0, knn=30)
 ABLATION_NOISE = 0.15
 
 
@@ -210,7 +210,7 @@ def test_c04_convergence_speed_on_acceptance_dataset():
     """Defaults converge within 200 iters; 3-decade drop inside 50."""
     started = time.perf_counter()
     ds = acceptance_dataset()
-    params = HyperParams(seed=0)
+    params = HyperParams()
     _, state = fit(ds, params)
     recon = np.array([max(v) for v in state.view_residual_history])
     zq = np.array([r[1] for r in state.residual_history])
@@ -235,7 +235,7 @@ def test_c05_end_to_end_quality_on_acceptance_dataset():
     """Frozen expectation: mean NMI 0.9404, mean ACC 0.9867 (10 restarts)."""
     started = time.perf_counter()
     ds = acceptance_dataset()
-    results = run_restarts(ds, HyperParams(seed=0), 10)
+    results = run_restarts(ds, HyperParams(), 10)
     mean, _, n_runs = summarize(results)
     ok = mean.nmi >= 0.90 and mean.acc >= 0.90 and n_runs == 10
     elapsed = time.perf_counter() - started
@@ -413,7 +413,7 @@ def test_c09_determinism_and_permutation_invariance(tmp_path):
         labels=ds.labels[perm],
         name="perm-shuffled",
     )
-    params = HyperParams(seed=0)
+    params = HyperParams()
 
     def metric_cells(data):
         mean, _, _ = summarize(run_restarts(data, params, 1))
@@ -449,7 +449,7 @@ def test_c10_real_data_track_reported_not_asserted():
     from mvsc.data import load_dataset
 
     ds = normalize_views(load_dataset(manifest), "unit_column")
-    results = run_restarts(ds, HyperParams(seed=0), 10)
+    results = run_restarts(ds, HyperParams(), 10)
     mean, _, _ = summarize(results)
     in_band = abs(mean.nmi - 0.95) <= 0.10 and abs(mean.acc - 0.99) <= 0.10
     report(10, "real-data track", True,

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mvsc.cli import main
+from mvsc.data import SyntheticSpec, generate_synthetic, write_dataset
 from mvsc.metrics import METRIC_FIELDS
 
 TINY_SPEC = {
@@ -102,8 +103,7 @@ def test_as_printed_mode_runs(spec_file, tmp_path):
     assert read_rows(out / "report.csv")[0]["converged"] in ("0", "1")
 
 
-def test_rerun_is_byte_identical(spec_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("MVSC_THREADS", "2")
+def test_rerun_is_byte_identical(spec_file, tmp_path):
     out = tmp_path / "out"
     run_cli("run", "--synthetic", spec_file, "--out", out, "--restarts", 4)
     first = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -184,15 +184,19 @@ def test_zero_restarts_exits_2(spec_file, tmp_path):
                    "--out", tmp_path / "out", "--restarts", 0) == 2
 
 
-def test_bad_thread_env_exits_2(spec_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("MVSC_THREADS", "many")
-    code = run_cli("run", "--synthetic", spec_file,
-                   "--out", tmp_path / "out", "--restarts", 2)
-    assert code == 2
-    assert "MVSC_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("MVSC_THREADS", "0")
-    assert run_cli("run", "--synthetic", spec_file,
-                   "--out", tmp_path / "out", "--restarts", 2) == 2
+@pytest.mark.parametrize("variant", ["grmsc", "msc-naive"])
+def test_overflowing_views_exit_3(variant, tmp_path, capsys):
+    # finite input whose Gram matrices overflow is a numerical failure,
+    # not a validation problem
+    spec = SyntheticSpec(n=150, clusters=3, dims=(20, 30, 40), subspace_rank=3,
+                         noise_sigma=0.05, seed=7)
+    ds = generate_synthetic(spec)
+    ds.views = [1e160 * X for X in ds.views]
+    manifest = write_dataset(ds, tmp_path / "data")
+    code = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out",
+                   "--normalize", "none", "--restarts", 1, "--variant", variant)
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- ablate
