@@ -41,8 +41,12 @@ def gaussian_kernel(X):
     n = X.shape[1]
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
-    d2 = pairwise_sq_dists(X)
-    iu = np.triu_indices(n, k=1)
+    return _kernel_from_sq_dists(pairwise_sq_dists(X))
+
+
+def _kernel_from_sq_dists(d2):
+    """gaussian_kernel from precomputed squared distances d2 (n >= 2)."""
+    iu = np.triu_indices(d2.shape[0], k=1)
     sigma = float(np.median(np.sqrt(d2[iu])))
     if not (np.isfinite(sigma) and np.isfinite(d2).all()):
         raise NumericalError(
@@ -124,8 +128,9 @@ def first_order_proximity(X, k):
         raise ValidationError(f"need at least 2 samples, got {n}")
     if not 1 <= k < n:
         raise ValidationError(f"neighbor count must satisfy 1 <= k < n, got k={k}, n={n}")
-    S, sigma = gaussian_kernel(X)
-    knn = _knn_sets(pairwise_sq_dists(X), k)
+    d2 = pairwise_sq_dists(X)
+    S, sigma = _kernel_from_sq_dists(d2)
+    knn = _knn_sets(d2, k)
     mutual = knn & knn.T
     lam = np.where(mutual, S, 0.0)
     np.fill_diagonal(lam, 0.0)
@@ -249,11 +254,23 @@ class GraphSet:
         return float(cons + self.alpha * comp)
 
 
-def build_graph_set(views, knn, alpha, mode="fused"):
-    """Construct the full graph machinery for a list of view matrices."""
+def build_graph_set(views, knn, alpha, mode="fused", first_order=None):
+    """Construct the full graph machinery for a list of view matrices.
+
+    first_order may carry the views' first-order graphs from an earlier
+    build with the same knn (they depend only on the views and knn), so
+    graph sets of both modes can share them.
+    """
     if mode not in ("fused", "first_order"):
         raise ValidationError(f"unknown graph mode {mode!r}")
-    first = [first_order_proximity(X, knn) for X in views]
+    if first_order is None:
+        first = [first_order_proximity(X, knn) for X in views]
+    else:
+        first = first_order
+        if len(first) != len(views) or any(g.neighbor_count != knn for g in first):
+            raise ValidationError(
+                f"first-order graphs do not match {len(views)} views at knn={knn}"
+            )
     if mode == "first_order":
         weights = [g.similarity for g in first]
         fused = FusedGraph(

@@ -18,6 +18,16 @@ logger = logging.getLogger(__name__)
 # in rank-sensitive outputs.
 RANK_TOL = 1e-12
 
+# Rank-aware svt: the zero skip's relative margin, the sketch's
+# oversampling beyond the rank hint, its power iterations, its size gate
+# SKETCH_RATIO * (hint + SKETCH_OVERSAMPLE) <= min(M.shape) (below it a
+# full SVD costs about as much) and its fixed seed.
+SKIP_MARGIN = 1e-12
+SKETCH_OVERSAMPLE = 10
+SKETCH_POWER_ITERS = 2
+SKETCH_RATIO = 4
+SKETCH_SEED = 0
+
 
 def _as_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=float)
@@ -49,21 +59,63 @@ def _svd(M):
             ) from second
 
 
-def svt(M, tau):
+def _threshold(U, s, Vt, tau):
+    """U diag(max(s - tau, 0)) Vt, keeping only the surviving triplets."""
+    s = np.maximum(s - tau, 0.0)
+    keep = s > 0
+    if not keep.any():
+        return np.zeros((U.shape[0], Vt.shape[1]))
+    return (U[:, keep] * s[keep]) @ Vt[keep, :]
+
+
+def _sketch_range(M, k):
+    """Orthonormal p x k basis approximating the range of M: a seeded
+    Gaussian range finder with QR-re-orthonormalized power iterations
+    (Halko, Martinsson & Tropp 2011, Algorithm 4.4)."""
+    omega = np.random.default_rng(SKETCH_SEED).standard_normal((M.shape[1], k))
+    U, _ = np.linalg.qr(M @ omega)
+    for _ in range(SKETCH_POWER_ITERS):
+        W, _ = np.linalg.qr(M.T @ U)
+        U, _ = np.linalg.qr(M @ W)
+    return U
+
+
+def svt(M, tau, rank_hint=None):
     """Singular value thresholding: prox of tau * nuclear norm at M.
 
     Returns U diag(max(s - tau, 0)) Vt, the unique minimizer of
-    tau*||Q||_* + 0.5*||Q - M||_F^2.
+    tau*||Q||_* + 0.5*||Q - M||_F^2. Three paths, chosen per call:
+
+    - zero skip: ||M||_F <= tau (less a 1e-12 relative margin) bounds
+      sigma_1 by tau, so Q = 0 exactly and no SVD runs;
+    - sketched: given rank_hint h, an expected bound on rank(Q), and
+      4 (h + 10) <= min(M.shape), an orthonormal basis U of h + 10
+      sketched directions is accepted when ||M - U U^T M||_F <= tau,
+      which proves sigma_{h+11}(M) <= tau; Q is then thresholded from
+      the SVD of the small matrix U^T M. That is the exact svt of
+      U U^T M, so (svt being nonexpansive) it is within tau of the full
+      result in Frobenius norm, and to rounding when the spectrum has a
+      gap after rank h; it is not bit for bit the full SVD's;
+    - full SVD otherwise, including when the sketch fails its check.
+
+    Deterministic: the sketch uses a fixed seed.
     """
     M = _as_matrix(M)
     if tau <= 0:
         raise ValidationError(f"svt threshold must be positive, got {tau}")
-    U, s, Vt = _svd(M)
-    s = np.maximum(s - tau, 0.0)
-    keep = s > 0
-    if not keep.any():
+    if rank_hint is not None and rank_hint < 0:
+        raise ValidationError(f"rank_hint must be nonnegative, got {rank_hint}")
+    if np.linalg.norm(M) <= tau * (1.0 - SKIP_MARGIN):
         return np.zeros_like(M)
-    return (U[:, keep] * s[keep]) @ Vt[keep, :]
+    if rank_hint is not None:
+        k = rank_hint + SKETCH_OVERSAMPLE
+        if SKETCH_RATIO * k <= min(M.shape):
+            U = _sketch_range(M, k)
+            B = U.T @ M
+            if np.linalg.norm(M - U @ B) <= tau:
+                Ub, s, Vt = _svd(B)
+                return _threshold(U @ Ub, s, Vt, tau)
+    return _threshold(*_svd(M), tau)
 
 
 def prox_l21(T, kappa):

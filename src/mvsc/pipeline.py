@@ -251,13 +251,20 @@ def cmd_run(config):
 
 
 def cmd_ablate(config):
-    """All four variants under identical restart seeds; one combined table."""
+    """All four variants under identical restart seeds; one combined table.
+    The graph variants share one build of the first-order graphs."""
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
     summary = []
+    first_order = None
     for variant in ABLATION_ORDER:
         params = replace(config.params, variant=variant)
-        results = run_restarts(dataset, params, config.restarts, seed=config.seed)
+        graphs = variant_graphs(dataset, params, first_order=first_order)
+        if graphs is not None:
+            first_order = graphs.first_order
+        results = run_restarts(
+            dataset, params, config.restarts, graphs=graphs, seed=config.seed
+        )
         write_csv(
             out / f"report_{variant_label(variant)}.csv",
             report_rows(dataset, params, results),

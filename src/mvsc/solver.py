@@ -143,27 +143,39 @@ def update_E(state, X_list, lambda1):
     return out
 
 
-def update_Q(state):
+def update_Q(state, rank_hint=None):
     """Nuclear-norm copy update: singular value thresholding of
-    Z + Y2 / mu at level 1 / mu."""
-    return svt(state.Z + state.Y2 / state.mu, 1.0 / state.mu)
+    Z + Y2 / mu at level 1 / mu. rank_hint, an expected bound on the
+    rank of the result, lets svt sketch instead of running a full SVD."""
+    return svt(state.Z + state.Y2 / state.mu, 1.0 / state.mu, rank_hint=rank_hint)
 
 
-def update_Z(state, X_list, L_list, lambda2, mode="derived", gram=None):
+def _z_system_parts(gram, L_list, lambda2):
+    """The mu-independent parts (P, S) of the Z system matrix mu P + S:
+    P = sum_k X_k^T X_k + I and S = lambda2 sum_k (L_k + L_k^T), or None
+    without a graph term. Both are exactly symmetric (gram comes from
+    syrk, L + L^T is symmetric elementwise), so mu P + S needs no
+    symmetrization before the Cholesky."""
+    P = gram + np.eye(gram.shape[0])
+    S = lambda2 * sum(L + L.T for L in L_list) if lambda2 > 0 and L_list else None
+    return P, S
+
+
+def update_Z(state, X_list, L_list, lambda2, mode="derived", gram=None, parts=None):
     """Solve the Z subproblem's normal equations.
 
-    gram may carry a precomputed sum of X^T X across views. mode
+    gram may carry a precomputed sum of X^T X across views, and parts the
+    precomputed (P, S) of _z_system_parts(gram, L_list, lambda2). mode
     "as-printed" reproduces the inconsistent closed form (error-term sign
     flipped, -Y2 missing) for comparison runs.
     """
-    n = state.Z.shape[0]
     mu = state.mu
     if gram is None:
         gram = sum(X.T @ X for X in X_list)
-    T_ZA = mu * (gram + np.eye(n))
-    if lambda2 > 0 and L_list:
-        T_ZA = T_ZA + lambda2 * sum(L + L.T for L in L_list)
-    T_ZA = (T_ZA + T_ZA.T) / 2.0  # scrub accumulation asymmetry before Cholesky
+    if parts is None:
+        parts = _z_system_parts(gram, L_list, lambda2)
+    P, S = parts
+    T_ZA = mu * P if S is None else mu * P + S
     xty = sum(X.T @ Y1 for X, Y1 in zip(X_list, state.Y1))
     xte = sum(X.T @ E for X, E in zip(X_list, state.E))
     if mode == "derived":
@@ -213,11 +225,16 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
         raise NumericalError(
             "sum of X^T X over views overflows; rescale the views or normalize them"
         )
+    parts = _z_system_parts(gram, L_list, lambda2)
+    # Q lies near the row space of the stacked dictionary, whose rank is
+    # at most its row count
+    rank_hint = sum(X.shape[0] for X in X_list)
     for _ in range(params.max_iter):
         state.E = update_E(state, X_list, params.lambda1)
-        state.Q = update_Q(state)
+        state.Q = update_Q(state, rank_hint=rank_hint)
         state.Z = update_Z(
-            state, X_list, L_list, lambda2, mode=params.z_update, gram=gram
+            state, X_list, L_list, lambda2, mode=params.z_update, gram=gram,
+            parts=parts,
         )
         R_list = [X - X @ state.Z - E for X, E in zip(X_list, state.E)]
         R_zq = state.Z - state.Q
@@ -247,17 +264,20 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
     return state.Z, state
 
 
-def variant_graphs(dataset, params):
+def variant_graphs(dataset, params, first_order=None):
     """The graph set a variant regularizes with: per-view first-order
     graphs for grmsc-naive, the fused consensus/second-order set for
     grmsc, and None when the graph term is off. Graphs depend only on
     (views, knn, alpha, variant), so one build serves every lambda and
-    restart of a batch."""
+    restart of a batch; first_order, the first-order graphs of another
+    variant's set at the same knn, is reused rather than rebuilt."""
     if params.effective_lambda2 <= 0:
         return None
     knn = params.resolve_knn(dataset.n_samples, dataset.n_clusters)
     mode = "first_order" if params.variant == "grmsc-naive" else "fused"
-    return build_graph_set(dataset.views, knn, params.alpha, mode=mode)
+    return build_graph_set(
+        dataset.views, knn, params.alpha, mode=mode, first_order=first_order
+    )
 
 
 def fit(dataset, params, graphs=None, trace_objective=False):

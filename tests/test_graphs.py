@@ -293,6 +293,45 @@ def test_pairwise_sq_dists_matches_loops():
             )
 
 
+def test_first_order_computes_distances_once_per_view(monkeypatch):
+    from mvsc import graphs
+
+    rng = np.random.default_rng(13)
+    views = [rng.standard_normal((4 + k, 20)) for k in range(3)]
+    expected = [first_order_proximity(X, 4) for X in views]
+    calls = []
+    real = graphs.pairwise_sq_dists
+
+    def counting(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(graphs, "pairwise_sq_dists", counting)
+    gs = build_graph_set(views, 4, 0.001, mode="first_order")
+    assert calls == [X.shape for X in views]
+    for g, e in zip(gs.first_order, expected):
+        assert np.array_equal(g.similarity, e.similarity) and g.sigma == e.sigma
+
+
+def test_build_graph_set_reuses_first_order_graphs(monkeypatch):
+    from mvsc import graphs
+
+    rng = np.random.default_rng(14)
+    views = [rng.standard_normal((4 + k, 20)) for k in range(3)]
+    naive = build_graph_set(views, 4, 0.001, mode="first_order")
+    fresh = build_graph_set(views, 4, 0.001)
+    monkeypatch.setattr(graphs, "first_order_proximity", None)  # must not run
+    shared = build_graph_set(views, 4, 0.001, first_order=naive.first_order)
+    assert all(a is b for a, b in zip(shared.first_order, naive.first_order))
+    for a, b in zip(shared.laplacians, fresh.laplacians):
+        assert np.array_equal(a, b)
+    assert np.array_equal(shared.consensus.lambda_star, fresh.consensus.lambda_star)
+    with pytest.raises(ValidationError):
+        build_graph_set(views, 5, 0.001, first_order=naive.first_order)
+    with pytest.raises(ValidationError):
+        build_graph_set(views[:2], 4, 0.001, first_order=naive.first_order)
+
+
 def test_dump_graphs_writes_files(tmp_path):
     rng = np.random.default_rng(12)
     views = [rng.standard_normal((3, 10)) for _ in range(2)]

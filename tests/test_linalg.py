@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from mvsc import linalg
 from mvsc.errors import DecompositionError, ValidationError
 from mvsc.linalg import (
     inf_norm,
@@ -78,6 +79,104 @@ def test_svt_nonexpansive():
         B = rng.standard_normal((4, 4))
         lhs = np.linalg.norm(svt(A, 0.4) - svt(B, 0.4))
         assert lhs <= np.linalg.norm(A - B) + 1e-10
+
+
+def _full_svt(M, tau):
+    """svt's full-SVD path, the reference for the rank-aware paths."""
+    return linalg._threshold(*linalg._svd(M), tau)
+
+
+def _planted(rng, shape, rank, noise):
+    """Rank-`rank` matrix with unit-order singular values plus entrywise
+    Gaussian noise of the given scale."""
+    p, m = shape
+    A = rng.standard_normal((p, rank)) @ rng.standard_normal((rank, m))
+    return A / np.sqrt(max(p, m)) + noise * rng.standard_normal(shape)
+
+
+def _count_svds(monkeypatch):
+    shapes = []
+    real = linalg._svd
+
+    def counting(M):
+        shapes.append(M.shape)
+        return real(M)
+
+    monkeypatch.setattr(linalg, "_svd", counting)
+    return shapes
+
+
+def test_svt_skip_returns_exact_zeros_without_svd(monkeypatch):
+    rng = np.random.default_rng(20)
+    M = rng.standard_normal((30, 30))
+    tau = np.linalg.norm(M) * (1 + 1e-9)
+    expected = _full_svt(M, tau)
+    assert np.array_equal(expected, np.zeros_like(M))
+    shapes = _count_svds(monkeypatch)
+    for hint in (None, 3):
+        out = svt(M, tau, rank_hint=hint)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out, expected)
+    assert shapes == []
+
+
+def test_svt_skip_margin_keeps_the_boundary_on_the_full_path(monkeypatch):
+    # ||M||_F == tau exactly is inside the 1e-12 margin: the SVD decides
+    M = np.diag([2.0, 0.0, 0.0])
+    shapes = _count_svds(monkeypatch)
+    assert np.array_equal(svt(M, 2.0), np.zeros((3, 3)))
+    assert shapes == [(3, 3)]
+
+
+@pytest.mark.parametrize(
+    "shape, rank, seed",
+    [((200, 200), 8, 0), ((240, 240), 20, 1), ((300, 240), 12, 2), ((240, 300), 12, 3)],
+)
+def test_svt_sketch_matches_full_svd(shape, rank, seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    M = _planted(rng, shape, rank, noise=1e-7)
+    tau = 1e-3
+    expected = _full_svt(M, tau)
+    assert np.linalg.matrix_rank(expected) == rank
+    shapes = _count_svds(monkeypatch)
+    out = svt(M, tau, rank_hint=rank)
+    k = rank + linalg.SKETCH_OVERSAMPLE
+    assert shapes == [(k, shape[1])]  # only the small SVD ran
+    assert np.abs(out - expected).max() <= 1e-10
+
+
+def test_svt_hint_below_rank_falls_back_to_full_svd(monkeypatch):
+    rng = np.random.default_rng(21)
+    M = _planted(rng, (240, 240), 30, noise=1e-7)
+    tau = 1e-3
+    expected = _full_svt(M, tau)
+    shapes = _count_svds(monkeypatch)
+    out = svt(M, tau, rank_hint=5)  # 15 sketched directions < rank 30
+    assert shapes == [(240, 240)]
+    assert np.array_equal(out, expected)
+
+
+def test_svt_small_matrix_ignores_hint(monkeypatch):
+    # 4 (hint + 10) > n: the sketch would cost more than the full SVD
+    rng = np.random.default_rng(22)
+    M = _planted(rng, (150, 150), 5, noise=1e-7)
+    expected = _full_svt(M, 1e-3)
+    shapes = _count_svds(monkeypatch)
+    assert np.array_equal(svt(M, 1e-3, rank_hint=90), expected)
+    assert shapes == [(150, 150)]
+
+
+def test_svt_sketch_is_deterministic():
+    rng = np.random.default_rng(23)
+    M = _planted(rng, (220, 220), 10, noise=1e-7)
+    a = svt(M, 1e-3, rank_hint=10)
+    b = svt(M, 1e-3, rank_hint=10)
+    assert a.tobytes() == b.tobytes()
+
+
+def test_svt_rejects_negative_hint():
+    with pytest.raises(ValidationError):
+        svt(np.eye(2), 0.5, rank_hint=-1)
 
 
 def test_prox_l21_closed_forms():

@@ -1,9 +1,11 @@
 """Restart protocol: one fit per configuration, one clustering per seed."""
 
+import json
+
 import numpy as np
 import pytest
 
-from mvsc import pipeline
+from mvsc import graphs, pipeline, solver
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import ValidationError
 from mvsc.solver import HyperParams
@@ -65,3 +67,44 @@ def test_run_restarts_single_view_lrr_bsv_matches_msc_naive():
         assert b.view == 0
         np.testing.assert_array_equal(a.state.Z, b.state.Z)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_ablate_shares_first_order_graphs(tmp_path, monkeypatch):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 45, "clusters": 3, "dims": [8, 10, 12], "subspace_rank": 2,
+        "noise_sigma": 0.15, "consensus_fraction": 0.6, "seed": 1,
+    }))
+
+    def ablate(out_dir):
+        config = pipeline.RunConfig(
+            params=HyperParams(knn=8, lambda2=10.0, max_iter=150),
+            out_dir=out_dir, synthetic=spec, restarts=2,
+        )
+        assert pipeline.cmd_ablate(config) == 0
+        return {f.name: f.read_bytes() for f in sorted(out_dir.iterdir())}
+
+    calls = []
+    real_first_order = graphs.first_order_proximity
+
+    def counting(X, k):
+        calls.append(X.shape)
+        return real_first_order(X, k)
+
+    monkeypatch.setattr(graphs, "first_order_proximity", counting)
+    shared = ablate(tmp_path / "shared")
+    assert len(calls) == 3
+
+    # building every variant's graphs from scratch writes the same bytes
+    real_variant_graphs = solver.variant_graphs
+    monkeypatch.setattr(
+        pipeline, "variant_graphs",
+        lambda dataset, params, first_order=None: real_variant_graphs(dataset, params),
+    )
+    separate = ablate(tmp_path / "separate")
+    assert len(calls) == 3 + 6  # a build per graph variant: two per view
+    assert sorted(shared) == [
+        "ablation.csv", "report_GRMSC.csv", "report_GRMSC_NAIVE.csv",
+        "report_LRR_BSV.csv", "report_MSC_NAIVE.csv",
+    ]
+    assert shared == separate

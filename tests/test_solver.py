@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from mvsc import linalg
+from mvsc import solver as solver_module
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.graphs import laplacian_from_weights, laplacian_quadratic
-from mvsc.linalg import l21_norm, nuclear_norm, prox_l21
+from mvsc.linalg import l21_norm, nuclear_norm, prox_l21, solve_spd
 from mvsc.solver import (
     HyperParams,
     SolverState,
+    _z_system_parts,
     fit,
     objective_value,
     update_E,
@@ -15,6 +18,7 @@ from mvsc.solver import (
     update_Q,
     update_Z,
 )
+from mvsc.spectral import affinity_from_representation, spectral_cluster
 
 
 def random_state(rng, n, v, mu=None):
@@ -200,6 +204,34 @@ def test_update_Z_as_printed_is_not_stationary():
     assert failures >= 1
 
 
+def test_update_Z_hoisted_system_is_bit_identical():
+    # the system matrix built once per fit, without a symmetrizing pass,
+    # gives the Z of the per-iteration build mu (G + I) + lambda2 sum
+    # (L + L^T) followed by (T + T^T) / 2
+    rng = np.random.default_rng(12)
+    for lam2 in (0.0, 0.7):
+        n, v = 30, 3
+        X_list, state = random_state(rng, n, v)
+        L_list = [  # Laplacians plus an antisymmetric part: not symmetric
+            L + B - B.T
+            for L, B in zip(random_laplacians(rng, n, v), rng.standard_normal((v, n, n)))
+        ]
+        gram = sum(X.T @ X for X in X_list)
+        T_ZA = state.mu * (gram + np.eye(n))
+        if lam2 > 0:
+            T_ZA = T_ZA + lam2 * sum(L + L.T for L in L_list)
+        T_ZA = (T_ZA + T_ZA.T) / 2.0
+        xty = sum(X.T @ Y1 for X, Y1 in zip(X_list, state.Y1))
+        xte = sum(X.T @ E for X, E in zip(X_list, state.E))
+        T_ZB = xty + state.mu * (gram - xte) + state.mu * state.Q - state.Y2
+        expected = solve_spd(T_ZA, T_ZB)
+        parts = _z_system_parts(gram, L_list, lam2)
+        assert np.array_equal(
+            update_Z(state, X_list, L_list, lam2, gram=gram, parts=parts), expected
+        )
+        assert np.array_equal(update_Z(state, X_list, L_list, lam2), expected)
+
+
 def test_update_Z_rejects_unknown_mode():
     rng = np.random.default_rng(10)
     X_list, state = random_state(rng, 4, 1)
@@ -330,6 +362,36 @@ def test_fit_nonfinite_residuals_name_the_iteration(monkeypatch):
     )
     with pytest.raises(NumericalError, match="iteration 1 "):
         fit(small_dataset(), HyperParams(variant="msc-naive"))
+
+
+def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
+    # n=160 with hint 6 + 8 = 14: 4 (14 + 10) <= 160, so svt sketches
+    spec = SyntheticSpec(n=160, clusters=2, dims=(6, 8), subspace_rank=2,
+                         noise_sigma=0.05, seed=0)
+    ds = normalize_views(generate_synthetic(spec), "unit_column")
+    sketches = []
+    real_sketch = linalg._sketch_range
+
+    def counting_sketch(M, k):
+        sketches.append(k)
+        return real_sketch(M, k)
+
+    monkeypatch.setattr(linalg, "_sketch_range", counting_sketch)
+    Z, state = fit(ds, HyperParams())
+    assert sketches and set(sketches) == {14 + linalg.SKETCH_OVERSAMPLE}
+    sketched = len(sketches)
+    monkeypatch.setattr(
+        solver_module, "svt", lambda M, tau, rank_hint=None: linalg.svt(M, tau)
+    )
+    Z_full, state_full = fit(ds, HyperParams())
+    assert len(sketches) == sketched  # no hint, no sketch
+    assert state.iteration == state_full.iteration
+    assert np.abs(Z - Z_full).max() <= 1e-8
+    for seed in range(3):
+        np.testing.assert_array_equal(
+            spectral_cluster(affinity_from_representation(Z), 2, seed),
+            spectral_cluster(affinity_from_representation(Z_full), 2, seed),
+        )
 
 
 def test_fit_nuclear_norm_continuity_after_convergence():
