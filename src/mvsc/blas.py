@@ -1,0 +1,60 @@
+"""One BLAS thread for the duration of a command.
+
+numpy and scipy each bundle an OpenBLAS with its own thread pool. One
+thread beat the default pool size at every size measured (n = 150 to
+1200, 2 vCPUs), and a fixed count keeps the blocked kernels' summation
+order, and so every output byte, independent of the caller's
+OPENBLAS_NUM_THREADS. The pools are found in the process's memory map
+when a command starts, so scipy must be imported by then (mvsc.linalg
+imports it). A pool's size is process-wide: threads of one process that
+run commands at once share one setting.
+"""
+
+import contextlib
+import ctypes
+
+# (get, set) thread-count entry points of the 64-bit-integer build numpy
+# bundles, the 32-bit one scipy bundles, and a system OpenBLAS
+_THREAD_CALLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def openblas_pools():
+    """(get, set) thread-count functions of every OpenBLAS mapped into
+    this process; empty when there is none or no memory map to read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = dict.fromkeys(
+                line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line.lower()
+            )
+    except OSError:
+        return []
+    pools = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _THREAD_CALLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                pools.append((get, set_))
+                break
+    return pools
+
+
+@contextlib.contextmanager
+def single_thread():
+    """Run every OpenBLAS pool on one thread inside the block (or the
+    decorated function), then give each pool back its previous size."""
+    pools = openblas_pools()
+    previous = [get() for get, _ in pools]
+    for _, set_ in pools:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), size in zip(pools, previous):
+            set_(size)

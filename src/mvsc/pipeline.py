@@ -5,7 +5,9 @@ with one solution, so it is fitted once; restarts re-seed only the
 k-means inside spectral clustering. Restart r uses seed base_seed + r,
 rows are emitted in restart order, and no timestamps or environment
 details leak into the artifacts, so re-running a command overwrites its
-outputs byte-identically.
+outputs byte-identically. Commands and run_restarts run BLAS on one
+thread (blas.single_thread), so outputs do not depend on the caller's
+thread environment either.
 """
 
 import csv
@@ -15,11 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from . import graphs as _graphs
+from .blas import single_thread
 from .data import generate_synthetic, load_dataset, load_synthetic_spec, normalize_views
 from .errors import NumericalError, ValidationError
 from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std, nmi
 from .solver import HyperParams, fit, variant_graphs, variant_label
-from .spectral import affinity_from_representation, spectral_cluster
+from .spectral import affinity_from_representation, cluster_embedding, spectral_embedding
 
 LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
@@ -72,14 +75,11 @@ class RestartResult:
     view: int | None = None  # index of the fit kept: for lrr-bsv, the view
 
 
-def _restart(dataset, fits, index, seed):
-    """Cluster every fitted representation with one k-means seed, keep
-    the best by NMI (ties go to the lowest index), and score it."""
+def _restart(dataset, fits, embeddings, index, seed):
+    """Cluster every fit's embedding with one k-means seed, keep the best
+    by NMI (ties go to the lowest index), and score it."""
     try:
-        labels = [
-            spectral_cluster(affinity_from_representation(Z), dataset.n_clusters, seed)
-            for Z, _ in fits
-        ]
+        labels = [cluster_embedding(U, dataset.n_clusters, seed) for U in embeddings]
         best = 0
         if len(fits) > 1:
             best = max(range(len(fits)), key=lambda k: nmi(labels[k], dataset.labels))
@@ -98,13 +98,16 @@ def _restart(dataset, fits, index, seed):
         return RestartResult(index=index, seed=seed, error=str(exc), exception=exc)
 
 
+@single_thread()
 def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
-    """One fit of the configuration, then one seeded clustering per restart.
+    """One fit of the configuration and its spectral embedding, then one
+    seeded k-means per restart.
 
     lrr-bsv fits each view as its own one-view dataset and, per restart,
-    keeps the view whose clustering scores the best NMI. A failed fit
-    raises; a failed clustering fills its restart's error field, and if
-    every restart fails the first failure is re-raised.
+    keeps the view whose clustering scores the best NMI. A failed fit or
+    embedding raises (it would fail every restart); a failed clustering
+    fills its restart's error field, and if every restart fails the
+    first failure is re-raised.
     """
     if dataset.labels is None:
         raise ValidationError(
@@ -117,7 +120,11 @@ def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
         ]
     else:
         fits = [fit(dataset, params, graphs=graphs, trace_objective=trace)]
-    results = [_restart(dataset, fits, r, seed + r) for r in range(restarts)]
+    embeddings = [
+        spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
+        for Z, _ in fits
+    ]
+    results = [_restart(dataset, fits, embeddings, r, seed + r) for r in range(restarts)]
     if all(r.report is None for r in results):
         raise results[0].exception
     return results
@@ -228,6 +235,7 @@ def _maybe_dump_graphs(config, dataset, params, graphs):
     _graphs.dump_graphs(graphs, target)
 
 
+@single_thread()
 def cmd_run(config):
     """Multi-restart evaluation of one variant; writes report.csv,
     summary.csv, labels.csv, and optional graph dumps and traces."""
@@ -250,6 +258,7 @@ def cmd_run(config):
     return 0
 
 
+@single_thread()
 def cmd_ablate(config):
     """All four variants under identical restart seeds; one combined table.
     The graph variants share one build of the first-order graphs."""
@@ -274,6 +283,7 @@ def cmd_ablate(config):
     return 0
 
 
+@single_thread()
 def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
     """Full pipeline per (lambda1, lambda2) grid point; one sweep.csv row
     each, suitable for a heatmap."""

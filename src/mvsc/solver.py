@@ -133,12 +133,17 @@ def _init_state(X_list, params):
     )
 
 
-def update_E(state, X_list, lambda1):
+def update_E(state, X_list, lambda1, products=None):
     """Column-sparse error update: per view the l2,1 prox at
-    X - X Z + Y1 / mu with threshold lambda1 / mu."""
+    X - X Z + Y1 / mu with threshold lambda1 / mu.
+
+    products, when given, is the precomputed list of X_k Z.
+    """
+    if products is None:
+        products = [X @ state.Z for X in X_list]
     out = []
-    for X, Y1 in zip(X_list, state.Y1):
-        T_E = X - X @ state.Z + Y1 / state.mu
+    for X, XZ, Y1 in zip(X_list, products, state.Y1):
+        T_E = X - XZ + Y1 / state.mu
         out.append(prox_l21(T_E, lambda1 / state.mu))
     return out
 
@@ -229,14 +234,16 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
     # Q lies near the row space of the stacked dictionary, whose rank is
     # at most its row count
     rank_hint = sum(X.shape[0] for X in X_list)
+    products = None  # X_k Z of the last residuals, reused by the next E step
     for _ in range(params.max_iter):
-        state.E = update_E(state, X_list, params.lambda1)
+        state.E = update_E(state, X_list, params.lambda1, products=products)
         state.Q = update_Q(state, rank_hint=rank_hint)
         state.Z = update_Z(
             state, X_list, L_list, lambda2, mode=params.z_update, gram=gram,
             parts=parts,
         )
-        R_list = [X - X @ state.Z - E for X, E in zip(X_list, state.E)]
+        products = [X @ state.Z for X in X_list]
+        R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
         R_zq = state.Z - state.Q
         view_resids = [inf_norm(R) for R in R_list]
         zq_resid = inf_norm(R_zq)

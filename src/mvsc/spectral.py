@@ -122,11 +122,9 @@ def kmeans(X, k, seed, restarts=20, max_iter=300):
     return best_labels, best_inertia
 
 
-def spectral_cluster(A, n_clusters, seed, restarts=20):
-    """Cluster an affinity matrix; returns integer labels in [0, n_clusters)."""
-    if n_clusters < 2:
-        raise ValidationError(f"need at least 2 clusters, got {n_clusters}")
-    U = spectral_embedding(A, n_clusters)
+def cluster_embedding(U, n_clusters, seed, restarts=20):
+    """Seeded k-means on a spectral embedding; returns integer labels in
+    [0, n_clusters) and warns when fewer clusters come out nonempty."""
     labels, _ = kmeans(U, n_clusters, seed, restarts=restarts)
     found = len(np.unique(labels))
     if found < n_clusters:
@@ -135,3 +133,11 @@ def spectral_cluster(A, n_clusters, seed, restarts=20):
             found, n_clusters,
         )
     return labels
+
+
+def spectral_cluster(A, n_clusters, seed, restarts=20):
+    """Cluster an affinity matrix; returns integer labels in [0, n_clusters)."""
+    if n_clusters < 2:
+        raise ValidationError(f"need at least 2 clusters, got {n_clusters}")
+    U = spectral_embedding(A, n_clusters)
+    return cluster_embedding(U, n_clusters, seed, restarts=restarts)

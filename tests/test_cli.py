@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,35 @@ def test_rerun_is_byte_identical(spec_file, tmp_path):
     run_cli("run", "--synthetic", spec_file, "--out", out, "--restarts", 4)
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_outputs_do_not_depend_on_blas_thread_variables(tmp_path):
+    # at n=150 the graph builds and the ALM's GEMMs are large enough for
+    # a multi-threaded OpenBLAS to split them; every output must still
+    # match a single-threaded run byte for byte
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 150, "clusters": 3, "dims": [20, 30, 40], "subspace_rank": 3,
+        "noise_sigma": 0.05, "seed": 7,
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+    trees = []
+    for name, extra in (("one", {"OPENBLAS_NUM_THREADS": "1"}), ("default", {})):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "mvsc.cli", "run", "--synthetic", str(spec),
+             "--out", str(out), "--restarts", "2", "--trace-residuals",
+             "--dump-graphs"],
+            env={**base, **extra}, check=True, timeout=300,
+        )
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "graphs/consensus.csv" in trees[0]
+    assert "residuals_restart1.csv" in trees[0]
+    assert trees[0] == trees[1]
 
 
 def test_trace_residuals_files(spec_file, tmp_path):

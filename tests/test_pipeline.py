@@ -7,8 +7,9 @@ import pytest
 
 from mvsc import graphs, pipeline, solver
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
-from mvsc.errors import ValidationError
+from mvsc.errors import NumericalError, ValidationError
 from mvsc.solver import HyperParams
+from mvsc.spectral import affinity_from_representation, spectral_cluster
 
 
 def small_dataset(seed=0, dims=(8, 10)):
@@ -19,21 +20,56 @@ def small_dataset(seed=0, dims=(8, 10)):
 
 @pytest.mark.parametrize("variant", ["grmsc", "lrr-bsv"])
 def test_run_restarts_fits_once_per_configuration(variant, monkeypatch):
+    # one fit, and one spectral embedding of it, serve every restart
     ds = small_dataset()
-    calls = []
-    real_fit = pipeline.fit
+    calls, embeddings = [], []
+    real_fit, real_embedding = pipeline.fit, pipeline.spectral_embedding
 
     def counting_fit(*args, **kwargs):
         calls.append(args[0].n_views)
         return real_fit(*args, **kwargs)
 
+    def counting_embedding(A, n_clusters):
+        embeddings.append(A.shape)
+        return real_embedding(A, n_clusters)
+
     monkeypatch.setattr(pipeline, "fit", counting_fit)
+    monkeypatch.setattr(pipeline, "spectral_embedding", counting_embedding)
     results = pipeline.run_restarts(ds, HyperParams(variant=variant, max_iter=150), 4)
     assert [r.seed for r in results] == [0, 1, 2, 3]
     if variant == "lrr-bsv":
         assert calls == [1] * ds.n_views
     else:
         assert calls == [ds.n_views]
+    assert len(embeddings) == len(calls)
+
+
+def test_run_restarts_matches_spectral_cluster_per_restart():
+    ds = small_dataset()
+    results = pipeline.run_restarts(ds, HyperParams(max_iter=150), 3, seed=5)
+    A = affinity_from_representation(results[0].state.Z)
+    for r in results:
+        np.testing.assert_array_equal(r.labels, spectral_cluster(A, ds.n_clusters, r.seed))
+
+
+@pytest.mark.parametrize("variant", ["grmsc", "lrr-bsv"])
+def test_failed_embedding_fails_the_run(variant, monkeypatch):
+    # the last fit's embedding fails, which would fail every restart
+    ds = small_dataset()
+    fits = ds.n_views if variant == "lrr-bsv" else 1
+    calls = []
+    real_embedding = pipeline.spectral_embedding
+
+    def last_fails(A, n_clusters):
+        calls.append(None)
+        if len(calls) == fits:
+            raise NumericalError("eigensolver failed")
+        return real_embedding(A, n_clusters)
+
+    monkeypatch.setattr(pipeline, "spectral_embedding", last_fails)
+    with pytest.raises(NumericalError, match="eigensolver failed"):
+        pipeline.run_restarts(ds, HyperParams(variant=variant, max_iter=150), 3)
+    assert len(calls) == fits
 
 
 def test_run_restarts_lrr_bsv_needs_labels():

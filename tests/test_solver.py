@@ -89,6 +89,31 @@ def test_update_E_vanishing_shrinkage_at_large_mu():
         assert np.max(np.abs(E - T)) <= 0.5 / state.mu + 1e-12
 
 
+def test_fit_hands_residual_products_to_the_E_step(monkeypatch):
+    # from iteration 2 on, the E step reuses the X_k Z products of the
+    # previous residuals; they equal what it would compute, bit for bit
+    ds = normalize_views(generate_synthetic(SyntheticSpec(
+        n=30, clusters=2, dims=(5, 6), subspace_rank=2, noise_sigma=0.05, seed=1,
+    )), "unit_column")
+    seen = []
+    real_update_E = solver_module.update_E
+
+    def checking_update_E(state, X_list, lambda1, products=None):
+        seen.append(products is not None)
+        if products is not None:
+            for X, XZ in zip(X_list, products):
+                assert np.array_equal(XZ, X @ state.Z)
+            assert all(np.array_equal(a, b) for a, b in zip(
+                real_update_E(state, X_list, lambda1, products=products),
+                real_update_E(state, X_list, lambda1),
+            ))
+        return real_update_E(state, X_list, lambda1, products=products)
+
+    monkeypatch.setattr(solver_module, "update_E", checking_update_E)
+    _, state = fit(ds, HyperParams(max_iter=20))
+    assert seen == [False] + [True] * (state.iteration - 1)
+
+
 def test_update_E_is_the_l21_prox():
     rng = np.random.default_rng(2)
     X_list, state = random_state(rng, 7, 2)
