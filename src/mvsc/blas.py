@@ -5,9 +5,9 @@ thread beat the default pool size at every size measured (n = 150 to
 1200, 2 vCPUs), and a fixed count keeps the blocked kernels' summation
 order, and so every output byte, independent of the caller's
 OPENBLAS_NUM_THREADS. The pools are found in the process's memory map
-when a command starts, so scipy must be imported by then (mvsc.linalg
-imports it). A pool's size is process-wide: threads of one process that
-run commands at once share one setting.
+when the pin starts; commands load only numpy's, and the one path that
+imports scipy pins again once it has. A pool's size is process-wide:
+threads of one process that run commands at once share one setting.
 """
 
 import contextlib

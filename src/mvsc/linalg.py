@@ -8,8 +8,8 @@ callers own the layout.
 import logging
 
 import numpy as np
-import scipy.linalg
 
+from .blas import single_thread
 from .errors import DecompositionError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -46,12 +46,19 @@ def soft_threshold(x, eps):
 
 
 def _svd(M):
-    """Thin SVD with a gesvd fallback; raises NumericalError if both fail."""
+    """Thin SVD with a gesvd fallback; raises NumericalError if both fail.
+
+    The fallback imports scipy only when it runs, and runs under
+    single_thread() so that the pool scipy loads is pinned too.
+    """
     try:
         return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as first:
         try:
-            return scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
+            import scipy.linalg
+
+            with single_thread():
+                return scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
         except Exception as second:
             raise NumericalError(
                 f"SVD failed to converge on {M.shape} matrix "
@@ -161,8 +168,12 @@ def solve_spd(A, B):
     A must be symmetric within 1e-8 relative tolerance. If the first
     factorization fails, retries once with diagonal jitter
     1e-10 * trace(A)/n (finite arithmetic can make a PSD-by-construction
-    matrix slightly indefinite); a second failure raises.
+    matrix slightly indefinite); a second failure raises. The solver does
+    not call it: it is the tests' reference solve, and imports scipy
+    itself so that commands never load it.
     """
+    import scipy.linalg
+
     A = _as_matrix(A, "A")
     B = np.asarray(B, dtype=float)
     n = A.shape[0]

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import ValidationError
 
@@ -44,14 +43,55 @@ def contingency_table(pred, truth):
     return counts
 
 
+def _min_cost_assignment(cost):
+    """Column assigned to each row in a minimum-cost perfect matching of a
+    square cost matrix: the Hungarian method as shortest augmenting paths
+    with row and column potentials (Kuhn 1955; Jonker & Volgenant 1987).
+    Integer-valued costs stay exact in float64 up to 2**53."""
+    m = cost.shape[0]
+    # 1-based rows and columns; column 0 is the virtual start of each path
+    a = np.zeros((m + 1, m + 1))
+    a[1:, 1:] = cost
+    u = np.zeros(m + 1)
+    v = np.zeros(m + 1)
+    row_of = np.zeros(m + 1, dtype=np.intp)  # row on each column, 0 = free
+    way = np.zeros(m + 1, dtype=np.intp)  # previous column on the path
+    for i in range(1, m + 1):
+        row_of[0] = i
+        j0 = 0
+        dist = np.full(m + 1, np.inf)
+        used = np.zeros(m + 1, dtype=bool)
+        while row_of[j0] != 0:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used
+            reduced = a[i0] - u[i0] - v
+            closer = free & (reduced < dist)
+            dist[closer] = reduced[closer]
+            way[closer] = j0
+            j1 = np.flatnonzero(free)[np.argmin(dist[free])]
+            delta = dist[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            dist[free] -= delta
+            j0 = j1
+        while j0:  # augment along the path back to the start
+            j1 = way[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    col_of = np.empty(m, dtype=np.intp)
+    col_of[row_of[1:] - 1] = np.arange(m)
+    return col_of
+
+
 def accuracy(pred, truth):
     """Best achievable agreement under one-to-one cluster-class matching."""
     counts = contingency_table(pred, truth)
     m = max(counts.shape)
     padded = np.zeros((m, m), dtype=np.int64)
     padded[: counts.shape[0], : counts.shape[1]] = counts
-    r, c = linear_sum_assignment(-padded)
-    return float(padded[r, c].sum() / counts.sum())
+    c = _min_cost_assignment(-padded.astype(float))
+    return float(padded[np.arange(m), c].sum() / counts.sum())
 
 
 def _entropy(p):

@@ -9,7 +9,6 @@ multiple restarts, best inertia wins).
 import logging
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ValidationError
 from .linalg import _as_matrix
@@ -53,7 +52,7 @@ def spectral_embedding(A, n_clusters):
         raise ValidationError(
             f"n_clusters must lie in [1, {n}], got {n_clusters}"
         )
-    _, vecs = scipy.linalg.eigh(L, subset_by_index=(0, n_clusters - 1))
+    vecs = np.linalg.eigh(L)[1][:, :n_clusters]
     norms = np.linalg.norm(vecs, axis=1)
     return vecs / np.where(norms > 0, norms, 1.0)[:, None]
 

@@ -145,6 +145,31 @@ def test_outputs_do_not_depend_on_blas_thread_variables(tmp_path):
     assert trees[0] == trees[1]
 
 
+def test_commands_load_no_scipy(spec_file, tmp_path):
+    # importing scipy cost more than half a second per process; the
+    # commands run on numpy alone
+    script = (
+        "import json, sys\n"
+        "import mvsc.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "after_import = loaded()\n"
+        "code = mvsc.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, after_import, loaded()]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, "run", "--synthetic", str(spec_file),
+         "--out", str(tmp_path / "out"), "--restarts", "2"],
+        env=env, check=True, timeout=300, capture_output=True, text=True,
+    )
+    code, after_import, after_run = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert after_import == []
+    assert after_run == []
+
+
 def test_trace_residuals_files(spec_file, tmp_path):
     out = tmp_path / "out"
     run_cli("run", "--synthetic", spec_file, "--out", out,

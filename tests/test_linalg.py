@@ -86,6 +86,41 @@ def _full_svt(M, tau):
     return linalg._threshold(*linalg._svd(M), tau)
 
 
+def test_svd_fallback_runs_gesvd_on_one_thread(monkeypatch):
+    # numpy's gesdd failing once sends _svd to scipy's gesvd, which it
+    # imports then and runs with every OpenBLAS pool, scipy's too, pinned
+    import scipy.linalg
+
+    from mvsc import blas
+
+    rng = np.random.default_rng(31)
+    M = rng.standard_normal((12, 7))
+    U0, s0, Vt0 = np.linalg.svd(M, full_matrices=False)
+    real_np, real_scipy = np.linalg.svd, scipy.linalg.svd
+    failures, pool_sizes = [], []
+
+    def failing_once(*args, **kwargs):
+        if not failures:
+            failures.append(args[0].shape)
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return real_np(*args, **kwargs)
+
+    def recording(*args, **kwargs):
+        pool_sizes.extend(get() for get, _ in blas.openblas_pools())
+        return real_scipy(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", failing_once)
+    monkeypatch.setattr(scipy.linalg, "svd", recording)
+    U, s, Vt = linalg._svd(M)
+    assert failures == [M.shape]
+    assert pool_sizes and set(pool_sizes) == {1}
+    np.testing.assert_allclose(s, s0, rtol=1e-12)
+    # singular vectors agree up to the sign of each pair
+    np.testing.assert_allclose(np.abs(U), np.abs(U0), atol=1e-12)
+    np.testing.assert_allclose(np.abs(Vt), np.abs(Vt0), atol=1e-12)
+    np.testing.assert_allclose((U * s) @ Vt, M, atol=1e-12)
+
+
 def _planted(rng, shape, rank, noise):
     """Rank-`rank` matrix with unit-order singular values plus entrywise
     Gaussian noise of the given scale."""

@@ -10,6 +10,7 @@ from mvsc.metrics import (
     METRIC_FIELDS,
     EvaluationReport,
     accuracy,
+    _min_cost_assignment,
     aggregate,
     avgent,
     contingency_table,
@@ -86,6 +87,33 @@ def test_accuracy_matches_brute_force():
         assert accuracy(pred, truth) == pytest.approx(
             brute_force_accuracy(pred, truth)
         )
+
+
+def test_min_cost_assignment_matches_brute_force():
+    # small value ranges make ties between optimal assignments common;
+    # half the tables are rectangular, zero-padded the way accuracy pads
+    rng = np.random.default_rng(4)
+    for trial in range(300):
+        m = int(rng.integers(1, 7))
+        rows, cols = (m, m) if trial % 2 else (m, int(rng.integers(1, m + 1)))
+        cost = np.zeros((m, m))
+        cost[:rows, :cols] = -rng.integers(0, int(rng.integers(1, 10)), (rows, cols))
+        assignment = _min_cost_assignment(cost)
+        assert sorted(assignment) == list(range(m))
+        best = min(sum(cost[i, p[i]] for i in range(m)) for p in permutations(range(m)))
+        assert cost[np.arange(m), assignment].sum() == best
+
+
+def test_min_cost_assignment_matches_scipy():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(6)
+    for _ in range(200):
+        m = int(rng.integers(1, 13))
+        cost = -rng.integers(0, int(rng.integers(1, 60)), (m, m)).astype(float)
+        rows, cols = linear_sum_assignment(cost)
+        ours = _min_cost_assignment(cost)
+        assert cost[np.arange(m), ours].sum() == cost[rows, cols].sum()
 
 
 def test_accuracy_symmetric_for_equal_cluster_counts():

@@ -6,11 +6,11 @@ from mvsc import solver as solver_module
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.graphs import laplacian_from_weights, laplacian_quadratic
-from mvsc.linalg import l21_norm, nuclear_norm, prox_l21, solve_spd
+from mvsc.linalg import l21_norm, nuclear_norm, prox_l21
 from mvsc.solver import (
     HyperParams,
     SolverState,
-    _z_system_parts,
+    _z_basis,
     fit,
     objective_value,
     update_E,
@@ -229,32 +229,48 @@ def test_update_Z_as_printed_is_not_stationary():
     assert failures >= 1
 
 
-def test_update_Z_hoisted_system_is_bit_identical():
-    # the system matrix built once per fit, without a symmetrizing pass,
-    # gives the Z of the per-iteration build mu (G + I) + lambda2 sum
-    # (L + L^T) followed by (T + T^T) / 2
+@pytest.mark.parametrize(
+    "dims, n, lam2",
+    [
+        ((4, 5, 6), 30, 0.7),
+        ((4, 5, 6), 30, 0.0),  # S absent
+        ((7,), 25, 0.7),
+        ((40, 50), 60, 0.7),  # sum of dims >= n: the thin SVD has full rank
+    ],
+    ids=["graph", "no-graph", "one-view", "dims-exceed-n"],
+)
+def test_update_Z_matches_dense_solve(dims, n, lam2):
+    # the per-fit eigenbasis against an independent dense solve of
+    # (mu (I + sum X^T X) + lambda2 sum (L + L^T)) Z = B
     rng = np.random.default_rng(12)
-    for lam2 in (0.0, 0.7):
-        n, v = 30, 3
-        X_list, state = random_state(rng, n, v)
-        L_list = [  # Laplacians plus an antisymmetric part: not symmetric
-            L + B - B.T
-            for L, B in zip(random_laplacians(rng, n, v), rng.standard_normal((v, n, n)))
-        ]
-        gram = sum(X.T @ X for X in X_list)
-        T_ZA = state.mu * (gram + np.eye(n))
-        if lam2 > 0:
-            T_ZA = T_ZA + lam2 * sum(L + L.T for L in L_list)
-        T_ZA = (T_ZA + T_ZA.T) / 2.0
-        xty = sum(X.T @ Y1 for X, Y1 in zip(X_list, state.Y1))
-        xte = sum(X.T @ E for X, E in zip(X_list, state.E))
-        T_ZB = xty + state.mu * (gram - xte) + state.mu * state.Q - state.Y2
-        expected = solve_spd(T_ZA, T_ZB)
-        parts = _z_system_parts(gram, L_list, lam2)
-        assert np.array_equal(
-            update_Z(state, X_list, L_list, lam2, gram=gram, parts=parts), expected
-        )
-        assert np.array_equal(update_Z(state, X_list, L_list, lam2), expected)
+    X_list = [rng.standard_normal((d, n)) for d in dims]
+    _, state = random_state(rng, n, len(dims))
+    state.E = [0.1 * rng.standard_normal(X.shape) for X in X_list]
+    state.Y1 = [0.1 * rng.standard_normal(X.shape) for X in X_list]
+    L_list = []
+    if lam2 > 0:  # Laplacians plus an antisymmetric part: not symmetric
+        skew = rng.standard_normal((len(dims), n, n))
+        L_list = [L + B - B.T for L, B in zip(random_laplacians(rng, n, len(dims)), skew)]
+    mu = state.mu
+    gram = sum(X.T @ X for X in X_list)
+    A = mu * (np.eye(n) + gram)
+    if L_list:
+        A = A + lam2 * sum(L + L.T for L in L_list)
+    xty = sum(X.T @ Y1 for X, Y1 in zip(X_list, state.Y1))
+    xte = sum(X.T @ E for X, E in zip(X_list, state.E))
+    rhs = {
+        "derived": xty + mu * (gram - xte) + mu * state.Q - state.Y2,
+        "as-printed": xty + mu * gram + mu * (xte + state.Q),
+    }
+    basis = _z_basis(X_list, L_list, lam2)
+    for mode, B in rhs.items():
+        expected = np.linalg.solve(A, B)
+        scale = np.linalg.norm(expected)
+        for got in (
+            update_Z(state, X_list, L_list, lam2, mode=mode),
+            update_Z(state, X_list, L_list, lam2, mode=mode, basis=basis),
+        ):
+            assert np.linalg.norm(got - expected) <= 1e-10 * scale
 
 
 def test_update_Z_rejects_unknown_mode():
