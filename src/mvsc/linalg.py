@@ -67,12 +67,11 @@ def _svd(M):
 
 
 def _threshold(U, s, Vt, tau):
-    """U diag(max(s - tau, 0)) Vt, keeping only the surviving triplets."""
+    """Factors (U diag(max(s - tau, 0)), Vt) restricted to the surviving
+    triplets."""
     s = np.maximum(s - tau, 0.0)
     keep = s > 0
-    if not keep.any():
-        return np.zeros((U.shape[0], Vt.shape[1]))
-    return (U[:, keep] * s[keep]) @ Vt[keep, :]
+    return U[:, keep] * s[keep], Vt[keep, :]
 
 
 def _sketch_range(M, k):
@@ -87,14 +86,17 @@ def _sketch_range(M, k):
     return U
 
 
-def svt(M, tau, rank_hint=None):
-    """Singular value thresholding: prox of tau * nuclear norm at M.
+def svt_factors(M, tau, rank_hint=None):
+    """Singular value thresholding: prox of tau * nuclear norm at M, as
+    factors (L, Rt) of width rank(Q) with Q = L @ Rt.
 
-    Returns U diag(max(s - tau, 0)) Vt, the unique minimizer of
-    tau*||Q||_* + 0.5*||Q - M||_F^2. Three paths, chosen per call:
+    Q = U diag(max(s - tau, 0)) Vt is the unique minimizer of
+    tau*||Q||_* + 0.5*||Q - M||_F^2; L = U diag(max(s - tau, 0)) and
+    Rt = Vt keep only the surviving triplets. Three paths, chosen per call:
 
     - zero skip: ||M||_F <= tau (less a 1e-12 relative margin) bounds
-      sigma_1 by tau, so Q = 0 exactly and no SVD runs;
+      sigma_1 by tau, so Q = 0 exactly (factors of width 0) and no SVD
+      runs;
     - sketched: given rank_hint h, an expected bound on rank(Q), and
       4 (h + 10) <= min(M.shape), an orthonormal basis U of h + 10
       sketched directions is accepted when ||M - U U^T M||_F <= tau,
@@ -113,7 +115,7 @@ def svt(M, tau, rank_hint=None):
     if rank_hint is not None and rank_hint < 0:
         raise ValidationError(f"rank_hint must be nonnegative, got {rank_hint}")
     if np.linalg.norm(M) <= tau * (1.0 - SKIP_MARGIN):
-        return np.zeros_like(M)
+        return np.zeros((M.shape[0], 0)), np.zeros((0, M.shape[1]))
     if rank_hint is not None:
         k = rank_hint + SKETCH_OVERSAMPLE
         if SKETCH_RATIO * k <= min(M.shape):
@@ -123,6 +125,13 @@ def svt(M, tau, rank_hint=None):
                 Ub, s, Vt = _svd(B)
                 return _threshold(U @ Ub, s, Vt, tau)
     return _threshold(*_svd(M), tau)
+
+
+def svt(M, tau, rank_hint=None):
+    """Singular value thresholding as a dense matrix: the product of
+    svt_factors(M, tau, rank_hint), which documents the three paths."""
+    L, Rt = svt_factors(M, tau, rank_hint=rank_hint)
+    return L @ Rt
 
 
 def prox_l21(T, kappa):

@@ -99,33 +99,29 @@ def _entropy(p):
     return float(-(p * np.log(p)).sum())
 
 
-def _identical_partitions(counts):
-    # one nonzero per row and per column <=> clusters match one-to-one
-    nz_rows = (counts > 0).sum(axis=1)
-    nz_cols = (counts > 0).sum(axis=0)
-    return bool(np.all(nz_rows == 1) and np.all(nz_cols == 1))
-
-
 def nmi(pred, truth, normalization="geometric"):
     """Normalized mutual information.
 
-    If either marginal entropy is zero the usual ratio is undefined; by
-    convention the value is 1 when the two label vectors induce the same
-    partition and 0 otherwise.
+    If either labeling has a single label, its entropy is zero and the
+    usual ratio is undefined; by convention the value is 1 when the two
+    label vectors induce the same partition (both have a single label)
+    and 0 otherwise. That case is read from the contingency table's
+    shape, not from float entropies, whose rounding depends on the label
+    names.
     """
     if normalization not in NMI_NORMALIZATIONS:
         raise ValidationError(
             f"unknown normalization {normalization!r}; one of {NMI_NORMALIZATIONS}"
         )
     counts = contingency_table(pred, truth)
+    if 1 in counts.shape:
+        return 1.0 if counts.shape == (1, 1) else 0.0
     n = counts.sum()
     pij = counts / n
     pi = pij.sum(axis=1)
     pj = pij.sum(axis=0)
     h_pred = _entropy(pi)
     h_true = _entropy(pj)
-    if h_pred == 0.0 or h_true == 0.0:
-        return 1.0 if _identical_partitions(counts) else 0.0
     mask = pij > 0
     outer = pi[:, None] * pj[None, :]
     info = float((pij[mask] * np.log(pij[mask] / outer[mask])).sum())

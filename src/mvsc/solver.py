@@ -20,17 +20,30 @@ is diagonalized once per fit. R = P^(-1/2) = I + V_r diag((1 + s^2)^(-1/2)
 - 1) V_r^T comes from the thin SVD Xs = U diag(s) V_r^T; S is PSD (each
 graph is symmetric and nonnegative), and eigh(R S R) = W diag(lam) W^T
 gives V = R W, so that (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T.
-Each iteration applies it to the residual of Z = I,
+R is the identity plus rank d, so R S R and R W are built from S V_r
+and V_r^T W without forming R. Each iteration applies the inverse to
+the residual of Z = I,
 
-    Z = I + V diag(1 / (mu + lam)) V^T D,  D = B - mu P - S
-      = Xs^T (Y1s - mu Es) + mu (Q - I) - Y2 - S,
+    Z = I + V C,  C = diag(1 / (mu + lam)) V^T D,  D = B - mu P - S
+      = Xs^T T + mu (Q - I) - Y2 - S,  T = Y1s - mu Es.
 
-two GEMMs and no factorization. Forming D without the mu Xs^T Xs term
-keeps B's large data-space part out of the fixed basis, which would
-round it the same way every iteration and let the multipliers add up
-the error: applied to B itself, the fitted Z strays ten times further
-from a dense solve's (3e-12 against 3e-13 relative at n=1200). Without
-a graph term V = R, lam = 0 and S = 0.
+Forming D without the mu Xs^T Xs term keeps B's large data-space part
+out of the fixed basis, which would round it the same way every
+iteration and let the multipliers add up the error: applied to B
+itself, the fitted Z strays ten times further from a dense solve's
+(3e-12 against 3e-13 relative at n=1200). Without a graph term V = R,
+lam = 0 and S = 0.
+
+When d is small against n (4 d < n), V^T D is not formed from a dense
+D: (Xs V)^T T is an n x d x n product, V^T Q uses Q's SVT factors, and
+J = V^T (Y2 + S) is carried from one iteration to the next. By the Z
+step's own equations the dual step's Y2 + mu (Z - Q) + S equals
+Xs^T (T - mu Xs V C) - S V C, and V^T S V = diag(lam), so the next
+J = (Xs V)^T (T - mu Xs V C) - diag(lam) C costs two n x d x n
+products. The one n x n x n product per iteration is then V C. In
+as-printed mode, where Y2 does not enter, J = V^T S stays fixed.
+Otherwise V^T D = (Xs V)^T T + V^T (mu Q - Y2) - V^T S - mu V^T takes
+one dense product.
 
 An alternative "as-printed" right-hand side (sign flipped on the error
 term, no -Y2) is kept behind a switch for comparison; it does not satisfy
@@ -51,9 +64,10 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import build_graph_set
-from .linalg import _svd, inf_norm, l21_norm, nuclear_norm, prox_l21, svt
-# unused here; perfbench/spans.py wraps solver.solve_spd (SOLVER_KERNELS)
-from .linalg import solve_spd  # noqa: F401
+from .linalg import _svd, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factors
+# unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
+# (SOLVER_KERNELS)
+from .linalg import solve_spd, svt  # noqa: F401
 
 VARIANTS = ("grmsc", "grmsc-naive", "msc-naive", "lrr-bsv")
 Z_UPDATE_MODES = ("derived", "as-printed")
@@ -170,57 +184,102 @@ def update_E(state, X_list, lambda1, products=None):
 
 def update_Q(state, rank_hint=None):
     """Nuclear-norm copy update: singular value thresholding of
-    Z + Y2 / mu at level 1 / mu. rank_hint, an expected bound on the
-    rank of the result, lets svt sketch instead of running a full SVD."""
-    return svt(state.Z + state.Y2 / state.mu, 1.0 / state.mu, rank_hint=rank_hint)
+    Z + Y2 / mu at level 1 / mu, returned as factors (L, Rt) with
+    Q = L @ Rt. rank_hint, an expected bound on the rank of the result,
+    lets the SVT sketch instead of running a full SVD."""
+    return svt_factors(
+        state.Z + state.Y2 / state.mu, 1.0 / state.mu, rank_hint=rank_hint
+    )
+
+
+def _congruence(S, G, Vt):
+    """R S R for symmetric S and R = I + G Vt, without forming R:
+    S + G H^T + H G^T with H = S Vt^T + G (Vt S Vt^T) / 2."""
+    SVr = S @ Vt.T
+    H = SVr + 0.5 * (G @ (Vt @ SVr))
+    RSR = G @ H.T
+    RSR += RSR.T
+    RSR += S
+    return RSR
 
 
 def _z_basis(X_list, L_list, lambda2):
-    """The Z system's eigenbasis (V, lam) and graph term S (None without
-    one), built once per fit: (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T
-    for every mu (see the module docstring). Raises NumericalError when
-    sum_k X_k^T X_k overflows."""
-    _, s, Vt = _svd(np.vstack(X_list))
+    """The Z system's eigenbasis, built once per fit: (V, lam, XV, VtS)
+    with (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T for every mu (see
+    the module docstring), XV = Xs V and VtS = V^T S (None without a
+    graph term). V is in Fortran order, so V.T is C-contiguous. Raises
+    NumericalError when sum_k X_k^T X_k overflows."""
+    Xs = np.vstack(X_list)
+    _, s, Vt = _svd(Xs)
     with np.errstate(over="ignore"):
         s2 = s * s
     if not np.isfinite(s2).all():
         raise NumericalError(
             "sum of X^T X over views overflows; rescale the views or normalize them"
         )
-    R = (Vt.T * ((1.0 + s2) ** -0.5 - 1.0)) @ Vt
-    R[np.diag_indices_from(R)] += 1.0
+    # R = P^(-1/2) = I + G Vt, identity plus rank d
+    G = Vt.T * ((1.0 + s2) ** -0.5 - 1.0)
     if lambda2 > 0 and L_list:
         S = lambda2 * sum(L + L.T for L in L_list)
-        lam, W = np.linalg.eigh(R @ S @ R)
-        return R @ W, lam, S
-    return R, np.zeros(R.shape[0]), None
+        lam, W = np.linalg.eigh(_congruence(S, G, Vt))
+        V = np.asfortranarray(W)
+        V += G @ (Vt @ W)  # V = R W
+        return V, lam, Xs @ V, V.T @ S
+    V = np.asfortranarray(G @ Vt)
+    V[np.diag_indices_from(V)] += 1.0
+    return V, np.zeros(V.shape[0]), Xs @ V, None
 
 
-def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None):
+def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
+             J=None, Q_factors=None):
     """Solve the Z subproblem's normal equations (mu P + S) Z = B.
 
     basis may carry the precomputed _z_basis(X_list, L_list, lambda2);
     without it the basis is built here. mode "as-printed" reproduces the
     inconsistent closed form (error-term sign flipped, -Y2 missing) for
     comparison runs.
+
+    J and Q_factors are what the fit carries from one iteration to the
+    next: J = V^T (Y2 + S) for the current Y2 (V^T S in as-printed mode,
+    where Y2 does not enter) and Q_factors = (L, Rt) with Q = L @ Rt,
+    which is used only with J. With J, V^T D is built from thin
+    products, and in derived mode J is advanced in place to its value
+    after the dual step Y2 += mu (Z - Q) that follows this Z step.
+    Without it, V^T D costs one dense n x n x n product.
     """
     mu = state.mu
-    Xs = np.vstack(X_list)
-    # D = B - (mu P + S), with B's mu Xs^T Xs cancelled against mu P
     if mode == "derived":
         T = [Y1 - mu * E for Y1, E in zip(state.Y1, state.E)]
-        D = Xs.T @ np.vstack(T) + mu * state.Q - state.Y2
     elif mode == "as-printed":
         T = [Y1 + mu * E for Y1, E in zip(state.Y1, state.E)]
-        D = Xs.T @ np.vstack(T) + mu * state.Q
     else:
         raise ValidationError(f"unknown z_update mode {mode!r}")
-    V, lam, S = _z_basis(X_list, L_list, lambda2) if basis is None else basis
-    if S is not None:
-        D -= S
-    D[np.diag_indices_from(D)] -= mu
-    Z = V @ ((V.T @ D) / (mu + lam)[:, None])
+    V, lam, XV, VtS = _z_basis(X_list, L_list, lambda2) if basis is None else basis
+    Vt = V.T
+    Ts = np.vstack(T)
+    # C = V^T D / (mu + lam) with D = B - mu P - S
+    #   = Xs^T T + mu (Q - I) - Y2 - S
+    if J is None:
+        M = mu * state.Q - state.Y2 if mode == "derived" else mu * state.Q
+        C = XV.T @ Ts + Vt @ M
+        C -= mu * Vt
+        if VtS is not None:
+            C -= VtS
+    else:
+        L, Rt = Q_factors
+        C = np.hstack([XV.T, mu * (Vt @ L)]) @ np.vstack([Ts, Rt])
+        C -= mu * Vt
+        C -= J
+    C /= (mu + lam)[:, None]
+    Z = V @ C
     Z[np.diag_indices_from(Z)] += 1.0
+    if J is not None and mode == "derived":
+        # Z solves its normal equations, so the dual step's
+        # Y2 + mu (Z - Q) + S equals Xs^T (T - mu Xs (Z - I)) - S (Z - I),
+        # and V^T S V = diag(lam)
+        np.matmul(XV.T, Ts - mu * (XV @ C), out=J)
+        C *= lam[:, None]
+        J -= C
     return Z
 
 
@@ -257,16 +316,26 @@ def objective_value(state, X_list, graphs, params):
 
 def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=False):
     state = _init_state(X_list, params)
-    basis = _z_basis(X_list, L_list, lambda2)
     # Q lies near the row space of the stacked dictionary, whose rank is
     # at most its row count
     rank_hint = sum(X.shape[0] for X in X_list)
+    V, lam, XV, VtS = basis = _z_basis(X_list, L_list, lambda2)
+    J = None
+    # V^T D from the carried J and Q's factors costs about 2 (d + rank Q)
+    # n^2 flops, with rank Q near d, against n^3 for the dense product
+    if 4 * rank_hint < len(lam):
+        # J = V^T (Y2 + S), or V^T S in as-printed mode, takes V^T S over
+        # from the basis (Y2 starts at 0); update_Z advances it
+        J = np.zeros_like(state.Z) if VtS is None else VtS
+        basis = (V, lam, XV, None)
     products = None  # X_k Z of the last residuals, reused by the next E step
     for _ in range(params.max_iter):
         state.E = update_E(state, X_list, params.lambda1, products=products)
-        state.Q = update_Q(state, rank_hint=rank_hint)
+        Q_factors = update_Q(state, rank_hint=rank_hint)
+        state.Q = Q_factors[0] @ Q_factors[1]
         state.Z = update_Z(
-            state, X_list, L_list, lambda2, mode=params.z_update, basis=basis
+            state, X_list, L_list, lambda2, mode=params.z_update, basis=basis,
+            J=J, Q_factors=Q_factors,
         )
         products = [X @ state.Z for X in X_list]
         R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]

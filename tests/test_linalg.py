@@ -83,7 +83,8 @@ def test_svt_nonexpansive():
 
 def _full_svt(M, tau):
     """svt's full-SVD path, the reference for the rank-aware paths."""
-    return linalg._threshold(*linalg._svd(M), tau)
+    L, Rt = linalg._threshold(*linalg._svd(M), tau)
+    return L @ Rt
 
 
 def test_svd_fallback_runs_gesvd_on_one_thread(monkeypatch):
@@ -207,6 +208,33 @@ def test_svt_sketch_is_deterministic():
     a = svt(M, 1e-3, rank_hint=10)
     b = svt(M, 1e-3, rank_hint=10)
     assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("path", ["skip", "sketch", "full", "full-to-zero"])
+def test_svt_factors_multiply_to_svt(path, monkeypatch):
+    # svt is the product of svt_factors, bit for bit, on every path; on
+    # the full path both equal the dense thresholded SVD
+    rng = np.random.default_rng(24)
+    M = _planted(rng, (200, 200), 8, noise=1e-7)
+    sigma = np.linalg.svd(M, compute_uv=False)
+    tau, hint, svds, width = {
+        "skip": (2 * np.linalg.norm(M), 8, [], 0),
+        "sketch": (1e-3, 8, [(8 + linalg.SKETCH_OVERSAMPLE, 200)], 8),
+        "full": (1e-3, None, [(200, 200)], 8),
+        # sigma_1 <= tau < ||M||_F: the SVD runs and nothing survives
+        "full-to-zero": (sigma[0] * (1 + 1e-9), None, [(200, 200)], 0),
+    }[path]
+    shapes = _count_svds(monkeypatch)
+    L, Rt = linalg.svt_factors(M, tau, rank_hint=hint)
+    assert shapes == svds
+    assert L.shape == (200, width) and Rt.shape == (width, 200)
+    Q = svt(M, tau, rank_hint=hint)
+    assert np.array_equal(L @ Rt, Q)
+    if path.startswith("full"):
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        s = np.maximum(s - tau, 0.0)
+        keep = s > 0
+        assert np.array_equal(Q, (U[:, keep] * s[keep]) @ Vt[keep, :])
 
 
 def test_svt_rejects_negative_hint():

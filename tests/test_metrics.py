@@ -2,7 +2,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvsc.errors import ValidationError
@@ -214,6 +214,8 @@ def test_avgent_weights_by_cluster_size():
     st.lists(st.integers(0, 4), min_size=2, max_size=20),
     st.integers(0, 2**31 - 1),
 )
+# one class: the float-summed marginal of the renamed pair is 1 - 1ulp
+@example(truth=[0] * 6, seed=5)
 def test_all_metrics_invariant_under_relabeling(truth, seed):
     rng = np.random.default_rng(seed)
     n = len(truth)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -134,12 +136,18 @@ def test_update_E_is_the_l21_prox():
 # ---------------------------------------------------------------- Q step
 
 
+def dense_Q(state):
+    """update_Q's factors multiplied out."""
+    L, Rt = update_Q(state)
+    return L @ Rt
+
+
 def test_update_Q_zero_input():
     rng = np.random.default_rng(3)
     _, state = random_state(rng, 5, 1, mu=1.0)
     state.Z = np.diag([1.0, 2.0, 0.0, 0.0, 0.0])
     state.Y2 = -state.Z  # Z + Y2/mu = 0
-    assert np.all(update_Q(state) == 0)
+    assert np.all(dense_Q(state) == 0)
 
 
 def test_update_Q_diagonal_case():
@@ -147,13 +155,13 @@ def test_update_Q_diagonal_case():
     _, state = random_state(rng, 2, 1, mu=1.0)
     state.Z = np.diag([3.0, 0.5])
     state.Y2 = np.zeros((2, 2))
-    np.testing.assert_allclose(update_Q(state), np.diag([2.0, 0.0]), atol=1e-12)
+    np.testing.assert_allclose(dense_Q(state), np.diag([2.0, 0.0]), atol=1e-12)
 
 
 def test_update_Q_perturbation_optimality():
     rng = np.random.default_rng(5)
     _, state = random_state(rng, 6, 1)
-    Q = update_Q(state)
+    Q = dense_Q(state)
     M = state.Z + state.Y2 / state.mu
 
     def obj(Qc):
@@ -271,6 +279,58 @@ def test_update_Z_matches_dense_solve(dims, n, lam2):
             update_Z(state, X_list, L_list, lam2, mode=mode, basis=basis),
         ):
             assert np.linalg.norm(got - expected) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize(
+    "dims, n, lam2",
+    [((4, 5, 6), 30, 0.7), ((4, 5, 6), 30, 0.0), ((40, 50), 60, 0.7)],
+    ids=["graph", "no-graph", "dims-exceed-n"],
+)
+def test_z_basis_diagonalizes_the_system(dims, n, lam2):
+    # V^T P V = I and V^T S V = diag(lam), built without a dense R
+    rng = np.random.default_rng(13)
+    X_list = [rng.standard_normal((d, n)) for d in dims]
+    L_list = random_laplacians(rng, n, len(dims)) if lam2 > 0 else []
+    V, lam, XV, VtS = _z_basis(X_list, L_list, lam2)
+    Xs = np.vstack(X_list)
+    P = np.eye(n) + Xs.T @ Xs
+    assert V.flags.f_contiguous
+    np.testing.assert_allclose(V.T @ P @ V, np.eye(n), atol=1e-10)
+    np.testing.assert_allclose(XV, Xs @ V, atol=1e-12)
+    if lam2 > 0:
+        S = lam2 * sum(L + L.T for L in L_list)
+        scale = np.abs(lam).max()
+        np.testing.assert_allclose(V.T @ S @ V, np.diag(lam), atol=1e-10 * scale)
+        np.testing.assert_allclose(VtS, V.T @ S, atol=1e-12 * np.abs(S).max())
+    else:
+        assert VtS is None and not lam.any()
+
+
+@pytest.mark.parametrize("mode", ["derived", "as-printed"])
+def test_update_Z_carried_products_match_dense(mode):
+    # J = V^T (Y2 + S) and Q's factors give the dense path's Z; in
+    # derived mode J comes back as V^T (Y2 + mu (Z - Q) + S)
+    rng = np.random.default_rng(14)
+    n, lam2 = 40, 0.6
+    X_list, state = random_state(rng, n, 3)
+    L_list = random_laplacians(rng, n, 3)
+    QL = rng.standard_normal((n, 5))
+    QRt = rng.standard_normal((5, n))
+    state.Q = QL @ QRt
+    basis = _z_basis(X_list, L_list, lam2)
+    V, S = basis[0], lam2 * sum(L + L.T for L in L_list)
+    J = V.T @ ((state.Y2 if mode == "derived" else 0.0) + S)
+    J0 = J.copy()
+    expected = update_Z(state, X_list, L_list, lam2, mode=mode)
+    got = update_Z(
+        state, X_list, L_list, lam2, mode=mode, basis=basis, J=J, Q_factors=(QL, QRt)
+    )
+    assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
+    if mode == "derived":
+        J_next = V.T @ (state.Y2 + state.mu * (got - state.Q) + S)
+        assert np.linalg.norm(J - J_next) <= 1e-11 * np.linalg.norm(J_next)
+    else:
+        assert np.array_equal(J, J0)
 
 
 def test_update_Z_rejects_unknown_mode():
@@ -422,7 +482,8 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
     assert sketches and set(sketches) == {14 + linalg.SKETCH_OVERSAMPLE}
     sketched = len(sketches)
     monkeypatch.setattr(
-        solver_module, "svt", lambda M, tau, rank_hint=None: linalg.svt(M, tau)
+        solver_module, "svt_factors",
+        lambda M, tau, rank_hint=None: linalg.svt_factors(M, tau),
     )
     Z_full, state_full = fit(ds, HyperParams())
     assert len(sketches) == sketched  # no hint, no sketch
@@ -433,6 +494,54 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
             spectral_cluster(affinity_from_representation(Z), 2, seed),
             spectral_cluster(affinity_from_representation(Z_full), 2, seed),
         )
+
+
+def _dense_update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
+                    **carried):
+    """The Z step with V^T D rebuilt from a dense D every iteration:
+    D = Xs^T T + mu (Q - I) - Y2 - S (no Y2 in as-printed mode)."""
+    V, lam = basis[:2]
+    mu = state.mu
+    sign = -1.0 if mode == "derived" else 1.0
+    T = np.vstack([Y1 + sign * mu * E for Y1, E in zip(state.Y1, state.E)])
+    D = np.vstack(X_list).T @ T + mu * (state.Q - np.eye(len(V)))
+    if mode == "derived":
+        D -= state.Y2
+    if lambda2 > 0 and L_list:
+        D -= lambda2 * sum(L + L.T for L in L_list)
+    return np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
+
+
+@pytest.mark.parametrize(
+    "variant, z_update, max_iter, n, carried",
+    [("grmsc", "derived", 300, 120, True), ("msc-naive", "derived", 300, 120, True),
+     ("lrr-bsv", "derived", 300, 120, True), ("grmsc", "as-printed", 40, 120, True),
+     ("grmsc", "derived", 300, 45, False)],
+    ids=["grmsc", "msc-naive", "lrr-bsv", "as-printed", "dense-n45"],
+)
+def test_fit_carried_J_matches_dense_reference(
+    variant, z_update, max_iter, n, carried, monkeypatch
+):
+    # the loop carries J when 4 d < n (d = 18 rows, 8 for lrr-bsv's view)
+    ds = small_dataset(seed=3, n=n)
+    if variant == "lrr-bsv":
+        ds = replace(ds, views=ds.views[:1])
+    params = HyperParams(variant=variant, z_update=z_update, max_iter=max_iter)
+    real_update_Z = solver_module.update_Z
+    seen = []
+
+    def spying_update_Z(*args, J=None, **kwargs):
+        seen.append(J is not None)
+        return real_update_Z(*args, J=J, **kwargs)
+
+    monkeypatch.setattr(solver_module, "update_Z", spying_update_Z)
+    Z, state = fit(ds, params)
+    assert set(seen) == {carried}
+    monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z)
+    Z_ref, state_ref = fit(ds, params)
+    assert state.iteration == state_ref.iteration
+    assert state.converged == (z_update == "derived")
+    assert np.linalg.norm(Z - Z_ref) <= 1e-11 * np.linalg.norm(Z_ref)
 
 
 def test_fit_nuclear_norm_continuity_after_convergence():
@@ -469,7 +578,7 @@ def test_block_updates_weakly_decrease_their_subproblems():
     def q_obj(Q):
         return nuclear_norm(Q) + state.mu / 2 * np.sum((Q - M) ** 2)
 
-    assert q_obj(update_Q(state)) <= q_obj(state.Q) + 1e-10
+    assert q_obj(dense_Q(state)) <= q_obj(state.Q) + 1e-10
 
     z_new = update_Z(state, X_list, L_list, lam2)
     assert z_subproblem_objective(
