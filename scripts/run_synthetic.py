@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from mvsc.cli import main as cli_main
+from mvsc.solver import VARIANTS
 
 SPEC = {
     "n": 150,
@@ -31,8 +32,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("results/synthetic"))
     ap.add_argument("--restarts", type=int, default=30)
-    ap.add_argument("--variant", default="grmsc",
-                    choices=("grmsc", "grmsc-naive", "msc-naive", "lrr-bsv"))
+    ap.add_argument("--variant", default="grmsc", choices=VARIANTS)
     ap.add_argument("--trace-residuals", action="store_true",
                     help="also dump per-iteration solver traces")
     args = ap.parse_args()

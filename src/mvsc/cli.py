@@ -15,7 +15,7 @@ from pathlib import Path
 from .data import NORMALIZE_MODES
 from .errors import DataIOError, NumericalError, ValidationError
 from .pipeline import LAMBDA_GRID, RunConfig, cmd_ablate, cmd_run, cmd_sweep
-from .solver import VARIANTS, Z_UPDATE_MODES, HyperParams
+from .solver import VARIANTS, HyperParams
 
 
 def _add_common(sp):
@@ -49,8 +49,6 @@ def _add_common(sp):
                          "else under out/graphs/)")
     sp.add_argument("--trace-residuals", action="store_true",
                     help="write per-iteration residual/objective traces")
-    sp.add_argument("--z-update", choices=Z_UPDATE_MODES, default="derived",
-                    help="Z-step right-hand side (as-printed kept for comparison)")
     sp.add_argument("--normalize", choices=NORMALIZE_MODES,
                     default="unit_column", help="per-view preprocessing")
 
@@ -94,7 +92,6 @@ def config_from_args(args):
         eps=args.eps,
         max_iter=args.max_iter,
         variant=args.variant,
-        z_update=args.z_update,
     )
     return RunConfig(
         params=params,

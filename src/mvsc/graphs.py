@@ -41,7 +41,9 @@ def gaussian_kernel(X):
     n = X.shape[1]
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
-    return _kernel_from_sq_dists(pairwise_sq_dists(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = pairwise_sq_dists(X)
+    return _kernel_from_sq_dists(d2)
 
 
 def _kernel_from_sq_dists(d2):
@@ -128,7 +130,8 @@ def first_order_proximity(X, k):
         raise ValidationError(f"need at least 2 samples, got {n}")
     if not 1 <= k < n:
         raise ValidationError(f"neighbor count must satisfy 1 <= k < n, got k={k}, n={n}")
-    d2 = pairwise_sq_dists(X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = pairwise_sq_dists(X)
     S, sigma = _kernel_from_sq_dists(d2)
     knn = _knn_sets(d2, k)
     mutual = knn & knn.T

@@ -14,10 +14,6 @@ from .errors import DecompositionError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
 
-# Singular values below this fraction of the largest are treated as zero
-# in rank-sensitive outputs.
-RANK_TOL = 1e-12
-
 # Rank-aware svt: the zero skip's relative margin, the sketch's
 # oversampling beyond the rank hint, its power iterations, its size gate
 # SKETCH_RATIO * (hint + SKETCH_OVERSAMPLE) <= min(M.shape) (below it a
@@ -178,8 +174,9 @@ def solve_spd(A, B):
     factorization fails, retries once with diagonal jitter
     1e-10 * trace(A)/n (finite arithmetic can make a PSD-by-construction
     matrix slightly indefinite); a second failure raises. The solver does
-    not call it: it is the tests' reference solve, and imports scipy
-    itself so that commands never load it.
+    not call it (it imports it only for perfbench/spans.py, which wraps
+    solver.solve_spd), and it imports scipy itself so that commands never
+    load it.
     """
     import scipy.linalg
 

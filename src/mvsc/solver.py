@@ -40,14 +40,16 @@ J = V^T (Y2 + S) is carried from one iteration to the next. By the Z
 step's own equations the dual step's Y2 + mu (Z - Q) + S equals
 Xs^T (T - mu Xs V C) - S V C, and V^T S V = diag(lam), so the next
 J = (Xs V)^T (T - mu Xs V C) - diag(lam) C costs two n x d x n
-products. The one n x n x n product per iteration is then V C. In
-as-printed mode, where Y2 does not enter, J = V^T S stays fixed.
+products. The one n x n x n product per iteration is then V C.
 Otherwise V^T D = (Xs V)^T T + V^T (mu Q - Y2) - V^T S - mu V^T takes
 one dense product.
 
-An alternative "as-printed" right-hand side (sign flipped on the error
-term, no -Y2) is kept behind a switch for comparison; it does not satisfy
-the stationarity condition and fails gradient checks.
+update_Z can also take one "as-printed" step (sign flipped on the error
+term, no -Y2) for comparison; it does not satisfy the stationarity
+condition and fails gradient checks, and fits never use it.
+
+The penalty mu follows a fixed schedule: it starts at MU0 and grows by
+RHO per iteration up to MU_MAX.
 
 Variants: "grmsc" (full model), "grmsc-naive" (first-order graphs used
 directly, no consensus split), "msc-naive" (lambda2 = 0), and "lrr-bsv"
@@ -58,7 +60,7 @@ The solver only optimizes: it is deterministic, starts from Z = 0 as
 LRR's ALM does, and never sees labels or clusterings.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -70,7 +72,11 @@ from .linalg import _svd, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factor
 from .linalg import solve_spd, svt  # noqa: F401
 
 VARIANTS = ("grmsc", "grmsc-naive", "msc-naive", "lrr-bsv")
-Z_UPDATE_MODES = ("derived", "as-printed")
+
+# ALM penalty schedule (see the module docstring)
+RHO = 1.9
+MU0 = 1e-4
+MU_MAX = 1e6
 
 
 def variant_label(variant):
@@ -89,13 +95,9 @@ class HyperParams:
     lambda2: float = 1.0
     alpha: float = 1e-3
     knn: int | None = None
-    rho: float = 1.9
-    mu0: float = 1e-4
-    mu_max: float = 1e6
     eps: float = 1e-6
     max_iter: int = 300
     variant: str = "grmsc"
-    z_update: str = "derived"
 
     def __post_init__(self):
         if self.lambda1 <= 0:
@@ -106,22 +108,12 @@ class HyperParams:
             raise ValidationError(f"alpha must be nonnegative, got {self.alpha}")
         if self.knn is not None and self.knn < 1:
             raise ValidationError(f"knn must be at least 1, got {self.knn}")
-        if self.rho <= 1:
-            raise ValidationError(f"rho must exceed 1, got {self.rho}")
-        if self.mu0 <= 0 or self.mu_max <= 0 or self.mu0 >= self.mu_max:
-            raise ValidationError(
-                f"need 0 < mu0 < mu_max, got mu0={self.mu0}, mu_max={self.mu_max}"
-            )
         if self.eps <= 0:
             raise ValidationError(f"eps must be positive, got {self.eps}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.variant not in VARIANTS:
             raise ValidationError(f"unknown variant {self.variant!r}; one of {VARIANTS}")
-        if self.z_update not in Z_UPDATE_MODES:
-            raise ValidationError(
-                f"unknown z_update {self.z_update!r}; one of {Z_UPDATE_MODES}"
-            )
 
     @property
     def effective_lambda2(self):
@@ -155,7 +147,7 @@ class SolverState:
     objective_history: list = field(default_factory=list)
 
 
-def _init_state(X_list, params):
+def _init_state(X_list):
     n = X_list[0].shape[1]
     return SolverState(
         Z=np.zeros((n, n)),
@@ -163,7 +155,7 @@ def _init_state(X_list, params):
         E=[np.zeros_like(X) for X in X_list],
         Y1=[np.zeros_like(X) for X in X_list],
         Y2=np.zeros((n, n)),
-        mu=params.mu0,
+        mu=MU0,
     )
 
 
@@ -235,33 +227,30 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     """Solve the Z subproblem's normal equations (mu P + S) Z = B.
 
     basis may carry the precomputed _z_basis(X_list, L_list, lambda2);
-    without it the basis is built here. mode "as-printed" reproduces the
-    inconsistent closed form (error-term sign flipped, -Y2 missing) for
-    comparison runs.
+    without it the basis is built here. mode "as-printed" takes one step
+    of the inconsistent closed form (error-term sign flipped, -Y2
+    missing) for comparison: the derived step at -E and Y2 = 0.
 
     J and Q_factors are what the fit carries from one iteration to the
-    next: J = V^T (Y2 + S) for the current Y2 (V^T S in as-printed mode,
-    where Y2 does not enter) and Q_factors = (L, Rt) with Q = L @ Rt,
-    which is used only with J. With J, V^T D is built from thin
-    products, and in derived mode J is advanced in place to its value
-    after the dual step Y2 += mu (Z - Q) that follows this Z step.
-    Without it, V^T D costs one dense n x n x n product.
+    next: J = V^T (Y2 + S) for the current Y2 and Q_factors = (L, Rt)
+    with Q = L @ Rt, which is used only with J. With J, V^T D is built
+    from thin products, and J is advanced in place to its value after
+    the dual step Y2 += mu (Z - Q) that follows this Z step. Without
+    it, V^T D costs one dense n x n x n product.
     """
+    if mode == "as-printed":
+        state = replace(state, E=[-E for E in state.E], Y2=np.zeros_like(state.Y2))
+    elif mode != "derived":
+        raise ValidationError(f"unknown Z step mode {mode!r}")
     mu = state.mu
-    if mode == "derived":
-        T = [Y1 - mu * E for Y1, E in zip(state.Y1, state.E)]
-    elif mode == "as-printed":
-        T = [Y1 + mu * E for Y1, E in zip(state.Y1, state.E)]
-    else:
-        raise ValidationError(f"unknown z_update mode {mode!r}")
+    T = [Y1 - mu * E for Y1, E in zip(state.Y1, state.E)]
     V, lam, XV, VtS = _z_basis(X_list, L_list, lambda2) if basis is None else basis
     Vt = V.T
     Ts = np.vstack(T)
     # C = V^T D / (mu + lam) with D = B - mu P - S
     #   = Xs^T T + mu (Q - I) - Y2 - S
     if J is None:
-        M = mu * state.Q - state.Y2 if mode == "derived" else mu * state.Q
-        C = XV.T @ Ts + Vt @ M
+        C = XV.T @ Ts + Vt @ (mu * state.Q - state.Y2)
         C -= mu * Vt
         if VtS is not None:
             C -= VtS
@@ -273,7 +262,7 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     C /= (mu + lam)[:, None]
     Z = V @ C
     Z[np.diag_indices_from(Z)] += 1.0
-    if J is not None and mode == "derived":
+    if J is not None:
         # Z solves its normal equations, so the dual step's
         # Y2 + mu (Z - Q) + S equals Xs^T (T - mu Xs (Z - I)) - S (Z - I),
         # and V^T S V = diag(lam)
@@ -283,8 +272,8 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     return Z
 
 
-def update_multipliers(state, X_list, rho, mu_max, residuals=None):
-    """Dual ascent on Y1 (per view) and Y2, then grow mu by rho up to mu_max.
+def update_multipliers(state, X_list, residuals=None):
+    """Dual ascent on Y1 (per view) and Y2, then grow mu by RHO up to MU_MAX.
 
     residuals, when given, is the precomputed pair (R_list, R_zq) with
     R_k = X_k - X_k Z - E_k and R_zq = Z - Q.
@@ -296,7 +285,7 @@ def update_multipliers(state, X_list, rho, mu_max, residuals=None):
         R_list, R_zq = residuals
     Y1 = [Y + state.mu * R for Y, R in zip(state.Y1, R_list)]
     Y2 = state.Y2 + state.mu * R_zq
-    return Y1, Y2, min(rho * state.mu, mu_max)
+    return Y1, Y2, min(RHO * state.mu, MU_MAX)
 
 
 def objective_value(state, X_list, graphs, params):
@@ -315,7 +304,7 @@ def objective_value(state, X_list, graphs, params):
 
 
 def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=False):
-    state = _init_state(X_list, params)
+    state = _init_state(X_list)
     # Q lies near the row space of the stacked dictionary, whose rank is
     # at most its row count
     rank_hint = sum(X.shape[0] for X in X_list)
@@ -324,8 +313,8 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
     # V^T D from the carried J and Q's factors costs about 2 (d + rank Q)
     # n^2 flops, with rank Q near d, against n^3 for the dense product
     if 4 * rank_hint < len(lam):
-        # J = V^T (Y2 + S), or V^T S in as-printed mode, takes V^T S over
-        # from the basis (Y2 starts at 0); update_Z advances it
+        # J = V^T (Y2 + S) takes V^T S over from the basis (Y2 starts
+        # at 0); update_Z advances it
         J = np.zeros_like(state.Z) if VtS is None else VtS
         basis = (V, lam, XV, None)
     products = None  # X_k Z of the last residuals, reused by the next E step
@@ -334,8 +323,7 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
         Q_factors = update_Q(state, rank_hint=rank_hint)
         state.Q = Q_factors[0] @ Q_factors[1]
         state.Z = update_Z(
-            state, X_list, L_list, lambda2, mode=params.z_update, basis=basis,
-            J=J, Q_factors=Q_factors,
+            state, X_list, L_list, lambda2, basis=basis, J=J, Q_factors=Q_factors,
         )
         products = [X @ state.Z for X in X_list]
         R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
@@ -357,7 +345,7 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
             )
 
         state.Y1, state.Y2, state.mu = update_multipliers(
-            state, X_list, params.rho, params.mu_max, residuals=(R_list, R_zq)
+            state, X_list, residuals=(R_list, R_zq)
         )
         state.iteration += 1
         if max(view_resids) < params.eps and zq_resid < params.eps:

@@ -2,8 +2,8 @@
 
 The affinity is the symmetrized magnitude of the representation,
 (|Z| + |Z^T|) / 2. Clustering runs on the bottom eigenvectors of the
-symmetric normalized Laplacian with a seeded k-means (k-means++ starts,
-multiple restarts, best inertia wins).
+symmetric normalized Laplacian with a seeded k-means: KMEANS_STARTS
+k-means++ starts, each refined by Lloyd's iterations, best inertia wins.
 """
 
 import logging
@@ -14,6 +14,12 @@ from .errors import ValidationError
 from .linalg import _as_matrix
 
 logger = logging.getLogger(__name__)
+
+# k-means++ starts per clustering, and Lloyd's iteration cap and
+# center-shift tolerance per start
+KMEANS_STARTS = 20
+LLOYD_MAX_ITER = 300
+LLOYD_TOL = 1e-12
 
 
 def affinity_from_representation(Z):
@@ -74,10 +80,10 @@ def _kmeans_pp_init(X, k, rng):
     return centers
 
 
-def _lloyd(X, centers, max_iter=300, tol=1e-12):
+def _lloyd(X, centers):
     k = centers.shape[0]
     labels = np.zeros(X.shape[0], dtype=int)
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         new_centers = centers.copy()
@@ -91,7 +97,7 @@ def _lloyd(X, centers, max_iter=300, tol=1e-12):
                 new_centers[j] = X[worst]
         shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
         centers = new_centers
-        if shift <= tol:
+        if shift <= LLOYD_TOL:
             break
     d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     labels = np.argmin(d2, axis=1)
@@ -99,32 +105,30 @@ def _lloyd(X, centers, max_iter=300, tol=1e-12):
     return labels, inertia
 
 
-def kmeans(X, k, seed, restarts=20, max_iter=300):
-    """Seeded k-means with k-means++ starts.
+def kmeans(X, k, seed):
+    """Seeded k-means with KMEANS_STARTS k-means++ starts.
 
-    Each restart draws from an independent child of SeedSequence(seed);
-    the lowest-inertia run wins, with ties going to the earliest restart.
-    Deterministic given (X, k, seed, restarts).
+    Each start draws from an independent child of SeedSequence(seed);
+    the lowest-inertia run wins, with ties going to the earliest start.
+    Deterministic given (X, k, seed).
     """
     X = _as_matrix(X, "X")
     if not 1 <= k <= X.shape[0]:
         raise ValidationError(f"k must lie in [1, {X.shape[0]}], got {k}")
-    if restarts < 1:
-        raise ValidationError(f"restarts must be at least 1, got {restarts}")
     best_labels, best_inertia = None, np.inf
-    for child in np.random.SeedSequence(seed).spawn(restarts):
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_STARTS):
         rng = np.random.default_rng(child)
         centers = _kmeans_pp_init(X, k, rng)
-        labels, inertia = _lloyd(X, centers, max_iter=max_iter)
+        labels, inertia = _lloyd(X, centers)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels, best_inertia
 
 
-def cluster_embedding(U, n_clusters, seed, restarts=20):
+def cluster_embedding(U, n_clusters, seed):
     """Seeded k-means on a spectral embedding; returns integer labels in
     [0, n_clusters) and warns when fewer clusters come out nonempty."""
-    labels, _ = kmeans(U, n_clusters, seed, restarts=restarts)
+    labels, _ = kmeans(U, n_clusters, seed)
     found = len(np.unique(labels))
     if found < n_clusters:
         logger.warning(
@@ -134,9 +138,9 @@ def cluster_embedding(U, n_clusters, seed, restarts=20):
     return labels
 
 
-def spectral_cluster(A, n_clusters, seed, restarts=20):
+def spectral_cluster(A, n_clusters, seed):
     """Cluster an affinity matrix; returns integer labels in [0, n_clusters)."""
     if n_clusters < 2:
         raise ValidationError(f"need at least 2 clusters, got {n_clusters}")
     U = spectral_embedding(A, n_clusters)
-    return cluster_embedding(U, n_clusters, seed, restarts=restarts)
+    return cluster_embedding(U, n_clusters, seed)

@@ -1,6 +1,7 @@
 """End-to-end checks of the batch CLI: artifacts, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsc.cli import main
+from mvsc.cli import build_parser, config_from_args, main
 from mvsc.data import SyntheticSpec, generate_synthetic, write_dataset
 from mvsc.metrics import METRIC_FIELDS
+from mvsc.solver import HyperParams
 
 TINY_SPEC = {
     "n": 24,
@@ -97,14 +99,33 @@ def test_knn_flag_lands_in_report(spec_file, tmp_path):
     assert read_rows(out / "report.csv")[0]["knn"] == "4"
 
 
-def test_as_printed_mode_runs(spec_file, tmp_path):
-    out = tmp_path / "out"
-    code = run_cli(
-        "run", "--synthetic", spec_file, "--out", out,
-        "--restarts", 1, "--z-update", "as-printed", "--max-iter", 40,
-    )
-    assert code == 0
-    assert read_rows(out / "report.csv")[0]["converged"] in ("0", "1")
+# a non-default value for every HyperParams field, keyed by field name;
+# the flag is the name with dashes
+HYPERPARAM_FLAGS = {
+    "lambda1": "0.7", "lambda2": "2.5", "alpha": "0.01", "knn": "5",
+    "eps": "1e-5", "max_iter": "40", "variant": "msc-naive",
+}
+
+
+def test_every_hyperparam_is_set_from_its_flag(tmp_path):
+    # the config object and the CLI must not drift apart: a field with
+    # no flag is a setting nothing can change
+    assert {f.name for f in dataclasses.fields(HyperParams)} == set(HYPERPARAM_FLAGS)
+    argv = ["run", "--synthetic", "spec.json", "--out", str(tmp_path)]
+    for name, value in HYPERPARAM_FLAGS.items():
+        argv += ["--" + name.replace("_", "-"), value]
+    params = config_from_args(build_parser().parse_args(argv)).params
+    defaults = HyperParams()
+    for name, value in HYPERPARAM_FLAGS.items():
+        got = getattr(params, name)
+        assert got == type(got)(value) != getattr(defaults, name), name
+
+
+def test_z_update_flag_is_rejected(spec_file, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--synthetic", spec_file, "--out", tmp_path / "out",
+                "--z-update", "as-printed")
+    assert exc.value.code == 2
 
 
 def test_rerun_is_byte_identical(spec_file, tmp_path):

@@ -306,10 +306,9 @@ def test_z_basis_diagonalizes_the_system(dims, n, lam2):
         assert VtS is None and not lam.any()
 
 
-@pytest.mark.parametrize("mode", ["derived", "as-printed"])
-def test_update_Z_carried_products_match_dense(mode):
-    # J = V^T (Y2 + S) and Q's factors give the dense path's Z; in
-    # derived mode J comes back as V^T (Y2 + mu (Z - Q) + S)
+def test_update_Z_carried_products_match_dense():
+    # J = V^T (Y2 + S) and Q's factors give the dense path's Z, and J
+    # comes back as V^T (Y2 + mu (Z - Q) + S)
     rng = np.random.default_rng(14)
     n, lam2 = 40, 0.6
     X_list, state = random_state(rng, n, 3)
@@ -319,18 +318,12 @@ def test_update_Z_carried_products_match_dense(mode):
     state.Q = QL @ QRt
     basis = _z_basis(X_list, L_list, lam2)
     V, S = basis[0], lam2 * sum(L + L.T for L in L_list)
-    J = V.T @ ((state.Y2 if mode == "derived" else 0.0) + S)
-    J0 = J.copy()
-    expected = update_Z(state, X_list, L_list, lam2, mode=mode)
-    got = update_Z(
-        state, X_list, L_list, lam2, mode=mode, basis=basis, J=J, Q_factors=(QL, QRt)
-    )
+    J = V.T @ (state.Y2 + S)
+    expected = update_Z(state, X_list, L_list, lam2)
+    got = update_Z(state, X_list, L_list, lam2, basis=basis, J=J, Q_factors=(QL, QRt))
     assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
-    if mode == "derived":
-        J_next = V.T @ (state.Y2 + state.mu * (got - state.Q) + S)
-        assert np.linalg.norm(J - J_next) <= 1e-11 * np.linalg.norm(J_next)
-    else:
-        assert np.array_equal(J, J0)
+    J_next = V.T @ (state.Y2 + state.mu * (got - state.Q) + S)
+    assert np.linalg.norm(J - J_next) <= 1e-11 * np.linalg.norm(J_next)
 
 
 def test_update_Z_rejects_unknown_mode():
@@ -351,7 +344,7 @@ def test_update_multipliers_zero_residuals():
     state.Q = state.Z.copy()
     Y1_old = [Y.copy() for Y in state.Y1]
     Y2_old = state.Y2.copy()
-    Y1, Y2, mu = update_multipliers(state, X_list, rho=1.9, mu_max=1e6)
+    Y1, Y2, mu = update_multipliers(state, X_list)
     np.testing.assert_allclose(Y1[0], Y1_old[0])
     np.testing.assert_allclose(Y2, Y2_old)
     assert mu == pytest.approx(1.9e-4)
@@ -359,15 +352,15 @@ def test_update_multipliers_zero_residuals():
 
 def test_mu_caps_at_mu_max():
     rng = np.random.default_rng(12)
-    X_list, state = random_state(rng, 4, 1, mu=1e6)
-    _, _, mu = update_multipliers(state, X_list, rho=1.9, mu_max=1e6)
-    assert mu == 1e6
+    X_list, state = random_state(rng, 4, 1, mu=solver_module.MU_MAX)
+    _, _, mu = update_multipliers(state, X_list)
+    assert mu == solver_module.MU_MAX
 
 
 def test_update_multipliers_ascent_direction():
     rng = np.random.default_rng(13)
     X_list, state = random_state(rng, 5, 2, mu=2.0)
-    Y1, Y2, _ = update_multipliers(state, X_list, rho=1.9, mu_max=1e6)
+    Y1, Y2, _ = update_multipliers(state, X_list)
     for X, E, Ynew, Yold in zip(X_list, state.E, Y1, state.Y1):
         np.testing.assert_allclose(Ynew - Yold, 2.0 * (X - X @ state.Z - E))
     np.testing.assert_allclose(Y2 - state.Y2, 2.0 * (state.Z - state.Q))
@@ -496,37 +489,30 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
         )
 
 
-def _dense_update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
-                    **carried):
+def _dense_update_Z(state, X_list, L_list, lambda2, basis=None, **carried):
     """The Z step with V^T D rebuilt from a dense D every iteration:
-    D = Xs^T T + mu (Q - I) - Y2 - S (no Y2 in as-printed mode)."""
+    D = Xs^T T + mu (Q - I) - Y2 - S."""
     V, lam = basis[:2]
     mu = state.mu
-    sign = -1.0 if mode == "derived" else 1.0
-    T = np.vstack([Y1 + sign * mu * E for Y1, E in zip(state.Y1, state.E)])
-    D = np.vstack(X_list).T @ T + mu * (state.Q - np.eye(len(V)))
-    if mode == "derived":
-        D -= state.Y2
+    T = np.vstack([Y1 - mu * E for Y1, E in zip(state.Y1, state.E)])
+    D = np.vstack(X_list).T @ T + mu * (state.Q - np.eye(len(V))) - state.Y2
     if lambda2 > 0 and L_list:
         D -= lambda2 * sum(L + L.T for L in L_list)
     return np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
 
 
 @pytest.mark.parametrize(
-    "variant, z_update, max_iter, n, carried",
-    [("grmsc", "derived", 300, 120, True), ("msc-naive", "derived", 300, 120, True),
-     ("lrr-bsv", "derived", 300, 120, True), ("grmsc", "as-printed", 40, 120, True),
-     ("grmsc", "derived", 300, 45, False)],
-    ids=["grmsc", "msc-naive", "lrr-bsv", "as-printed", "dense-n45"],
+    "variant, n, carried",
+    [("grmsc", 120, True), ("msc-naive", 120, True), ("lrr-bsv", 120, True),
+     ("grmsc", 45, False)],
+    ids=["grmsc", "msc-naive", "lrr-bsv", "dense-n45"],
 )
-def test_fit_carried_J_matches_dense_reference(
-    variant, z_update, max_iter, n, carried, monkeypatch
-):
+def test_fit_carried_J_matches_dense_reference(variant, n, carried, monkeypatch):
     # the loop carries J when 4 d < n (d = 18 rows, 8 for lrr-bsv's view)
     ds = small_dataset(seed=3, n=n)
     if variant == "lrr-bsv":
         ds = replace(ds, views=ds.views[:1])
-    params = HyperParams(variant=variant, z_update=z_update, max_iter=max_iter)
+    params = HyperParams(variant=variant)
     real_update_Z = solver_module.update_Z
     seen = []
 
@@ -540,7 +526,7 @@ def test_fit_carried_J_matches_dense_reference(
     monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z)
     Z_ref, state_ref = fit(ds, params)
     assert state.iteration == state_ref.iteration
-    assert state.converged == (z_update == "derived")
+    assert state.converged
     assert np.linalg.norm(Z - Z_ref) <= 1e-11 * np.linalg.norm(Z_ref)
 
 
@@ -595,13 +581,7 @@ def test_hyperparams_validation():
     with pytest.raises(ValidationError):
         HyperParams(lambda2=-1.0)
     with pytest.raises(ValidationError):
-        HyperParams(rho=1.0)
-    with pytest.raises(ValidationError):
-        HyperParams(mu0=1.0, mu_max=0.5)
-    with pytest.raises(ValidationError):
         HyperParams(variant="nope")
-    with pytest.raises(ValidationError):
-        HyperParams(z_update="sideways")
     with pytest.raises(ValidationError):
         HyperParams(knn=0)
     with pytest.raises(ValidationError):
@@ -625,9 +605,9 @@ def test_hyperparams_knn_resolution():
 
 def test_algorithm_defaults():
     p = HyperParams()
-    assert p.rho == 1.9
-    assert p.mu0 == 1e-4
-    assert p.mu_max == 1e6
+    assert solver_module.RHO == 1.9
+    assert solver_module.MU0 == 1e-4
+    assert solver_module.MU_MAX == 1e6
     assert p.eps == 1e-6
     assert p.max_iter == 300
     assert p.alpha == 0.001

@@ -186,8 +186,6 @@ def test_kmeans_deterministic_and_validated():
         kmeans(X, 0, seed=0)
     with pytest.raises(ValidationError):
         kmeans(X, 21, seed=0)
-    with pytest.raises(ValidationError):
-        kmeans(X, 3, seed=0, restarts=0)
 
 
 def test_kmeans_handles_duplicate_points():
