@@ -3,94 +3,12 @@
 Learns one low-rank self-representation shared by all views of a
 dataset, guided by first- and second-order proximity graphs, then
 clusters it spectrally and scores the result against ground truth.
+
+The API is the submodules: data, graphs, solver, spectral, metrics and
+pipeline, with the command line in mvsc.cli. Importing the package loads
+all of them but cli, which `python -m mvsc.cli` runs as __main__.
 """
 
-from .data import (
-    MultiViewDataset,
-    SyntheticSpec,
-    generate_synthetic,
-    load_dataset,
-    load_synthetic_spec,
-    normalize_views,
-    write_dataset,
-)
-from .errors import (
-    DataIOError,
-    DecompositionError,
-    DegenerateInputError,
-    NumericalError,
-    ValidationError,
-)
-from .graphs import (
-    GraphSet,
-    build_graph_set,
-    consensus_graph,
-    first_order_proximity,
-    fuse_weights,
-    gaussian_kernel,
-    laplacian_quadratic,
-    second_order_proximity,
-)
-from .linalg import inf_norm, l21_norm, nuclear_norm, prox_l21, solve_spd, svt
-from .metrics import (
-    EvaluationReport,
-    accuracy,
-    aggregate,
-    avgent,
-    evaluate,
-    nmi,
-    pairwise_scores,
-)
-from .pipeline import RunConfig, cmd_ablate, cmd_run, cmd_sweep, run_restarts
-from .solver import HyperParams, SolverState, fit
-from .spectral import affinity_from_representation, kmeans, spectral_cluster
+from . import data, graphs, metrics, pipeline, solver, spectral  # noqa: F401
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "MultiViewDataset",
-    "SyntheticSpec",
-    "generate_synthetic",
-    "load_dataset",
-    "load_synthetic_spec",
-    "normalize_views",
-    "write_dataset",
-    "DataIOError",
-    "DecompositionError",
-    "DegenerateInputError",
-    "NumericalError",
-    "ValidationError",
-    "GraphSet",
-    "build_graph_set",
-    "consensus_graph",
-    "first_order_proximity",
-    "fuse_weights",
-    "gaussian_kernel",
-    "laplacian_quadratic",
-    "second_order_proximity",
-    "inf_norm",
-    "l21_norm",
-    "nuclear_norm",
-    "prox_l21",
-    "solve_spd",
-    "svt",
-    "EvaluationReport",
-    "accuracy",
-    "aggregate",
-    "avgent",
-    "evaluate",
-    "nmi",
-    "pairwise_scores",
-    "RunConfig",
-    "cmd_ablate",
-    "cmd_run",
-    "cmd_sweep",
-    "run_restarts",
-    "HyperParams",
-    "SolverState",
-    "fit",
-    "affinity_from_representation",
-    "kmeans",
-    "spectral_cluster",
-    "__version__",
-]

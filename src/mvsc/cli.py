@@ -34,10 +34,11 @@ def _add_common(sp):
                     help="complementary-regularizer weight (default %(default)s)")
     sp.add_argument("--knn", type=int, default=None,
                     help="graph neighbor count (default min(10, n/clusters))")
-    sp.add_argument("--restarts", type=int, default=30,
+    sp.add_argument("--restarts", type=int, default=RunConfig.restarts,
                     help="seeded clusterings of the one fit (default %(default)s)")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="base k-means seed; restart r clusters with seed+r")
+    sp.add_argument("--seed", type=int, default=RunConfig.seed,
+                    help="base k-means seed; restart r clusters with seed+r "
+                         "(default %(default)s)")
     sp.add_argument("--max-iter", type=int, default=HyperParams.max_iter)
     sp.add_argument("--eps", type=float, default=HyperParams.eps,
                     help="stopping tolerance on the constraint residuals")
@@ -50,7 +51,8 @@ def _add_common(sp):
     sp.add_argument("--trace-residuals", action="store_true",
                     help="write per-iteration residual/objective traces")
     sp.add_argument("--normalize", choices=NORMALIZE_MODES,
-                    default="unit_column", help="per-view preprocessing")
+                    default=RunConfig.normalize,
+                    help="per-view preprocessing (default %(default)s)")
 
 
 def _parse_grid(text):

@@ -14,6 +14,7 @@ exploit and the complementary per-view information are really present.
 
 import json
 import logging
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,6 +25,14 @@ from .errors import DataIOError, ValidationError
 logger = logging.getLogger(__name__)
 
 NORMALIZE_MODES = ("none", "unit_column", "zscore_feature")
+
+
+def _integer(value, what):
+    """value as an int, or a ValidationError naming it; floats, strings
+    and booleans are rejected rather than truncated."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -101,28 +110,38 @@ def load_dataset(manifest_path):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"manifest {manifest_path} is not valid JSON: {exc}")
+    if not isinstance(doc, dict):
+        raise ValidationError(f"manifest {manifest_path} is not a JSON object")
     for key in ("name", "clusters", "views"):
         if key not in doc:
             raise ValidationError(f"manifest missing required key {key!r}")
+    clusters = _integer(doc["clusters"], "manifest 'clusters'")
+    if not isinstance(doc["views"], list):
+        raise ValidationError("manifest 'views' must be a list")
     base = manifest_path.parent
     views = []
     for k, entry in enumerate(doc["views"]):
+        if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+            raise ValidationError(f"manifest view {k} needs a string 'path'")
         path = base / entry["path"]
         X = _load_matrix(path)
-        if "rows" in entry and X.shape[0] != entry["rows"]:
+        rows = _integer(entry.get("rows", X.shape[0]), f"manifest view {k} 'rows'")
+        if X.shape[0] != rows:
             raise ValidationError(
-                f"view {k} ({path}) has {X.shape[0]} rows, manifest says {entry['rows']}"
+                f"view {k} ({path}) has {X.shape[0]} rows, manifest says {rows}"
             )
         views.append(X)
     labels = None
     if doc.get("labels"):
+        if not isinstance(doc["labels"], str):
+            raise ValidationError("manifest 'labels' must be a path or null")
         raw = _load_matrix(base / doc["labels"]).ravel()
         if not np.all(raw == np.round(raw)):
             raise ValidationError(f"labels file {doc['labels']} has non-integer values")
         labels = raw.astype(int)
     return MultiViewDataset(
         views=views,
-        n_clusters=int(doc["clusters"]),
+        n_clusters=clusters,
         labels=labels,
         name=str(doc["name"]),
     ).validate()
@@ -201,7 +220,13 @@ class SyntheticSpec:
     name: str = "synthetic"
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        for key in ("n", "clusters", "subspace_rank", "seed"):
+            _integer(getattr(self, key), key)
+        if isinstance(self.dims, str) or not hasattr(self.dims, "__iter__"):
+            raise ValidationError(f"dims must be a list of integers, got {self.dims!r}")
+        object.__setattr__(
+            self, "dims", tuple(_integer(d, "every view dimension") for d in self.dims)
+        )
         if self.clusters < 2:
             raise ValidationError(f"clusters must be at least 2, got {self.clusters}")
         if self.subspace_rank < 1:

@@ -1,13 +1,17 @@
 """Batch orchestration: multi-restart runs, ablations, and lambda sweeps.
 
-A configuration (dataset, graphs, hyperparameters) is a convex problem
-with one solution, so it is fitted once; restarts re-seed only the
-k-means inside spectral clustering. Restart r uses seed base_seed + r,
-rows are emitted in restart order, and no timestamps or environment
-details leak into the artifacts, so re-running a command overwrites its
-outputs byte-identically. Commands and run_restarts run BLAS on one
-thread (blas.single_thread), so outputs do not depend on the caller's
-thread environment either.
+A command chains pure stages: graphs once per (knn, alpha, variant),
+one fit per (variant, lambda), one spectral embedding per fit, then one
+k-means per restart. A configuration is a convex problem with one
+solution, so a restart is only a k-means seed: restart r clusters the
+shared embedding with seed base_seed + r. Every restart clusters the
+same finite embedding, so a failure in one would be a failure in all;
+any stage that fails raises, and the CLI maps the error to its exit
+code. Rows are emitted in restart order, and no timestamps or
+environment details leak into the artifacts, so re-running a command
+overwrites its outputs byte-identically. Commands and run_restarts run
+BLAS on one thread (blas.single_thread), so outputs do not depend on the
+caller's thread environment either.
 """
 
 import csv
@@ -19,7 +23,7 @@ import numpy as np
 from . import graphs as _graphs
 from .blas import single_thread
 from .data import generate_synthetic, load_dataset, load_synthetic_spec, normalize_views
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std, nmi
 from .solver import HyperParams, fit, variant_graphs, variant_label
 from .spectral import affinity_from_representation, cluster_embedding, spectral_embedding
@@ -65,37 +69,27 @@ def resolve_dataset(config):
 class RestartResult:
     index: int
     seed: int
-    report: object = None
-    labels: np.ndarray | None = None
-    converged: bool = False
-    iterations: int = 0
-    error: str | None = None
-    exception: Exception | None = None
-    state: object = None
-    view: int | None = None  # index of the fit kept: for lrr-bsv, the view
+    report: object
+    labels: np.ndarray
+    state: object  # the fit clustered; converged and iteration live here
+    view: int  # index of the fit kept: for lrr-bsv, the view
 
 
 def _restart(dataset, fits, embeddings, index, seed):
     """Cluster every fit's embedding with one k-means seed, keep the best
     by NMI (ties go to the lowest index), and score it."""
-    try:
-        labels = [cluster_embedding(U, dataset.n_clusters, seed) for U in embeddings]
-        best = 0
-        if len(fits) > 1:
-            best = max(range(len(fits)), key=lambda k: nmi(labels[k], dataset.labels))
-        state = fits[best][1]
-        return RestartResult(
-            index=index,
-            seed=seed,
-            report=evaluate(labels[best], dataset.labels),
-            labels=labels[best],
-            converged=state.converged,
-            iterations=state.iteration,
-            state=state,
-            view=best,
-        )
-    except (ValidationError, NumericalError) as exc:
-        return RestartResult(index=index, seed=seed, error=str(exc), exception=exc)
+    labels = [cluster_embedding(U, dataset.n_clusters, seed) for U in embeddings]
+    best = 0
+    if len(fits) > 1:
+        best = max(range(len(fits)), key=lambda k: nmi(labels[k], dataset.labels))
+    return RestartResult(
+        index=index,
+        seed=seed,
+        report=evaluate(labels[best], dataset.labels),
+        labels=labels[best],
+        state=fits[best][1],
+        view=best,
+    )
 
 
 @single_thread()
@@ -104,10 +98,8 @@ def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
     seeded k-means per restart.
 
     lrr-bsv fits each view as its own one-view dataset and, per restart,
-    keeps the view whose clustering scores the best NMI. A failed fit or
-    embedding raises (it would fail every restart); a failed clustering
-    fills its restart's error field, and if every restart fails the
-    first failure is re-raised.
+    keeps the view whose clustering scores the best NMI. Any failure, of
+    a fit, an embedding or a clustering, raises.
     """
     if dataset.labels is None:
         raise ValidationError(
@@ -124,17 +116,13 @@ def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
         spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
         for Z, _ in fits
     ]
-    results = [_restart(dataset, fits, embeddings, r, seed + r) for r in range(restarts)]
-    if all(r.report is None for r in results):
-        raise results[0].exception
-    return results
+    return [_restart(dataset, fits, embeddings, r, seed + r) for r in range(restarts)]
 
 
 def summarize(results):
-    """(mean, std, run count) over the successful restarts."""
-    reports = [r.report for r in results if r.report is not None]
-    mean, std = aggregate(reports)
-    return mean, std, len(reports)
+    """(mean, std, run count) over the restarts."""
+    mean, std = aggregate([r.report for r in results])
+    return mean, std, len(results)
 
 
 def _fmt(x):
@@ -156,10 +144,10 @@ def report_rows(dataset, params, results):
             "restart": r.index,
         }
         for name in METRIC_FIELDS:
-            row[name] = _fmt(getattr(r.report, name)) if r.report else ""
-        row["converged"] = int(r.converged)
-        row["iterations"] = r.iterations
-        row["error"] = r.error or ""
+            row[name] = _fmt(getattr(r.report, name))
+        row["converged"] = int(r.state.converged)
+        row["iterations"] = r.state.iteration
+        row["error"] = ""  # a restart cannot fail alone; the column keeps the format
         rows.append(row)
     return rows
 
@@ -200,8 +188,6 @@ def write_traces(out_dir, results):
     """Per-restart residual traces: iteration, per-view reconstruction
     residuals, the Z-Q residual, the objective, and mu (all inf-norms)."""
     for r in results:
-        if r.state is None:
-            continue
         st = r.state
         n_views = len(st.view_residual_history[0]) if st.view_residual_history else 0
         rows = []
@@ -222,12 +208,8 @@ def _maybe_dump_graphs(config, dataset, params, graphs):
     if not config.dump_graphs:
         return
     if graphs is None:
-        # the run itself used no graphs; build the set it would have used
-        probe = params
-        if probe.variant in ("msc-naive", "lrr-bsv"):
-            probe = replace(probe, variant="grmsc")
-        probe = replace(probe, lambda2=max(probe.lambda2, 1.0))
-        graphs = variant_graphs(dataset, probe)
+        # a graph-free variant; dump the set the full model would use
+        graphs = variant_graphs(dataset, replace(params, variant="grmsc"))
     if config.dump_graphs is True:
         target = Path(config.out_dir) / "graphs"
     else:
@@ -249,9 +231,7 @@ def cmd_run(config):
     )
     write_csv(out / "report.csv", report_rows(dataset, params, results))
     write_csv(out / "summary.csv", [summary_row(dataset, params, results)])
-    first = results[0]
-    if first.labels is not None:
-        write_labels(out / "labels.csv", first.labels)
+    write_labels(out / "labels.csv", results[0].labels)
     if config.trace_residuals:
         write_traces(out, results)
     _maybe_dump_graphs(config, dataset, params, graphs)
@@ -292,9 +272,7 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
     # graphs do not depend on the lambdas; build once for the whole grid
-    graphs = variant_graphs(
-        dataset, replace(config.params, lambda2=max(config.params.lambda2, 1.0))
-    )
+    graphs = variant_graphs(dataset, config.params)
     rows = []
     for l1 in grid1:
         for l2 in grid2:

@@ -68,10 +68,14 @@ from .errors import NumericalError, ValidationError
 from .graphs import build_graph_set
 from .linalg import _svd, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factors
 # unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
-# (SOLVER_KERNELS)
+# (SOLVER_KERNELS), and tests/test_benchmark_hooks.py pins them
 from .linalg import solve_spd, svt  # noqa: F401
 
 VARIANTS = ("grmsc", "grmsc-naive", "msc-naive", "lrr-bsv")
+
+# build_graph_set mode of each variant that regularizes with graphs; the
+# others have no graph term
+GRAPH_MODES = {"grmsc": "fused", "grmsc-naive": "first_order"}
 
 # ALM penalty schedule (see the module docstring)
 RHO = 1.9
@@ -118,7 +122,7 @@ class HyperParams:
     @property
     def effective_lambda2(self):
         """lambda2 actually applied: zero for the graph-free variants."""
-        return self.lambda2 if self.variant in ("grmsc", "grmsc-naive") else 0.0
+        return self.lambda2 if self.variant in GRAPH_MODES else 0.0
 
     def resolve_knn(self, n, clusters):
         if self.knn is not None:
@@ -357,14 +361,15 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
 def variant_graphs(dataset, params, first_order=None):
     """The graph set a variant regularizes with: per-view first-order
     graphs for grmsc-naive, the fused consensus/second-order set for
-    grmsc, and None when the graph term is off. Graphs depend only on
-    (views, knn, alpha, variant), so one build serves every lambda and
-    restart of a batch; first_order, the first-order graphs of another
-    variant's set at the same knn, is reused rather than rebuilt."""
-    if params.effective_lambda2 <= 0:
+    grmsc, and None for the graph-free variants. The set depends only on
+    (views, knn, alpha, variant), not on lambda2, so one build serves
+    every lambda and restart of a batch; at lambda2 = 0 fit ignores it.
+    first_order, the first-order graphs of another variant's set at the
+    same knn, is reused rather than rebuilt."""
+    mode = GRAPH_MODES.get(params.variant)
+    if mode is None:
         return None
     knn = params.resolve_knn(dataset.n_samples, dataset.n_clusters)
-    mode = "first_order" if params.variant == "grmsc-naive" else "fused"
     return build_graph_set(
         dataset.views, knn, params.alpha, mode=mode, first_order=first_order
     )

@@ -11,8 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mvsc import pipeline, solver
 from mvsc.cli import build_parser, config_from_args, main
 from mvsc.data import SyntheticSpec, generate_synthetic, write_dataset
+from mvsc.errors import NumericalError
 from mvsc.metrics import METRIC_FIELDS
 from mvsc.solver import HyperParams
 
@@ -218,6 +220,23 @@ def test_dump_graphs_default_location(spec_file, tmp_path):
     }
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [("--variant", "msc-naive"), ("--variant", "lrr-bsv"), ("--lambda2", "0")],
+    ids=["msc-naive", "lrr-bsv", "lambda2-0"],
+)
+def test_runs_without_a_graph_term_dump_the_grmsc_graphs(flags, spec_file, tmp_path):
+    def dump(name, *extra):
+        out = tmp_path / name
+        assert run_cli("run", "--synthetic", spec_file, "--out", out,
+                       "--restarts", 1, "--dump-graphs", *extra) == 0
+        return {p.name: p.read_bytes() for p in (out / "graphs").iterdir()}
+
+    reference = dump("grmsc")
+    assert "consensus.csv" in reference
+    assert dump("other", *flags) == reference
+
+
 def test_dump_graphs_explicit_dir(spec_file, tmp_path):
     out = tmp_path / "out"
     target = tmp_path / "elsewhere"
@@ -278,6 +297,62 @@ def test_overflowing_views_exit_3(variant, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+MANIFEST = {
+    "name": "tiny", "clusters": 2,
+    "views": [{"path": "view0.csv", "rows": 4}], "labels": "labels.csv",
+}
+
+
+@pytest.mark.parametrize(
+    "source, change, message",
+    [
+        ("manifest", {"views": [{"rows": 4}]}, "view 0 needs a string 'path'"),
+        ("manifest", {"clusters": "two"}, "'clusters' must be an integer"),
+        ("manifest", {"clusters": 2.7}, "'clusters' must be an integer"),
+        ("synthetic", {"dims": "ab"}, "dims must be a list of integers"),
+        ("synthetic", {"n": 150.5}, "n must be an integer"),
+    ],
+    ids=["view-without-path", "clusters-string", "clusters-float",
+         "dims-string", "n-float"],
+)
+def test_malformed_input_exits_2(source, change, message, tmp_path, capsys):
+    # malformed fields are validation errors at the boundary, not
+    # tracebacks from deep inside the loader or the generator
+    if source == "manifest":
+        rng = np.random.default_rng(0)
+        np.savetxt(tmp_path / "view0.csv", rng.standard_normal((4, 8)), delimiter=",")
+        np.savetxt(tmp_path / "labels.csv", np.arange(8)[:, None] % 2, fmt="%d")
+        doc = {**MANIFEST, **change}
+    else:
+        doc = {**TINY_SPEC, **change}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    code = run_cli("run", "--" + source, path, "--out", tmp_path / "out",
+                   "--restarts", 1)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err
+    assert message in err
+
+
+def test_failed_clustering_exits_3(spec_file, tmp_path, capsys, monkeypatch):
+    # one failing k-means seed ends the run through the exit-code map,
+    # as a failed fit or embedding does, and writes no partial report
+    real_cluster = pipeline.cluster_embedding
+
+    def seed_one_fails(U, n_clusters, seed):
+        if seed == 1:
+            raise NumericalError("k-means failed")
+        return real_cluster(U, n_clusters, seed)
+
+    monkeypatch.setattr(pipeline, "cluster_embedding", seed_one_fails)
+    code = run_cli("run", "--synthetic", spec_file, "--out", tmp_path / "out",
+                   "--restarts", 3)
+    assert code == 3
+    assert "numerical failure: k-means failed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # ------------------------------------------------------------------- ablate
 
 
@@ -332,6 +407,32 @@ def test_single_point_sweep_matches_run_summary(spec_file, tmp_path):
     for name in METRIC_FIELDS:
         assert point[name + "_mean"] == summary[name + "_mean"]
         assert point[name + "_std"] == summary[name + "_std"]
+
+
+def test_sweep_from_zero_lambda2_regularizes_positive_points(
+    spec_file, tmp_path, monkeypatch
+):
+    # graphs are chosen by variant, so a base lambda2 of 0 still builds
+    # the set (once, for the whole grid) that the lambda2 > 0 points use
+    builds = []
+    real_build = solver.build_graph_set
+
+    def counting_build(*args, **kwargs):
+        builds.append(kwargs["mode"])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_graph_set", counting_build)
+
+    def sweep(name, lambda2):
+        out = tmp_path / name
+        assert run_cli("sweep", "--synthetic", spec_file, "--out", out,
+                       "--restarts", 2, "--lambda2", lambda2,
+                       "--lambda1-grid", "0.5", "--lambda2-grid", "0,1") == 0
+        return (out / "sweep.csv").read_bytes()
+
+    from_zero = sweep("from-zero", "0")
+    assert builds == ["fused"]
+    assert from_zero == sweep("from-one", "1")
 
 
 def test_sweep_rejects_malformed_grid(spec_file, tmp_path, capsys):

@@ -72,6 +72,23 @@ def test_failed_embedding_fails_the_run(variant, monkeypatch):
     assert len(calls) == fits
 
 
+@pytest.mark.parametrize("failing_seed", [0, 2])
+def test_failed_clustering_fails_the_run(failing_seed, monkeypatch):
+    # every restart clusters the same embedding, so one failing seed
+    # fails the run instead of dropping a row
+    ds = small_dataset()
+    real_cluster = pipeline.cluster_embedding
+
+    def one_seed_fails(U, n_clusters, seed):
+        if seed == failing_seed:
+            raise NumericalError(f"k-means failed at seed {seed}")
+        return real_cluster(U, n_clusters, seed)
+
+    monkeypatch.setattr(pipeline, "cluster_embedding", one_seed_fails)
+    with pytest.raises(NumericalError, match=f"seed {failing_seed}"):
+        pipeline.run_restarts(ds, HyperParams(max_iter=150), 3)
+
+
 def test_run_restarts_lrr_bsv_needs_labels():
     ds = small_dataset()
     ds.labels = None

@@ -595,6 +595,22 @@ def test_hyperparams_effective_lambda2():
     assert HyperParams(lambda2=3.0, variant="lrr-bsv").effective_lambda2 == 0.0
 
 
+@pytest.mark.parametrize("variant", solver_module.VARIANTS)
+def test_variant_graphs_follow_the_variant_not_lambda2(variant):
+    # graphs are chosen by variant alone: a graph variant gets its set
+    # even at lambda2 = 0, a graph-free one never gets one
+    ds = small_dataset()
+    for lambda2 in (0.0, 2.0):
+        graphs = solver_module.variant_graphs(
+            ds, HyperParams(lambda2=lambda2, variant=variant)
+        )
+        if variant in ("msc-naive", "lrr-bsv"):
+            assert graphs is None
+        else:
+            assert graphs.mode == solver_module.GRAPH_MODES[variant]
+            assert len(graphs.laplacians) == ds.n_views
+
+
 def test_hyperparams_knn_resolution():
     p = HyperParams()
     assert p.resolve_knn(150, 3) == 10  # min(10, 50)
