@@ -4,13 +4,21 @@ Builds, per view, a Gaussian-kernel similarity sparsified by mutual
 k-nearest-neighbors (first-order proximity), the elementwise-product
 consensus graph across views with its support/complement index sets, a
 shared-neighborhood kernel (second-order proximity), and the per-view
-fused weight matrices with their Laplacians that the solver consumes.
+fused weight matrices with their Laplacians L_k.
+
+The solver reads the graphs only through S0 = sum_k (L_k + L_k^T), so
+build_graph_set folds each view's second-order graph, fused weights and
+Laplacian into S0 and lets them go before the next view's: a GraphSet
+stores the first-order graphs, the consensus and S0. Its second-order
+graphs and Laplacians, which diagnostics and graph dumps read, are
+derived again on demand with the same functions, bit for bit.
 
 Samples are columns of each view matrix. All outputs are dense; the
 intended problem sizes are a few thousand samples at most.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -178,23 +186,33 @@ def fuse_weights(consensus, second_order, alpha):
     """Per-view fused weights: consensus/v on the support, alpha-scaled
     second-order proximity elsewhere; Laplacians L = D - W with D the
     diagonal of row sums (so L @ 1 = 0 by construction)."""
-    if alpha < 0:
-        raise ValidationError(f"alpha must be nonnegative, got {alpha}")
+    _check_alpha(alpha)
     v = len(second_order)
     if v < 1:
         raise ValidationError("need at least one second-order graph")
     n = consensus.lambda_star.shape[0]
     weights, laplacians = [], []
-    shared = np.where(consensus.omega, consensus.lambda_star / v, 0.0)
     for ups in second_order:
         if ups.similarity.shape != (n, n):
             raise ValidationError(
                 f"second-order graph has shape {ups.similarity.shape}, expected {(n, n)}"
             )
-        W = shared + np.where(consensus.omega_bar, alpha * ups.similarity, 0.0)
+        W = _fused_weight(consensus, ups, alpha, v)
         weights.append(W)
         laplacians.append(laplacian_from_weights(W))
     return FusedGraph(weights=weights, laplacians=laplacians)
+
+
+def _check_alpha(alpha):
+    if alpha < 0:
+        raise ValidationError(f"alpha must be nonnegative, got {alpha}")
+
+
+def _fused_weight(consensus, ups, alpha, v):
+    """One view's fused weights out of v: consensus/v on the support,
+    alpha-scaled second-order proximity on its complement."""
+    shared = np.where(consensus.omega, consensus.lambda_star / v, 0.0)
+    return shared + np.where(consensus.omega_bar, alpha * ups.similarity, 0.0)
 
 
 def laplacian_from_weights(W):
@@ -220,23 +238,37 @@ def row_sq_dists(Z):
 
 @dataclass
 class GraphSet:
-    """Everything the solver and diagnostics need about one dataset's graphs.
+    """One dataset's graphs: what the solver reads and what diagnostics need.
 
     mode "fused" carries the consensus/second-order machinery; mode
     "first_order" (the naive ablation) uses each view's first-order graph
     directly as its weight matrix, with no support split.
+
+    laplacian_sum is S0 = sum_k (L_k + L_k^T), summed in view order: the
+    one matrix a fit reads. second_order and laplacians are not stored
+    by the build; they are derived on first use with the functions the
+    build used, so they are bit-identical to what it summed.
     """
 
     first_order: list
-    fused: FusedGraph
+    laplacian_sum: np.ndarray
     alpha: float
     mode: str = "fused"
     consensus: ConsensusGraph | None = None
-    second_order: list | None = field(default=None)
 
-    @property
+    @cached_property
+    def second_order(self):
+        """Per-view second-order graphs (None in mode "first_order")."""
+        if self.mode == "first_order":
+            return None
+        return [second_order_proximity(g) for g in self.first_order]
+
+    @cached_property
     def laplacians(self):
-        return self.fused.laplacians
+        """Per-view Laplacians L_k of the weights the set regularizes with."""
+        if self.mode == "first_order":
+            return [laplacian_from_weights(g.similarity) for g in self.first_order]
+        return fuse_weights(self.consensus, self.second_order, self.alpha).laplacians
 
     def regularizer_direct(self, Z):
         """Graph regularizer evaluated from the defining double sums
@@ -258,11 +290,13 @@ class GraphSet:
 
 
 def build_graph_set(views, knn, alpha, mode="fused", first_order=None):
-    """Construct the full graph machinery for a list of view matrices.
+    """Construct the graph set of a list of view matrices.
 
     first_order may carry the views' first-order graphs from an earlier
     build with the same knn (they depend only on the views and knn), so
-    graph sets of both modes can share them.
+    graph sets of both modes can share them. Each view's weights and
+    Laplacian (and in mode "fused" its second-order graph) are folded
+    into S0 and dropped before the next view's are formed.
     """
     if mode not in ("fused", "first_order"):
         raise ValidationError(f"unknown graph mode {mode!r}")
@@ -274,24 +308,31 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None):
             raise ValidationError(
                 f"first-order graphs do not match {len(views)} views at knn={knn}"
             )
-    if mode == "first_order":
-        weights = [g.similarity for g in first]
-        fused = FusedGraph(
-            weights=weights,
-            laplacians=[laplacian_from_weights(W) for W in weights],
-        )
-        return GraphSet(first_order=first, fused=fused, alpha=alpha, mode=mode)
-    cons = consensus_graph(first)
-    seconds = [second_order_proximity(g) for g in first]
-    fused = fuse_weights(cons, seconds, alpha)
+    if not first:
+        raise ValidationError("need at least one view")
+    cons = None
+    if mode == "fused":
+        _check_alpha(alpha)
+        cons = consensus_graph(first)
+    S0 = np.zeros((first[0].n,) * 2)
+    for g in first:
+        if cons is None:
+            _add_symmetrized_laplacian(S0, g.similarity)
+        else:
+            # the second-order graph and the weights are temporaries of
+            # the call, so one view's are alive at a time
+            _add_symmetrized_laplacian(S0, _fused_weight(
+                cons, second_order_proximity(g), alpha, len(first)
+            ))
     return GraphSet(
-        first_order=first,
-        fused=fused,
-        alpha=alpha,
-        mode=mode,
-        consensus=cons,
-        second_order=seconds,
+        first_order=first, laplacian_sum=S0, alpha=alpha, mode=mode, consensus=cons
     )
+
+
+def _add_symmetrized_laplacian(S0, W):
+    """S0 += L + L^T for L = laplacian_from_weights(W)."""
+    L = laplacian_from_weights(W)
+    S0 += L + L.T
 
 
 def dump_graphs(graph_set, out_dir):

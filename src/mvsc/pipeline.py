@@ -2,7 +2,12 @@
 
 A command chains pure stages: graphs once per (knn, alpha, variant),
 one fit per (variant, lambda), one spectral embedding per fit, then one
-k-means per restart. A configuration is a convex problem with one
+k-means per restart. The graph stage runs only when a fit reads its
+result (an effective lambda2 > 0) or a dump asks for it, and it ends
+before any fit: graphs are dumped, then only the set's
+S0 = sum_k (L_k + L_k^T) goes on to the fits. The set itself goes on
+only under --trace-residuals, whose objective evaluates the graph
+regularizer from the graphs. A configuration is a convex problem with one
 solution, so a restart is only a k-means seed: restart r clusters the
 shared embedding with seed base_seed + r. Every restart clusters the
 same finite embedding, so a failure in one would be a failure in all;
@@ -93,10 +98,12 @@ def _restart(dataset, fits, embeddings, index, seed):
 
 
 @single_thread()
-def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
+def run_restarts(dataset, params, restarts, laplacian_sum=None, graphs=None,
+                 trace=False, seed=0):
     """One fit of the configuration and its spectral embedding, then one
     seeded k-means per restart.
 
+    laplacian_sum and graphs go to the fit as they are (see solver.fit).
     lrr-bsv fits each view as its own one-view dataset and, per restart,
     keeps the view whose clustering scores the best NMI. Any failure, of
     a fit, an embedding or a clustering, raises.
@@ -111,7 +118,10 @@ def run_restarts(dataset, params, restarts, graphs=None, trace=False, seed=0):
             for X in dataset.views
         ]
     else:
-        fits = [fit(dataset, params, graphs=graphs, trace_objective=trace)]
+        fits = [fit(
+            dataset, params, laplacian_sum=laplacian_sum, graphs=graphs,
+            trace_objective=trace,
+        )]
     embeddings = [
         spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
         for Z, _ in fits
@@ -217,16 +227,27 @@ def _maybe_dump_graphs(config, dataset, params, graphs):
     _graphs.dump_graphs(graphs, target)
 
 
+def _laplacian_sum(graphs):
+    return None if graphs is None else graphs.laplacian_sum
+
+
 @single_thread()
 def cmd_run(config):
     """Multi-restart evaluation of one variant; writes report.csv,
-    summary.csv, labels.csv, and optional graph dumps and traces."""
+    summary.csv, labels.csv, and optional graph dumps and traces. The
+    graphs are dumped before the fit."""
     dataset = resolve_dataset(config)
     params = config.params
     out = Path(config.out_dir)
-    graphs = variant_graphs(dataset, params)
+    graphs = None
+    if params.effective_lambda2 > 0 or config.dump_graphs:
+        graphs = variant_graphs(dataset, params)
+    _maybe_dump_graphs(config, dataset, params, graphs)
+    S0 = _laplacian_sum(graphs)
+    if not config.trace_residuals:
+        graphs = None  # the fit reads S0 alone
     results = run_restarts(
-        dataset, params, config.restarts, graphs=graphs,
+        dataset, params, config.restarts, laplacian_sum=S0, graphs=graphs,
         trace=config.trace_residuals, seed=config.seed,
     )
     write_csv(out / "report.csv", report_rows(dataset, params, results))
@@ -234,25 +255,30 @@ def cmd_run(config):
     write_labels(out / "labels.csv", results[0].labels)
     if config.trace_residuals:
         write_traces(out, results)
-    _maybe_dump_graphs(config, dataset, params, graphs)
     return 0
 
 
 @single_thread()
 def cmd_ablate(config):
     """All four variants under identical restart seeds; one combined table.
-    The graph variants share one build of the first-order graphs."""
+    The graph variants share one build of the first-order graphs; each
+    fit gets its set's S0 alone."""
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
     summary = []
     first_order = None
     for variant in ABLATION_ORDER:
         params = replace(config.params, variant=variant)
-        graphs = variant_graphs(dataset, params, first_order=first_order)
-        if graphs is not None:
-            first_order = graphs.first_order
+        S0 = None
+        if params.effective_lambda2 > 0:
+            graphs = variant_graphs(dataset, params, first_order=first_order)
+            # grmsc-naive's first-order graphs are grmsc's too, and no
+            # later variant needs them
+            first_order = graphs.first_order if variant == "grmsc-naive" else None
+            S0 = graphs.laplacian_sum
+            del graphs
         results = run_restarts(
-            dataset, params, config.restarts, graphs=graphs, seed=config.seed
+            dataset, params, config.restarts, laplacian_sum=S0, seed=config.seed
         )
         write_csv(
             out / f"report_{variant_label(variant)}.csv",
@@ -271,14 +297,17 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
         raise ValidationError("sweep grids must be non-empty")
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
-    # graphs do not depend on the lambdas; build once for the whole grid
-    graphs = variant_graphs(dataset, config.params)
+    # graphs do not depend on the lambdas: one build serves the whole
+    # grid, and none is needed when no point has a graph term
+    S0 = None
+    if any(float(l2) > 0 for l2 in grid2):
+        S0 = _laplacian_sum(variant_graphs(dataset, config.params))
     rows = []
     for l1 in grid1:
         for l2 in grid2:
             params = replace(config.params, lambda1=float(l1), lambda2=float(l2))
             results = run_restarts(
-                dataset, params, config.restarts, graphs=graphs, seed=config.seed
+                dataset, params, config.restarts, laplacian_sum=S0, seed=config.seed
             )
             mean, std, n_runs = summarize(results)
             row = {

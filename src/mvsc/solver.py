@@ -11,11 +11,14 @@ and Y2 enforce the constraints with a growing penalty mu.
 The Z step solves the normal equations derived from the stationarity of
 the Z subproblem:
 
-    (mu P + S) Z = B,  P = I + Xs^T Xs,  S = lambda2 * sum_k (L_k + L_k^T)
+    (mu P + S) Z = B,  P = I + Xs^T Xs,  S = lambda2 * S0
+    S0 = sum_k (L_k + L_k^T)
     B = Xs^T (Y1s + mu (Xs - Es)) + mu Q - Y2
 
 where Xs, Y1s and Es stack the views, their multipliers and their
-errors (sum d_k x n). Only mu changes between iterations, so the system
+errors (sum d_k x n). S0 is all a fit reads of the graphs: the graph
+set carries it (graphs.GraphSet.laplacian_sum), and a caller can hand
+the fit S0 alone. Only mu changes between iterations, so the system
 is diagonalized once per fit. R = P^(-1/2) = I + V_r diag((1 + s^2)^(-1/2)
 - 1) V_r^T comes from the thin SVD Xs = U diag(s) V_r^T; S is PSD (each
 graph is symmetric and nonnegative), and eigh(R S R) = W diag(lam) W^T
@@ -199,12 +202,13 @@ def _congruence(S, G, Vt):
     return RSR
 
 
-def _z_basis(X_list, L_list, lambda2):
+def _z_basis(X_list, S0, lambda2):
     """The Z system's eigenbasis, built once per fit: (V, lam, XV, VtS)
-    with (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T for every mu (see
-    the module docstring), XV = Xs V and VtS = V^T S (None without a
-    graph term). V is in Fortran order, so V.T is C-contiguous. Raises
-    NumericalError when sum_k X_k^T X_k overflows."""
+    with (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T for every mu and
+    S = lambda2 * S0 (see the module docstring), XV = Xs V and
+    VtS = V^T S (None without a graph term: lambda2 = 0 or S0 None). V is
+    in Fortran order, so V.T is C-contiguous. Raises NumericalError when
+    sum_k X_k^T X_k overflows."""
     Xs = np.vstack(X_list)
     _, s, Vt = _svd(Xs)
     with np.errstate(over="ignore"):
@@ -215,8 +219,8 @@ def _z_basis(X_list, L_list, lambda2):
         )
     # R = P^(-1/2) = I + G Vt, identity plus rank d
     G = Vt.T * ((1.0 + s2) ** -0.5 - 1.0)
-    if lambda2 > 0 and L_list:
-        S = lambda2 * sum(L + L.T for L in L_list)
+    if lambda2 > 0 and S0 is not None:
+        S = lambda2 * S0
         lam, W = np.linalg.eigh(_congruence(S, G, Vt))
         V = np.asfortranarray(W)
         V += G @ (Vt @ W)  # V = R W
@@ -230,8 +234,9 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
              J=None, Q_factors=None):
     """Solve the Z subproblem's normal equations (mu P + S) Z = B.
 
-    basis may carry the precomputed _z_basis(X_list, L_list, lambda2);
-    without it the basis is built here. mode "as-printed" takes one step
+    L_list holds the per-view Laplacians; it is read only to build the
+    basis, so a caller passing basis (the precomputed _z_basis of
+    S0 = sum_k (L_k + L_k^T)) may pass None. mode "as-printed" takes one step
     of the inconsistent closed form (error-term sign flipped, -Y2
     missing) for comparison: the derived step at -E and Y2 = 0.
 
@@ -248,7 +253,10 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
         raise ValidationError(f"unknown Z step mode {mode!r}")
     mu = state.mu
     T = [Y1 - mu * E for Y1, E in zip(state.Y1, state.E)]
-    V, lam, XV, VtS = _z_basis(X_list, L_list, lambda2) if basis is None else basis
+    if basis is None:
+        S0 = sum(L + L.T for L in L_list) if L_list else None
+        basis = _z_basis(X_list, S0, lambda2)
+    V, lam, XV, VtS = basis
     Vt = V.T
     Ts = np.vstack(T)
     # C = V^T D / (mu + lam) with D = B - mu P - S
@@ -307,12 +315,12 @@ def objective_value(state, X_list, graphs, params):
     return float(val)
 
 
-def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=False):
+def _alm_loop(X_list, S0, params, lambda2, graphs=None, trace_objective=False):
     state = _init_state(X_list)
     # Q lies near the row space of the stacked dictionary, whose rank is
     # at most its row count
     rank_hint = sum(X.shape[0] for X in X_list)
-    V, lam, XV, VtS = basis = _z_basis(X_list, L_list, lambda2)
+    V, lam, XV, VtS = basis = _z_basis(X_list, S0, lambda2)
     J = None
     # V^T D from the carried J and Q's factors costs about 2 (d + rank Q)
     # n^2 flops, with rank Q near d, against n^3 for the dense product
@@ -327,7 +335,7 @@ def _alm_loop(X_list, L_list, params, lambda2, graphs=None, trace_objective=Fals
         Q_factors = update_Q(state, rank_hint=rank_hint)
         state.Q = Q_factors[0] @ Q_factors[1]
         state.Z = update_Z(
-            state, X_list, L_list, lambda2, basis=basis, J=J, Q_factors=Q_factors,
+            state, X_list, None, lambda2, basis=basis, J=J, Q_factors=Q_factors,
         )
         products = [X @ state.Z for X in X_list]
         R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
@@ -375,30 +383,33 @@ def variant_graphs(dataset, params, first_order=None):
     )
 
 
-def fit(dataset, params, graphs=None, trace_objective=False):
+def fit(dataset, params, laplacian_sum=None, graphs=None, trace_objective=False):
     """Run the full optimization on a multi-view dataset.
 
     Returns (Z, state); state.converged is False when the iteration cap
     was reached with residuals still above eps (that is a flagged result,
-    not an error). Graphs are built once up front unless a precomputed
-    GraphSet is supplied (it must match the dataset and variant).
-    Deterministic given (dataset, params). Variant lrr-bsv is plain LRR
-    and takes one view at a time. Raises NumericalError when the data
-    or the iterates overflow.
+    not an error). The iterations read the graphs only through
+    laplacian_sum, S0 = sum_k (L_k + L_k^T) of the variant's graph set
+    (it must match the dataset and variant). graphs, the set itself,
+    supplies S0 when laplacian_sum is not given, and trace_objective
+    reads it for the graph regularizer; whichever of the two a fit with
+    a graph term needs and lacks is built here. Deterministic given
+    (dataset, params). Variant lrr-bsv is plain LRR and takes one view
+    at a time. Raises NumericalError when the data or the iterates
+    overflow.
     """
     if params.variant == "lrr-bsv" and dataset.n_views != 1:
         raise ValidationError(
             f"variant lrr-bsv fits one view at a time, got {dataset.n_views} views"
         )
     lambda2 = params.effective_lambda2
-    if lambda2 > 0:
+    if lambda2 > 0 and (laplacian_sum is None or trace_objective):
         if graphs is None:
             graphs = variant_graphs(dataset, params)
-        L_list = graphs.laplacians
-    else:
-        graphs = None
-        L_list = []
+        laplacian_sum = graphs.laplacian_sum
+    if not trace_objective:
+        graphs = None  # the iterations read S0 alone
     return _alm_loop(
-        dataset.views, L_list, params, lambda2, graphs=graphs,
+        dataset.views, laplacian_sum, params, lambda2, graphs=graphs,
         trace_objective=trace_objective,
     )

@@ -237,6 +237,57 @@ def test_runs_without_a_graph_term_dump_the_grmsc_graphs(flags, spec_file, tmp_p
     assert dump("other", *flags) == reference
 
 
+
+@pytest.fixture
+def counted_builds(monkeypatch):
+    """The modes of every graph set built through solver.build_graph_set."""
+    builds = []
+    real_build = solver.build_graph_set
+
+    def counting_build(*args, **kwargs):
+        builds.append(kwargs["mode"])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_graph_set", counting_build)
+    return builds
+
+
+def test_graphs_are_built_only_when_a_fit_reads_them_or_a_dump_asks(
+    spec_file, tmp_path, counted_builds
+):
+    def run(name, *extra):
+        out = tmp_path / name
+        assert run_cli("run", "--synthetic", spec_file, "--out", out,
+                       "--restarts", 2, "--lambda2", "0", *extra) == 0
+        return {n: (out / n).read_bytes()
+                for n in ("report.csv", "summary.csv", "labels.csv")}
+
+    plain = run("plain")
+    assert counted_builds == []
+    assert run("dumped", "--dump-graphs") == plain
+    assert counted_builds == ["fused"]
+    run("msc", "--variant", "msc-naive")
+    assert counted_builds == ["fused"]
+    assert run_cli("ablate", "--synthetic", spec_file, "--out", tmp_path / "ablate",
+                   "--restarts", 1, "--lambda2", "0") == 0
+    assert run_cli("sweep", "--synthetic", spec_file, "--out", tmp_path / "sweep",
+                   "--restarts", 1, "--lambda1-grid", "0.5", "--lambda2-grid", "0") == 0
+    assert counted_builds == ["fused"]
+
+
+def test_graphs_are_dumped_before_the_fit(spec_file, tmp_path, capsys, monkeypatch):
+    def failing_fit(*args, **kwargs):
+        raise NumericalError("fit failed")
+
+    monkeypatch.setattr(pipeline, "fit", failing_fit)
+    out = tmp_path / "out"
+    code = run_cli("run", "--synthetic", spec_file, "--out", out,
+                   "--restarts", 1, "--dump-graphs")
+    assert code == 3
+    assert "numerical failure: fit failed" in capsys.readouterr().err
+    assert (out / "graphs" / "consensus.csv").exists()
+    assert not (out / "report.csv").exists()
+
 def test_dump_graphs_explicit_dir(spec_file, tmp_path):
     out = tmp_path / "out"
     target = tmp_path / "elsewhere"
@@ -410,19 +461,10 @@ def test_single_point_sweep_matches_run_summary(spec_file, tmp_path):
 
 
 def test_sweep_from_zero_lambda2_regularizes_positive_points(
-    spec_file, tmp_path, monkeypatch
+    spec_file, tmp_path, counted_builds
 ):
     # graphs are chosen by variant, so a base lambda2 of 0 still builds
     # the set (once, for the whole grid) that the lambda2 > 0 points use
-    builds = []
-    real_build = solver.build_graph_set
-
-    def counting_build(*args, **kwargs):
-        builds.append(kwargs["mode"])
-        return real_build(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "build_graph_set", counting_build)
-
     def sweep(name, lambda2):
         out = tmp_path / name
         assert run_cli("sweep", "--synthetic", spec_file, "--out", out,
@@ -431,7 +473,7 @@ def test_sweep_from_zero_lambda2_regularizes_positive_points(
         return (out / "sweep.csv").read_bytes()
 
     from_zero = sweep("from-zero", "0")
-    assert builds == ["fused"]
+    assert counted_builds == ["fused"]
     assert from_zero == sweep("from-one", "1")
 
 

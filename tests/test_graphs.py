@@ -347,3 +347,43 @@ def test_dump_graphs_writes_files(tmp_path):
     }
     loaded = np.loadtxt(tmp_path / "consensus.csv", delimiter=",")
     np.testing.assert_allclose(loaded, gs.consensus.lambda_star, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mode, shared",
+    [("fused", False), ("first_order", False), ("fused", True), ("first_order", True)],
+    ids=["fused", "first_order", "fused-shared", "first_order-shared"],
+)
+def test_laplacian_sum_is_the_view_order_sum_of_the_laplacians(mode, shared):
+    # the build folds each view into S0 and keeps neither its weights nor
+    # its second-order graph; what is derived afterwards sums to S0 bit
+    # for bit and equals what the graph functions give on their own
+    rng = np.random.default_rng(21)
+    views = [rng.standard_normal((4 + k, 25)) for k in range(3)]
+    first = None
+    if shared:
+        first = build_graph_set(views, 4, 0.01, mode="first_order").first_order
+    gs = build_graph_set(views, 4, 0.01, mode=mode, first_order=first)
+    assert "second_order" not in vars(gs) and "laplacians" not in vars(gs)
+    assert np.array_equal(gs.laplacian_sum, sum(L + L.T for L in gs.laplacians))
+    if mode == "first_order":
+        assert gs.second_order is None
+        expected = [laplacian_from_weights(g.similarity) for g in gs.first_order]
+    else:
+        seconds = [second_order_proximity(g) for g in gs.first_order]
+        for got, ups in zip(gs.second_order, seconds):
+            assert np.array_equal(got.similarity, ups.similarity)
+            assert got.sigma == ups.sigma
+        expected = fuse_weights(gs.consensus, seconds, 0.01).laplacians
+    assert len(gs.laplacians) == len(views)
+    for L, ref in zip(gs.laplacians, expected):
+        assert np.array_equal(L, ref)
+
+
+def test_build_graph_set_rejects_negative_alpha_and_no_views():
+    rng = np.random.default_rng(22)
+    views = [rng.standard_normal((4, 12)) for _ in range(2)]
+    with pytest.raises(ValidationError, match="alpha"):
+        build_graph_set(views, 3, -0.1)
+    with pytest.raises(ValidationError):
+        build_graph_set([], 3, 0.01, mode="first_order")

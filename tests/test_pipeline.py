@@ -1,6 +1,9 @@
 """Restart protocol: one fit per configuration, one clustering per seed."""
 
+import csv
 import json
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -161,3 +164,65 @@ def test_ablate_shares_first_order_graphs(tmp_path, monkeypatch):
         "report_LRR_BSV.csv", "report_MSC_NAIVE.csv",
     ]
     assert shared == separate
+
+
+def write_spec(path, n):
+    """The reference spec (3 clusters, dims 20/30/40, seed 7) at n samples."""
+    path.write_text(json.dumps({
+        "n": n, "clusters": 3, "dims": [20, 30, 40], "subspace_rank": 3,
+        "noise_sigma": 0.05, "seed": 7,
+    }))
+    return path
+
+
+@pytest.mark.parametrize("trace", [False, True], ids=["untraced", "traced"])
+def test_only_a_traced_run_takes_its_graph_set_into_the_fit(trace, tmp_path, monkeypatch):
+    # the fit reads S0 alone, so no graph set is alive when it starts;
+    # the objective trace evaluates the regularizer from the set itself
+    sets, alive = [], []
+    real_build, real_fit = solver.build_graph_set, pipeline.fit
+
+    def recording_build(*args, **kwargs):
+        gs = real_build(*args, **kwargs)
+        sets.append(weakref.ref(gs))
+        return gs
+
+    def checking_fit(*args, **kwargs):
+        alive.append([ref() is not None for ref in sets])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "build_graph_set", recording_build)
+    monkeypatch.setattr(pipeline, "fit", checking_fit)
+    config = pipeline.RunConfig(
+        params=HyperParams(max_iter=150), out_dir=tmp_path / "out",
+        synthetic=write_spec(tmp_path / "spec.json", 60), restarts=2,
+        dump_graphs=True, trace_residuals=trace,
+    )
+    assert pipeline.cmd_run(config) == 0
+    assert alive == [[trace]]
+    if trace:
+        ds = pipeline.resolve_dataset(config)
+        _, state = solver.fit(ds, config.params, trace_objective=True)
+        with open(tmp_path / "out" / "residuals_restart0.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["objective"] for r in rows] == [
+            pipeline._fmt(v) for v in state.objective_history
+        ]
+
+
+def test_cmd_run_peak_memory_is_at_most_18_nxn_arrays(tmp_path):
+    # the graph stage ends at S0 before the fit starts, so the peak is
+    # the fit's own working set plus S0 (27.7 n x n arrays when the
+    # whole graph set stayed live through the fit)
+    n = 300
+    config = pipeline.RunConfig(
+        params=HyperParams(), out_dir=tmp_path / "out",
+        synthetic=write_spec(tmp_path / "spec.json", n), restarts=1,
+    )
+    tracemalloc.start()
+    try:
+        assert pipeline.cmd_run(config) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 18 * n * n * 8, f"peak {peak / (n * n * 8):.1f} n x n arrays"

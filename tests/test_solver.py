@@ -46,6 +46,11 @@ def random_laplacians(rng, n, v):
     return out
 
 
+def laplacian_sum(L_list):
+    """S0 = sum_k (L_k + L_k^T), what _z_basis takes (None for no graphs)."""
+    return sum(L + L.T for L in L_list) if L_list else None
+
+
 def z_subproblem_objective(Z, X_list, L_list, lambda2, state):
     """The quantity the Z step is supposed to minimize, written directly."""
     val = lambda2 * laplacian_quadratic(L_list, Z) if L_list else 0.0
@@ -270,7 +275,7 @@ def test_update_Z_matches_dense_solve(dims, n, lam2):
         "derived": xty + mu * (gram - xte) + mu * state.Q - state.Y2,
         "as-printed": xty + mu * gram + mu * (xte + state.Q),
     }
-    basis = _z_basis(X_list, L_list, lam2)
+    basis = _z_basis(X_list, laplacian_sum(L_list), lam2)
     for mode, B in rhs.items():
         expected = np.linalg.solve(A, B)
         scale = np.linalg.norm(expected)
@@ -291,7 +296,7 @@ def test_z_basis_diagonalizes_the_system(dims, n, lam2):
     rng = np.random.default_rng(13)
     X_list = [rng.standard_normal((d, n)) for d in dims]
     L_list = random_laplacians(rng, n, len(dims)) if lam2 > 0 else []
-    V, lam, XV, VtS = _z_basis(X_list, L_list, lam2)
+    V, lam, XV, VtS = _z_basis(X_list, laplacian_sum(L_list), lam2)
     Xs = np.vstack(X_list)
     P = np.eye(n) + Xs.T @ Xs
     assert V.flags.f_contiguous
@@ -316,7 +321,7 @@ def test_update_Z_carried_products_match_dense():
     QL = rng.standard_normal((n, 5))
     QRt = rng.standard_normal((5, n))
     state.Q = QL @ QRt
-    basis = _z_basis(X_list, L_list, lam2)
+    basis = _z_basis(X_list, laplacian_sum(L_list), lam2)
     V, S = basis[0], lam2 * sum(L + L.T for L in L_list)
     J = V.T @ (state.Y2 + S)
     expected = update_Z(state, X_list, L_list, lam2)
@@ -489,16 +494,21 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
         )
 
 
-def _dense_update_Z(state, X_list, L_list, lambda2, basis=None, **carried):
+def _dense_update_Z(S0):
     """The Z step with V^T D rebuilt from a dense D every iteration:
-    D = Xs^T T + mu (Q - I) - Y2 - S."""
-    V, lam = basis[:2]
-    mu = state.mu
-    T = np.vstack([Y1 - mu * E for Y1, E in zip(state.Y1, state.E)])
-    D = np.vstack(X_list).T @ T + mu * (state.Q - np.eye(len(V))) - state.Y2
-    if lambda2 > 0 and L_list:
-        D -= lambda2 * sum(L + L.T for L in L_list)
-    return np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
+    D = Xs^T T + mu (Q - I) - Y2 - S, S = lambda2 S0 (the fit passes
+    the basis, not the Laplacians, so S0 comes from the test)."""
+
+    def step(state, X_list, L_list, lambda2, basis=None, **carried):
+        V, lam = basis[:2]
+        mu = state.mu
+        T = np.vstack([Y1 - mu * E for Y1, E in zip(state.Y1, state.E)])
+        D = np.vstack(X_list).T @ T + mu * (state.Q - np.eye(len(V))) - state.Y2
+        if lambda2 > 0:
+            D -= lambda2 * S0
+        return np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
+
+    return step
 
 
 @pytest.mark.parametrize(
@@ -523,12 +533,63 @@ def test_fit_carried_J_matches_dense_reference(variant, n, carried, monkeypatch)
     monkeypatch.setattr(solver_module, "update_Z", spying_update_Z)
     Z, state = fit(ds, params)
     assert set(seen) == {carried}
-    monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z)
+    graphs = solver_module.variant_graphs(ds, params)
+    S0 = None if graphs is None else graphs.laplacian_sum
+    monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z(S0))
     Z_ref, state_ref = fit(ds, params)
     assert state.iteration == state_ref.iteration
     assert state.converged
     assert np.linalg.norm(Z - Z_ref) <= 1e-11 * np.linalg.norm(Z_ref)
 
+
+
+def _z_basis_from_laplacians(X_list, L_list, lambda2):
+    """The Z basis as it was built before the graph stage handed the fit
+    S0: S summed from the per-view Laplacians inside the basis."""
+    Xs = np.vstack(X_list)
+    _, s, Vt = linalg._svd(Xs)
+    G = Vt.T * ((1.0 + s * s) ** -0.5 - 1.0)
+    if lambda2 > 0 and L_list:
+        S = lambda2 * sum(L + L.T for L in L_list)
+        lam, W = np.linalg.eigh(solver_module._congruence(S, G, Vt))
+        V = np.asfortranarray(W)
+        V += G @ (Vt @ W)
+        return V, lam, Xs @ V, V.T @ S
+    V = np.asfortranarray(G @ Vt)
+    V[np.diag_indices_from(V)] += 1.0
+    return V, np.zeros(V.shape[0]), Xs @ V, None
+
+
+@pytest.mark.parametrize(
+    "variant, n",
+    [("grmsc", 120), ("grmsc-naive", 120), ("grmsc", 45)],
+    ids=["grmsc", "grmsc-naive", "dense-n45"],
+)
+def test_fit_from_S0_matches_a_basis_summed_from_the_laplacians(variant, n, monkeypatch):
+    ds = small_dataset(seed=3, n=n)
+    params = HyperParams(variant=variant)
+    gs = solver_module.variant_graphs(ds, params)
+    Z, state = fit(ds, params, laplacian_sum=gs.laplacian_sum)
+    L_list = gs.laplacians
+    monkeypatch.setattr(
+        solver_module, "_z_basis",
+        lambda X_list, S0, lambda2: _z_basis_from_laplacians(X_list, L_list, lambda2),
+    )
+    Z_ref, state_ref = fit(ds, params, laplacian_sum=gs.laplacian_sum)
+    assert state.converged and state.iteration == state_ref.iteration
+    assert np.array_equal(Z, Z_ref)
+
+
+def test_update_Z_from_laplacians_matches_the_basis_of_their_sum():
+    rng = np.random.default_rng(17)
+    X_list, state = random_state(rng, 20, 3)
+    L_list = random_laplacians(rng, 20, 3)
+    for mode in ("derived", "as-printed"):
+        expected = update_Z(
+            state, X_list, None, 0.8, mode=mode,
+            basis=_z_basis_from_laplacians(X_list, L_list, 0.8),
+        )
+        assert np.array_equal(update_Z(state, X_list, L_list, 0.8, mode=mode), expected)
 
 def test_fit_nuclear_norm_continuity_after_convergence():
     ds = small_dataset()
