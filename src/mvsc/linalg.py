@@ -34,13 +34,6 @@ def _as_matrix(M, name="matrix"):
     return M
 
 
-def soft_threshold(x, eps):
-    """Scalar shrinkage sign(x) * max(|x| - eps, 0); broadcasts over arrays."""
-    if eps < 0:
-        raise ValidationError(f"threshold must be nonnegative, got {eps}")
-    return np.sign(x) * np.maximum(np.abs(x) - eps, 0.0)
-
-
 def _svd(M):
     """Thin SVD with a gesvd fallback; raises NumericalError if both fail.
 

@@ -226,12 +226,3 @@ def aggregate(reports):
 def format_mean_std(mean, std):
     """Render one cell in the benchmark-table style, e.g. '0.9547(0.0034)'."""
     return f"{mean:.4f}({std:.4f})"
-
-
-def parse_mean_std(cell):
-    """Inverse of format_mean_std, returning (mean, std)."""
-    body = cell.strip()
-    if not body.endswith(")") or "(" not in body:
-        raise ValidationError(f"malformed mean(std) cell: {cell!r}")
-    mean_part, std_part = body[:-1].split("(", 1)
-    return float(mean_part), float(std_part)

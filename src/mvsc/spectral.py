@@ -4,6 +4,12 @@ The affinity is the symmetrized magnitude of the representation,
 (|Z| + |Z^T|) / 2. Clustering runs on the bottom eigenvectors of the
 symmetric normalized Laplacian with a seeded k-means: KMEANS_STARTS
 k-means++ starts, each refined by Lloyd's iterations, best inertia wins.
+
+One k-means call advances all its starts together as (starts, n)
+arrays: only the k-means++ draws run start by start, and distances are
+built one center column at a time, so no (starts, n, k, dim) temporary
+exists. Each start's labels and inertia are bit for bit those of running
+it alone with a per-cluster X[mask].mean.
 """
 
 import logging
@@ -63,50 +69,97 @@ def spectral_embedding(A, n_clusters):
     return vecs / np.where(norms > 0, norms, 1.0)[:, None]
 
 
-def _kmeans_pp_init(X, k, rng):
+def _sq_dists_to(X, centers):
+    """(starts, n) squared distances from the rows of X to one center per
+    start; (starts, n, dim) is the largest temporary."""
+    return np.sum((X - centers[:, None, :]) ** 2, axis=2)
+
+
+def _closer(labels, dist, d2, j):
+    """Give center j the points strictly closer to it than to their
+    current center, so ties stay with the lower index; returns the new
+    distances."""
+    np.putmask(labels, d2 < dist, j)
+    return np.minimum(dist, d2)
+
+
+def _assign(X, centers):
+    """Nearest center of every point for every start, and its squared
+    distance, both (starts, n); one center column at a time."""
+    dist = _sq_dists_to(X, centers[:, 0])
+    labels = np.zeros(dist.shape, dtype=np.intp)
+    for j in range(1, centers.shape[1]):
+        dist = _closer(labels, dist, _sq_dists_to(X, centers[:, j]), j)
+    return labels, dist
+
+
+def _kmeans_pp_init(X, k, rngs):
+    """k-means++ centers, (starts, k, dim), one start per generator, and
+    the assignment to them; only the draws run start by start."""
     n = X.shape[0]
-    centers = np.empty((k, X.shape[1]))
-    centers[0] = X[rng.integers(n)]
-    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    centers = np.empty((len(rngs), k, X.shape[1]))
+    centers[:, 0] = X[[rng.integers(n) for rng in rngs]]
+    dist = _sq_dists_to(X, centers[:, 0])
+    labels = np.zeros(dist.shape, dtype=np.intp)
     for j in range(1, k):
-        total = d2.sum()
-        if total <= 0:
-            # all points coincide with a chosen center; fall back to uniform
-            idx = rng.integers(n)
-        else:
-            idx = rng.choice(n, p=d2 / total)
-        centers[j] = X[idx]
-        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
-    return centers
+        total = dist.sum(axis=1)
+        p = dist / np.where(total > 0, total, 1.0)[:, None]
+        # a start whose points all coincide with its chosen centers draws
+        # uniformly
+        centers[:, j] = X[[
+            rng.choice(n, p=ps) if t > 0 else rng.integers(n)
+            for rng, ps, t in zip(rngs, p, total)
+        ]]
+        dist = _closer(labels, dist, _sq_dists_to(X, centers[:, j]), j)
+    return centers, labels, dist
 
 
-def _lloyd(X, centers):
-    k = centers.shape[0]
-    labels = np.zeros(X.shape[0], dtype=int)
+def _means(X, labels, dist, k):
+    """Each start's cluster means; every empty cluster moves to the point
+    its start serves worst."""
+    starts, n = labels.shape
+    dim = X.shape[1]
+    bins = labels + k * np.arange(starts)[:, None]
+    counts = np.bincount(bins.ravel(), minlength=starts * k).reshape(starts, k)
+    if dim == 1:
+        # numpy sums a single column pairwise, not in index order
+        sums = np.array([[X[row == j].sum(axis=0) for j in range(k)] for row in labels])
+    else:
+        # bincount adds in index order, as X[mask].sum(axis=0) does
+        flat = bins[:, None, :] + starts * k * np.arange(dim)[:, None]
+        sums = np.bincount(
+            flat.ravel(), weights=np.broadcast_to(X.T, (starts, dim, n)).ravel(),
+            minlength=dim * starts * k,
+        ).reshape(dim, starts, k).transpose(1, 2, 0)
+    means = sums / np.maximum(counts, 1)[:, :, None]
+    s_idx, j_idx = np.nonzero(counts == 0)
+    means[s_idx, j_idx] = X[np.argmax(dist[s_idx], axis=1)]
+    return means
+
+
+def _lloyd(X, centers, labels, dist):
+    """Lloyd's iterations on every start at once, from centers and their
+    assignment (labels and squared distances, (starts, n)), all updated
+    in place. A start stops once its largest center shift is at most
+    LLOYD_TOL. Returns the inertias, (starts,)."""
+    k = centers.shape[1]
+    moving = np.arange(len(centers))
     for _ in range(LLOYD_MAX_ITER):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-        labels = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        for j in range(k):
-            mask = labels == j
-            if mask.any():
-                new_centers[j] = X[mask].mean(axis=0)
-            else:
-                # revive an empty cluster at the point worst served now
-                worst = np.argmax(d2[np.arange(len(labels)), labels])
-                new_centers[j] = X[worst]
-        shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
-        centers = new_centers
-        if shift <= LLOYD_TOL:
+        new = _means(X, labels[moving], dist[moving], k)
+        shift = np.max(np.linalg.norm(new - centers[moving], axis=2), axis=1)
+        centers[moving] = new
+        # a start whose centers did not move keeps its assignment, since a
+        # new pass would give the same bits
+        moved = moving[shift != 0]
+        labels[moved], dist[moved] = _assign(X, centers[moved])
+        moving = moving[~(shift <= LLOYD_TOL)]
+        if not moving.size:
             break
-    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
-    labels = np.argmin(d2, axis=1)
-    inertia = float(d2[np.arange(len(labels)), labels].sum())
-    return labels, inertia
+    return dist.sum(axis=1)
 
 
 def kmeans(X, k, seed):
-    """Seeded k-means with KMEANS_STARTS k-means++ starts.
+    """Seeded k-means with KMEANS_STARTS k-means++ starts, run together.
 
     Each start draws from an independent child of SeedSequence(seed);
     the lowest-inertia run wins, with ties going to the earliest start.
@@ -115,14 +168,14 @@ def kmeans(X, k, seed):
     X = _as_matrix(X, "X")
     if not 1 <= k <= X.shape[0]:
         raise ValidationError(f"k must lie in [1, {X.shape[0]}], got {k}")
-    best_labels, best_inertia = None, np.inf
-    for child in np.random.SeedSequence(seed).spawn(KMEANS_STARTS):
-        rng = np.random.default_rng(child)
-        centers = _kmeans_pp_init(X, k, rng)
-        labels, inertia = _lloyd(X, centers)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels, best_inertia
+    rngs = [
+        np.random.default_rng(child)
+        for child in np.random.SeedSequence(seed).spawn(KMEANS_STARTS)
+    ]
+    centers, labels, dist = _kmeans_pp_init(X, k, rngs)
+    inertia = _lloyd(X, centers, labels, dist)
+    best = int(np.argmin(inertia))
+    return labels[best].copy(), float(inertia[best])
 
 
 def cluster_embedding(U, n_clusters, seed):

@@ -11,27 +11,29 @@ from mvsc.linalg import (
     l21_norm,
     nuclear_norm,
     prox_l21,
-    soft_threshold,
     solve_spd,
     svt,
 )
 
 
-def test_soft_threshold_branches():
-    assert soft_threshold(1.2, 0.5) == pytest.approx(0.7)
-    assert soft_threshold(-1.2, 0.5) == pytest.approx(-0.7)
-    assert soft_threshold(0.3, 0.5) == 0.0
-    assert soft_threshold(-0.5, 0.5) == 0.0
+def test_prox_l21_one_row_shrinks_entrywise():
+    # on one row every column is a scalar, so the prox is the scalar
+    # shrinkage sign(x) * max(|x| - kappa, 0)
+    out = prox_l21(np.array([[1.2, -1.2, 0.3, -0.5]]), 0.5)
+    np.testing.assert_allclose(out, [[0.7, -0.7, 0.0, 0.0]], atol=1e-12)
 
 
-def test_soft_threshold_rejects_negative_eps():
-    with pytest.raises(ValidationError):
-        soft_threshold(1.0, -0.1)
+def test_prox_l21_rejects_nonpositive_threshold():
+    for kappa in (0.0, -0.1):
+        with pytest.raises(ValidationError):
+            prox_l21(np.ones((2, 2)), kappa)
 
 
-@given(st.floats(-100, 100), st.floats(0, 50))
-def test_soft_threshold_odd(x, eps):
-    assert soft_threshold(-x, eps) == pytest.approx(-soft_threshold(x, eps))
+@given(st.floats(-100, 100), st.floats(1e-6, 50))
+def test_prox_l21_one_row_is_soft_threshold(x, kappa):
+    got = prox_l21(np.array([[x]]), kappa)[0, 0]
+    assert got == pytest.approx(np.sign(x) * max(abs(x) - kappa, 0.0), abs=1e-9)
+    assert prox_l21(np.array([[-x]]), kappa)[0, 0] == pytest.approx(-got)
 
 
 def test_svt_diagonal():

@@ -7,7 +7,7 @@ from mvsc import linalg
 from mvsc import solver as solver_module
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
-from mvsc.graphs import laplacian_from_weights, laplacian_quadratic
+from mvsc.graphs import laplacian_from_weights
 from mvsc.linalg import l21_norm, nuclear_norm, prox_l21
 from mvsc.solver import (
     HyperParams,
@@ -21,6 +21,7 @@ from mvsc.solver import (
     update_Z,
 )
 from mvsc.spectral import affinity_from_representation, spectral_cluster
+from references import laplacian_quadratic
 
 
 def random_state(rng, n, v, mu=None):

@@ -1,9 +1,22 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from mvsc.blas import single_thread
+from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import ValidationError
+from mvsc.linalg import _as_matrix
 from mvsc.metrics import accuracy
+from mvsc.solver import VARIANTS, HyperParams, fit
 from mvsc.spectral import (
+    KMEANS_STARTS,
+    LLOYD_MAX_ITER,
+    LLOYD_TOL,
     affinity_from_representation,
     kmeans,
     normalized_laplacian,
@@ -196,3 +209,170 @@ def test_kmeans_handles_duplicate_points():
     labels, inertia = kmeans(X, 3, seed=1)
     assert inertia == pytest.approx(0.0, abs=1e-20)
     assert len(labels) == 6
+
+
+# ------------------------------------------ k-means against one start at a time
+# The reference below is k-means as it ran before its starts were batched:
+# each start runs alone, with a per-cluster X[mask].mean. kmeans must give
+# its labels and inertia bit for bit.
+
+
+def ref_kmeans_pp_init(X, k, rng):
+    n = X.shape[0]
+    centers = np.empty((k, X.shape[1]))
+    centers[0] = X[rng.integers(n)]
+    d2 = np.sum((X - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            # all points coincide with a chosen center; fall back to uniform
+            idx = rng.integers(n)
+        else:
+            idx = rng.choice(n, p=d2 / total)
+        centers[j] = X[idx]
+        d2 = np.minimum(d2, np.sum((X - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def ref_lloyd(X, centers):
+    k = centers.shape[0]
+    labels = np.zeros(X.shape[0], dtype=int)
+    for _ in range(LLOYD_MAX_ITER):
+        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        labels = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            mask = labels == j
+            if mask.any():
+                new_centers[j] = X[mask].mean(axis=0)
+            else:
+                # revive an empty cluster at the point worst served now
+                worst = np.argmax(d2[np.arange(len(labels)), labels])
+                new_centers[j] = X[worst]
+        shift = np.max(np.linalg.norm(new_centers - centers, axis=1))
+        centers = new_centers
+        if shift <= LLOYD_TOL:
+            break
+    d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    labels = np.argmin(d2, axis=1)
+    inertia = float(d2[np.arange(len(labels)), labels].sum())
+    return labels, inertia
+
+
+def ref_kmeans(X, k, seed):
+    X = _as_matrix(X, "X")
+    if not 1 <= k <= X.shape[0]:
+        raise ValidationError(f"k must lie in [1, {X.shape[0]}], got {k}")
+    best_labels, best_inertia = None, np.inf
+    for child in np.random.SeedSequence(seed).spawn(KMEANS_STARTS):
+        rng = np.random.default_rng(child)
+        centers = ref_kmeans_pp_init(X, k, rng)
+        labels, inertia = ref_lloyd(X, centers)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels, best_inertia
+
+
+def assert_matches_reference(X, k, seeds=range(30)):
+    for seed in seeds:
+        labels, inertia = kmeans(X, k, seed)
+        ref_labels, ref_inertia = ref_kmeans(X, k, seed)
+        assert np.array_equal(labels, ref_labels), (k, seed)
+        assert inertia == ref_inertia, (k, seed)
+
+
+REFERENCE_SPEC = SyntheticSpec(
+    n=150, clusters=3, dims=(20, 30, 40), subspace_rank=3,
+    noise_sigma=0.05, seed=7,
+)
+ABLATION_SPEC = replace(REFERENCE_SPEC, noise_sigma=0.15, consensus_fraction=0.6, seed=1)
+
+
+@pytest.fixture(scope="module")
+def fitted_embeddings():
+    """Spectral embeddings of every variant's fit (lrr-bsv: one per view)
+    on the reference spec with default hyperparameters and on ablation
+    seed 1 with the ablation ones."""
+    embeddings = []
+    for spec, params in (
+        (REFERENCE_SPEC, HyperParams()),
+        (ABLATION_SPEC, HyperParams(lambda1=0.5, lambda2=10.0, knn=30)),
+    ):
+        ds = normalize_views(generate_synthetic(spec), "unit_column")
+        for variant in VARIANTS:
+            parts = [ds]
+            if variant == "lrr-bsv":
+                parts = [replace(ds, views=[X]) for X in ds.views]
+            for part in parts:
+                with single_thread():
+                    Z, _ = fit(part, replace(params, variant=variant))
+                U = spectral_embedding(affinity_from_representation(Z), ds.n_clusters)
+                embeddings.append(U)
+    return embeddings
+
+
+def test_kmeans_matches_reference_on_fitted_embeddings(fitted_embeddings):
+    assert len(fitted_embeddings) == 12
+    for U in fitted_embeddings:
+        assert_matches_reference(U, 3)
+
+
+def test_kmeans_matches_reference_on_random_sets():
+    rng = np.random.default_rng(10)
+    for k in range(1, 9):
+        dim = (1, 2, 3, 9)[k % 4]
+        assert_matches_reference(rng.standard_normal((int(rng.integers(k, 40)), dim)), k)
+    for dim in (1, 3):
+        assert_matches_reference(rng.standard_normal((6, dim)), 6)  # k = n
+
+
+def test_kmeans_matches_reference_when_clusters_empty_together():
+    # two distinct points, five centers: after the uniform fallback the
+    # duplicate centers leave several clusters empty in one iteration,
+    # and all of them revive at the same worst-served point
+    X = np.zeros((6, 2))
+    X[3:] = 1.0
+    most_empty = 0
+    for seed in range(30):
+        for child in np.random.SeedSequence(seed).spawn(KMEANS_STARTS):
+            centers = ref_kmeans_pp_init(X, 5, np.random.default_rng(child))
+            d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+            most_empty = max(most_empty, 5 - len(np.unique(np.argmin(d2, axis=1))))
+    assert most_empty >= 2
+    assert_matches_reference(X, 5)
+    assert_matches_reference(X, 4)
+
+
+def test_kmeans_matches_reference_on_identical_points():
+    assert_matches_reference(np.full((10, 3), 0.3), 4)
+    assert_matches_reference(np.zeros((10, 3)), 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=24),
+        elements=st.one_of(st.integers(-2, 2).map(float), st.floats(-10, 10)),
+    ),
+    st.data(),
+)
+def test_kmeans_matches_reference_property(X, data):
+    k = data.draw(st.integers(1, X.shape[0]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    assert_matches_reference(X, k, seeds=[seed])
+
+
+def test_kmeans_distances_built_one_center_column_at_a_time():
+    # one (starts, n, k, dim) float64 array would take 128 MB here
+    n, k, dim = 2000, 20, 20
+    rng = np.random.default_rng(11)
+    X = rng.standard_normal((k, dim))[rng.integers(k, size=n)]
+    X += 0.01 * rng.standard_normal((n, dim))
+    tracemalloc.start()
+    try:
+        kmeans(X, k, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < KMEANS_STARTS * n * k * dim * 8 / 4
