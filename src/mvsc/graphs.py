@@ -6,12 +6,15 @@ consensus graph across views with its support/complement index sets, a
 shared-neighborhood kernel (second-order proximity), and the per-view
 fused weight matrices with their Laplacians L_k.
 
-The solver reads the graphs only through S0 = sum_k (L_k + L_k^T), so
-build_graph_set folds each view's second-order graph, fused weights and
-Laplacian into S0 and lets them go before the next view's: a GraphSet
-stores the first-order graphs, the consensus and S0. Its second-order
-graphs and Laplacians, which diagnostics and graph dumps read, are
-derived again on demand with the same functions, bit for bit.
+Downstream of this module, the graphs are read only through
+S0 = sum_k (L_k + L_k^T): the fit's Z step and its objective trace both
+take S0 alone. One per-view generator yields each view's weights W_k
+(the first-order similarity, or the fused weights of a second-order
+graph built just then); build_graph_set folds each W_k's Laplacian into
+S0 and lets both go before the next view's, so a GraphSet stores the
+first-order graphs, the consensus and S0. Its second-order graphs and
+Laplacians, which diagnostics and graph dumps read, are derived again
+on demand through the same path, bit for bit.
 
 Samples are columns of each view matrix. All outputs are dense; the
 intended problem sizes are a few thousand samples at most.
@@ -118,14 +121,6 @@ class SecondOrderGraph:
     sigma: float
 
 
-@dataclass
-class FusedGraph:
-    """Per-view fused weights and their Laplacians."""
-
-    weights: list  # of n x n ndarrays
-    laplacians: list  # of n x n ndarrays
-
-
 def first_order_proximity(X, k):
     """First-order proximity of one view (columns of X are samples).
 
@@ -182,37 +177,24 @@ def second_order_proximity(g):
     return SecondOrderGraph(similarity=S, sigma=sigma)
 
 
-def fuse_weights(consensus, second_order, alpha):
-    """Per-view fused weights: consensus/v on the support, alpha-scaled
-    second-order proximity elsewhere; Laplacians L = D - W with D the
-    diagonal of row sums (so L @ 1 = 0 by construction)."""
-    _check_alpha(alpha)
-    v = len(second_order)
-    if v < 1:
-        raise ValidationError("need at least one second-order graph")
-    n = consensus.lambda_star.shape[0]
-    weights, laplacians = [], []
-    for ups in second_order:
-        if ups.similarity.shape != (n, n):
-            raise ValidationError(
-                f"second-order graph has shape {ups.similarity.shape}, expected {(n, n)}"
-            )
-        W = _fused_weight(consensus, ups, alpha, v)
-        weights.append(W)
-        laplacians.append(laplacian_from_weights(W))
-    return FusedGraph(weights=weights, laplacians=laplacians)
-
-
-def _check_alpha(alpha):
-    if alpha < 0:
-        raise ValidationError(f"alpha must be nonnegative, got {alpha}")
-
-
 def _fused_weight(consensus, ups, alpha, v):
     """One view's fused weights out of v: consensus/v on the support,
     alpha-scaled second-order proximity on its complement."""
     shared = np.where(consensus.omega, consensus.lambda_star / v, 0.0)
     return shared + np.where(consensus.omega_bar, alpha * ups.similarity, 0.0)
+
+
+def _view_weights(first_order, consensus, alpha):
+    """Each view's weight matrix W_k, in view order: its first-order
+    similarity when consensus is None (mode "first_order"), else its
+    fused weights, from a second-order graph that is built here and
+    dropped before the next view's."""
+    v = len(first_order)
+    for g in first_order:
+        if consensus is None:
+            yield g.similarity
+        else:
+            yield _fused_weight(consensus, second_order_proximity(g), alpha, v)
 
 
 def laplacian_from_weights(W):
@@ -235,7 +217,7 @@ class GraphSet:
 
     laplacian_sum is S0 = sum_k (L_k + L_k^T), summed in view order: the
     one matrix a fit reads. second_order and laplacians are not stored
-    by the build; they are derived on first use with the functions the
+    by the build; they are derived on first use through the path the
     build used, so they are bit-identical to what it summed.
     """
 
@@ -255,9 +237,10 @@ class GraphSet:
     @cached_property
     def laplacians(self):
         """Per-view Laplacians L_k of the weights the set regularizes with."""
-        if self.mode == "first_order":
-            return [laplacian_from_weights(g.similarity) for g in self.first_order]
-        return fuse_weights(self.consensus, self.second_order, self.alpha).laplacians
+        return [
+            laplacian_from_weights(W)
+            for W in _view_weights(self.first_order, self.consensus, self.alpha)
+        ]
 
     def regularizer_direct(self, Z):
         """Graph regularizer evaluated from the defining double sums
@@ -301,27 +284,19 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None):
         raise ValidationError("need at least one view")
     cons = None
     if mode == "fused":
-        _check_alpha(alpha)
+        if alpha < 0:
+            raise ValidationError(f"alpha must be nonnegative, got {alpha}")
         cons = consensus_graph(first)
     S0 = np.zeros((first[0].n,) * 2)
-    for g in first:
-        if cons is None:
-            _add_symmetrized_laplacian(S0, g.similarity)
-        else:
-            # the second-order graph and the weights are temporaries of
-            # the call, so one view's are alive at a time
-            _add_symmetrized_laplacian(S0, _fused_weight(
-                cons, second_order_proximity(g), alpha, len(first)
-            ))
+    for W in _view_weights(first, cons, alpha):
+        L = laplacian_from_weights(W)
+        S0 += L + L.T
+        # the loop names would keep this view's W and L alive while the
+        # next view's are built
+        del W, L
     return GraphSet(
         first_order=first, laplacian_sum=S0, alpha=alpha, mode=mode, consensus=cons
     )
-
-
-def _add_symmetrized_laplacian(S0, W):
-    """S0 += L + L^T for L = laplacian_from_weights(W)."""
-    L = laplacian_from_weights(W)
-    S0 += L + L.T
 
 
 def dump_graphs(graph_set, out_dir):

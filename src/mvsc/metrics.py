@@ -194,9 +194,6 @@ class EvaluationReport:
     precision: float
     rand_index: float
 
-    def as_dict(self):
-        return {name: getattr(self, name) for name in METRIC_FIELDS}
-
 
 def evaluate(pred, truth, normalization="geometric"):
     """All six measures at once."""

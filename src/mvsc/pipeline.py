@@ -5,18 +5,17 @@ one fit per (variant, lambda), one spectral embedding per fit, then one
 k-means per restart. The graph stage runs only when a fit reads its
 result (an effective lambda2 > 0) or a dump asks for it, and it ends
 before any fit: graphs are dumped, then only the set's
-S0 = sum_k (L_k + L_k^T) goes on to the fits. The set itself goes on
-only under --trace-residuals, whose objective evaluates the graph
-regularizer from the graphs. A configuration is a convex problem with one
-solution, so a restart is only a k-means seed: restart r clusters the
-shared embedding with seed base_seed + r. Every restart clusters the
-same finite embedding, so a failure in one would be a failure in all;
-any stage that fails raises, and the CLI maps the error to its exit
-code. Rows are emitted in restart order, and no timestamps or
-environment details leak into the artifacts, so re-running a command
-overwrites its outputs byte-identically. Commands and run_restarts run
-BLAS on one thread (blas.single_thread), so outputs do not depend on the
-caller's thread environment either.
+S0 = sum_k (L_k + L_k^T) goes on to the fits, whose iterations and
+objective traces read nothing else. A configuration is a convex
+problem with one solution, so a restart is only a k-means seed:
+restart r clusters the shared embedding with seed base_seed + r. Every
+restart clusters the same finite embedding, so a failure in one would
+be a failure in all; any stage that fails raises, and the CLI maps the
+error to its exit code. Rows are emitted in restart order, and no
+timestamps or environment details leak into the artifacts, so
+re-running a command overwrites its outputs byte-identically. Commands
+and run_restarts run BLAS on one thread (blas.single_thread), so
+outputs do not depend on the caller's thread environment either.
 """
 
 import csv
@@ -98,12 +97,12 @@ def _restart(dataset, fits, embeddings, index, seed):
 
 
 @single_thread()
-def run_restarts(dataset, params, restarts, laplacian_sum=None, graphs=None,
-                 trace=False, seed=0):
+def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
+                 seed=0):
     """One fit of the configuration and its spectral embedding, then one
     seeded k-means per restart.
 
-    laplacian_sum and graphs go to the fit as they are (see solver.fit).
+    laplacian_sum goes to the fit as it is (see solver.fit).
     lrr-bsv fits each view as its own one-view dataset and, per restart,
     keeps the view whose clustering scores the best NMI. Any failure, of
     a fit, an embedding or a clustering, raises.
@@ -119,8 +118,7 @@ def run_restarts(dataset, params, restarts, laplacian_sum=None, graphs=None,
         ]
     else:
         fits = [fit(
-            dataset, params, laplacian_sum=laplacian_sum, graphs=graphs,
-            trace_objective=trace,
+            dataset, params, laplacian_sum=laplacian_sum, trace_objective=trace
         )]
     embeddings = [
         spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
@@ -244,10 +242,9 @@ def cmd_run(config):
         graphs = variant_graphs(dataset, params)
     _maybe_dump_graphs(config, dataset, params, graphs)
     S0 = _laplacian_sum(graphs)
-    if not config.trace_residuals:
-        graphs = None  # the fit reads S0 alone
+    del graphs  # the fit reads S0 alone
     results = run_restarts(
-        dataset, params, config.restarts, laplacian_sum=S0, graphs=graphs,
+        dataset, params, config.restarts, laplacian_sum=S0,
         trace=config.trace_residuals, seed=config.seed,
     )
     write_csv(out / "report.csv", report_rows(dataset, params, results))

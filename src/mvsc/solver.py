@@ -16,9 +16,9 @@ the Z subproblem:
     B = Xs^T (Y1s + mu (Xs - Es)) + mu Q - Y2
 
 where Xs, Y1s and Es stack the views, their multipliers and their
-errors (sum d_k x n). S0 is all a fit reads of the graphs: the graph
-set carries it (graphs.GraphSet.laplacian_sum), and a caller can hand
-the fit S0 alone. Only mu changes between iterations, so the system
+errors (sum d_k x n). S0 is all a fit reads of the graphs, traced or
+not: the graph set carries it (graphs.GraphSet.laplacian_sum), and
+the fit takes S0 alone. Only mu changes between iterations, so the system
 is diagonalized once per fit. R = P^(-1/2) = I + V_r diag((1 + s^2)^(-1/2)
 - 1) V_r^T comes from the thin SVD Xs = U diag(s) V_r^T; S is PSD (each
 graph is symmetric and nonnegative), and eigh(R S R) = W diag(lam) W^T
@@ -68,7 +68,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .graphs import build_graph_set
+from .graphs import build_graph_set, row_sq_dists
 from .linalg import _svd, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factors
 # unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
 # (SOLVER_KERNELS), and tests/test_benchmark_hooks.py pins them
@@ -300,22 +300,27 @@ def update_multipliers(state, X_list, residuals=None):
     return Y1, Y2, min(RHO * state.mu, MU_MAX)
 
 
-def objective_value(state, X_list, graphs, params):
+def objective_value(state, X_list, S0, params):
     """Objective of the full model at the current state, for diagnostics.
 
-    The graph regularizer is evaluated from its defining double sums, not
-    through the Laplacian trace identity, so this value can cross-check
-    the solver's trace-form machinery.
+    The graph regularizer is evaluated as a pairwise double sum, not
+    through the trace form the Z step uses, so this value can cross-check
+    the solver's trace-form machinery. Off its diagonal S0 is
+    -2 sum_k sym(W_k), and pairwise distances have a zero diagonal, so
+
+        1/2 sum_k sum_ij (W_k)_ij d_ij = -1/4 sum_ij (S0)_ij d_ij,
+
+    d_ij = ||z_i - z_j||^2 over the rows of Z.
     """
     val = nuclear_norm(state.Z)
     val += params.lambda1 * sum(l21_norm(E) for E in state.E)
     lam2 = params.effective_lambda2
-    if lam2 > 0 and graphs is not None:
-        val += lam2 * graphs.regularizer_direct(state.Z)
+    if lam2 > 0 and S0 is not None:
+        val += lam2 * (-0.25 * float(np.sum(S0 * row_sq_dists(state.Z))))
     return float(val)
 
 
-def _alm_loop(X_list, S0, params, lambda2, graphs=None, trace_objective=False):
+def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
     state = _init_state(X_list)
     # Q lies near the row space of the stacked dictionary, whose rank is
     # at most its row count
@@ -353,7 +358,7 @@ def _alm_loop(X_list, S0, params, lambda2, graphs=None, trace_objective=False):
         state.residual_history.append((max(view_resids), zq_resid))
         if trace_objective:
             state.objective_history.append(
-                objective_value(state, X_list, graphs, params)
+                objective_value(state, X_list, S0, params)
             )
 
         state.Y1, state.Y2, state.mu = update_multipliers(
@@ -383,17 +388,16 @@ def variant_graphs(dataset, params, first_order=None):
     )
 
 
-def fit(dataset, params, laplacian_sum=None, graphs=None, trace_objective=False):
+def fit(dataset, params, laplacian_sum=None, trace_objective=False):
     """Run the full optimization on a multi-view dataset.
 
     Returns (Z, state); state.converged is False when the iteration cap
     was reached with residuals still above eps (that is a flagged result,
-    not an error). The iterations read the graphs only through
-    laplacian_sum, S0 = sum_k (L_k + L_k^T) of the variant's graph set
-    (it must match the dataset and variant). graphs, the set itself,
-    supplies S0 when laplacian_sum is not given, and trace_objective
-    reads it for the graph regularizer; whichever of the two a fit with
-    a graph term needs and lacks is built here. Deterministic given
+    not an error). The iterations and the objective trace
+    (trace_objective) read the graphs only through laplacian_sum,
+    S0 = sum_k (L_k + L_k^T) of the variant's graph set (it must match
+    the dataset and variant); a fit with a graph term that is not given
+    S0 builds the set here and keeps only its S0. Deterministic given
     (dataset, params). Variant lrr-bsv is plain LRR and takes one view
     at a time. Raises NumericalError when the data or the iterates
     overflow.
@@ -403,13 +407,9 @@ def fit(dataset, params, laplacian_sum=None, graphs=None, trace_objective=False)
             f"variant lrr-bsv fits one view at a time, got {dataset.n_views} views"
         )
     lambda2 = params.effective_lambda2
-    if lambda2 > 0 and (laplacian_sum is None or trace_objective):
-        if graphs is None:
-            graphs = variant_graphs(dataset, params)
-        laplacian_sum = graphs.laplacian_sum
-    if not trace_objective:
-        graphs = None  # the iterations read S0 alone
+    if lambda2 > 0 and laplacian_sum is None:
+        laplacian_sum = variant_graphs(dataset, params).laplacian_sum
     return _alm_loop(
-        dataset.views, laplacian_sum, params, lambda2, graphs=graphs,
+        dataset.views, laplacian_sum, params, lambda2,
         trace_objective=trace_objective,
     )

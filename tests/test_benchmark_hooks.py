@@ -5,6 +5,10 @@ until the benchmark changes with them; for the same reason the solver
 keeps its unused svt and solve_spd imports. The package must not load
 mvsc.cli, or `python -m mvsc.cli` warns that it is already loaded."""
 
+import ast
+import importlib
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -52,3 +56,49 @@ def test_package_import_exposes_what_the_benchmark_wraps():
         "normalize_views": True,
         "cli": False,
     }
+
+
+# the span names perfbench/spans.py layer_metrics reads through busy[...],
+# calls[...] and self_time[...]; a name no span carries reads 0 there
+LAYER_SPANS = {
+    "data.load_dataset", "data.normalize_views",
+    "graphs.build_graph_set", "graphs.first_order_proximity",
+    "graphs.second_order_proximity",
+    "solver.fit", "solver.update_E", "solver.update_Q", "solver.svt",
+    "solver.update_Z", "solver.solve_spd", "solver.update_multipliers",
+    "spectral.spectral_cluster", "spectral.spectral_embedding", "spectral.kmeans",
+    "metrics.evaluate", "metrics.nmi",
+    "pipeline.run_restarts", "pipeline.write_csv",
+}
+
+
+def load_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py"
+    )
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_layer_metric_reads_a_traced_function():
+    spans = load_spans()
+    tree = ast.parse(inspect.getsource(spans.layer_metrics))
+    read = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("busy", "calls", "self_time")
+        and isinstance(node.slice, ast.Constant)
+    }
+    assert read == LAYER_SPANS
+    for name in sorted(LAYER_SPANS):
+        short, attr = name.split(".")
+        assert short in spans.TRACED_MODULES, name
+        module = importlib.import_module("mvsc." + short)
+        if short == "solver" and attr in spans.SOLVER_KERNELS:
+            continue
+        obj = getattr(module, attr, None)
+        assert inspect.isfunction(obj) and not attr.startswith("_"), name
+        assert obj.__module__ == module.__name__, name

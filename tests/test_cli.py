@@ -130,6 +130,29 @@ def test_z_update_flag_is_rejected(spec_file, tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("ablate", ("--variant", "grmsc")),
+    ("ablate", ("--dump-graphs",)),
+    ("ablate", ("--trace-residuals",)),
+    ("sweep", ("--lambda1", "0.5")),
+    ("sweep", ("--lambda2", "1")),
+    ("sweep", ("--dump-graphs",)),
+    ("sweep", ("--trace-residuals",)),
+], ids=lambda v: v if isinstance(v, str) else v[0].lstrip("-"))
+def test_commands_reject_flags_they_do_not_read(command, flag, spec_file, tmp_path):
+    # ablate runs every variant, sweep takes its lambdas from the grids,
+    # and only run dumps graphs or writes traces
+    out = tmp_path / "out"
+    grids = ()
+    if command == "sweep":
+        grids = ("--lambda1-grid", "0.5", "--lambda2-grid", "1")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--synthetic", spec_file, "--out", out, "--restarts", 1,
+                *grids, *flag)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
 def test_rerun_is_byte_identical(spec_file, tmp_path):
     out = tmp_path / "out"
     run_cli("run", "--synthetic", spec_file, "--out", out, "--restarts", 4)
@@ -463,18 +486,13 @@ def test_single_point_sweep_matches_run_summary(spec_file, tmp_path):
 def test_sweep_from_zero_lambda2_regularizes_positive_points(
     spec_file, tmp_path, counted_builds
 ):
-    # graphs are chosen by variant, so a base lambda2 of 0 still builds
-    # the set (once, for the whole grid) that the lambda2 > 0 points use
-    def sweep(name, lambda2):
-        out = tmp_path / name
-        assert run_cli("sweep", "--synthetic", spec_file, "--out", out,
-                       "--restarts", 2, "--lambda2", lambda2,
-                       "--lambda1-grid", "0.5", "--lambda2-grid", "0,1") == 0
-        return (out / "sweep.csv").read_bytes()
-
-    from_zero = sweep("from-zero", "0")
+    # graphs are chosen by variant, so a grid that starts at lambda2 = 0
+    # still builds the set (once, for the whole grid) that the
+    # lambda2 > 0 points use
+    assert run_cli("sweep", "--synthetic", spec_file, "--out", tmp_path / "out",
+                   "--restarts", 2,
+                   "--lambda1-grid", "0.5", "--lambda2-grid", "0,1") == 0
     assert counted_builds == ["fused"]
-    assert from_zero == sweep("from-one", "1")
 
 
 def test_sweep_rejects_malformed_grid(spec_file, tmp_path, capsys):

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import DegenerateInputError, ValidationError
 from mvsc.graphs import (
     ConsensusGraph,
@@ -11,8 +14,8 @@ from mvsc.graphs import (
     build_graph_set,
     consensus_graph,
     dump_graphs,
+    _fused_weight,
     first_order_proximity,
-    fuse_weights,
     gaussian_kernel,
     laplacian_from_weights,
     pairwise_sq_dists,
@@ -181,31 +184,31 @@ def test_fuse_weights_hand_instance():
     cons = _hand_consensus()
     u1 = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, 0.3], [0.2, 0.3, 1.0]])
     u2 = np.array([[1.0, 0.4, 0.6], [0.4, 1.0, 0.2], [0.6, 0.2, 1.0]])
-    ups = [SecondOrderGraph(u1, 1.0), SecondOrderGraph(u2, 1.0)]
-    fused = fuse_weights(cons, ups, alpha=0.5)
+    weights = [
+        _fused_weight(cons, SecondOrderGraph(u, 1.0), 0.5, 2) for u in (u1, u2)
+    ]
 
     W1 = np.array([[0.0, 0.3, 0.1], [0.3, 0.0, 0.15], [0.1, 0.15, 0.0]])
     W2 = np.array([[0.0, 0.3, 0.3], [0.3, 0.0, 0.1], [0.3, 0.1, 0.0]])
-    np.testing.assert_allclose(fused.weights[0], W1, atol=1e-15)
-    np.testing.assert_allclose(fused.weights[1], W2, atol=1e-15)
+    np.testing.assert_allclose(weights[0], W1, atol=1e-15)
+    np.testing.assert_allclose(weights[1], W2, atol=1e-15)
     L1 = np.diag([0.4, 0.45, 0.25]) - W1
-    np.testing.assert_allclose(fused.laplacians[0], L1, atol=1e-15)
+    np.testing.assert_allclose(laplacian_from_weights(weights[0]), L1, atol=1e-15)
 
 
 def test_fuse_weights_alpha_zero_keeps_only_consensus():
     cons = _hand_consensus()
     u = SecondOrderGraph(np.full((3, 3), 0.9), 1.0)
-    fused = fuse_weights(cons, [u, u], alpha=0.0)
-    for W in fused.weights:
-        assert np.all(W[cons.omega_bar] == 0)
-        np.testing.assert_allclose(W[cons.omega], 0.3)
+    W = _fused_weight(cons, u, 0.0, 2)
+    assert np.all(W[cons.omega_bar] == 0)
+    np.testing.assert_allclose(W[cons.omega], 0.3)
 
 
 def test_fuse_weights_single_view_keeps_lambda_star():
     cons = _hand_consensus()
     u = SecondOrderGraph(np.full((3, 3), 0.9), 1.0)
-    fused = fuse_weights(cons, [u], alpha=0.0)
-    np.testing.assert_allclose(fused.weights[0][cons.omega], 0.6)
+    W = _fused_weight(cons, u, 0.0, 1)
+    np.testing.assert_allclose(W[cons.omega], 0.6)
 
 
 def test_laplacian_row_sums_zero():
@@ -374,7 +377,10 @@ def test_laplacian_sum_is_the_view_order_sum_of_the_laplacians(mode, shared):
         for got, ups in zip(gs.second_order, seconds):
             assert np.array_equal(got.similarity, ups.similarity)
             assert got.sigma == ups.sigma
-        expected = fuse_weights(gs.consensus, seconds, 0.01).laplacians
+        expected = [
+            laplacian_from_weights(_fused_weight(gs.consensus, ups, 0.01, len(views)))
+            for ups in seconds
+        ]
     assert len(gs.laplacians) == len(views)
     for L, ref in zip(gs.laplacians, expected):
         assert np.array_equal(L, ref)
@@ -387,3 +393,22 @@ def test_build_graph_set_rejects_negative_alpha_and_no_views():
         build_graph_set(views, 3, -0.1)
     with pytest.raises(ValidationError):
         build_graph_set([], 3, 0.01, mode="first_order")
+
+
+def test_fused_build_peak_memory_is_at_most_9_5_nxn_arrays():
+    # one view's second-order graph, weights and Laplacian are alive at a
+    # time; the set keeps three first-order graphs, the consensus and S0
+    # (11.25 n x n arrays when the last view's W and L stayed alive while
+    # the next view's were built)
+    n = 600
+    spec = SyntheticSpec(n=n, clusters=3, dims=(20, 30, 40), subspace_rank=3,
+                         noise_sigma=0.05, seed=7)
+    views = normalize_views(generate_synthetic(spec), "unit_column").views
+    tracemalloc.start()
+    try:
+        gs = build_graph_set(views, 10, 0.001)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert gs.mode == "fused"
+    assert peak <= 9.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n arrays"

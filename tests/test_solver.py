@@ -388,21 +388,34 @@ def test_objective_trivial_cases():
 
 
 def test_objective_cross_module_recomputation():
+    # the objective reads S0 alone; its graph term, a pairwise sum over
+    # S0, must equal the set's defining double sums at random and at
+    # fitted Z, in both graph modes
     from mvsc.graphs import build_graph_set
 
     rng = np.random.default_rng(15)
-    views = [rng.standard_normal((4, 12)) for _ in range(2)]
-    gs = build_graph_set(views, 3, 0.01)
-    _, state = random_state(rng, 12, 2)
-    state.E = [0.1 * rng.standard_normal(X.shape) for X in views]
-    params = HyperParams(lambda1=0.4, lambda2=0.9)
-    got = objective_value(state, views, gs, params)
-    expected = (
-        nuclear_norm(state.Z)
-        + 0.4 * sum(l21_norm(E) for E in state.E)
-        + 0.9 * laplacian_quadratic(gs.laplacians, state.Z)
-    )
-    assert got == pytest.approx(expected, rel=1e-8)
+    ds = small_dataset()
+    for variant, mode in solver_module.GRAPH_MODES.items():
+        params = HyperParams(lambda1=0.4, lambda2=0.9, alpha=0.01, knn=5,
+                             variant=variant, max_iter=100)
+        gs = build_graph_set(ds.views, 5, 0.01, mode=mode)
+        S0 = gs.laplacian_sum
+        _, state = random_state(rng, ds.n_samples, ds.n_views)
+        state.E = [0.1 * rng.standard_normal(X.shape) for X in ds.views]
+        _, fitted = fit(ds, params, laplacian_sum=S0)
+        for Z in (state.Z, fitted.Z):
+            state.Z = Z
+            got = objective_value(state, ds.views, S0, params)
+            rest = objective_value(state, ds.views, None, params)
+            assert (got - rest) / 0.9 == pytest.approx(
+                gs.regularizer_direct(Z), rel=1e-12
+            ), variant
+            expected = (
+                nuclear_norm(Z)
+                + 0.4 * sum(l21_norm(E) for E in state.E)
+                + 0.9 * laplacian_quadratic(gs.laplacians, Z)
+            )
+            assert got == pytest.approx(expected, rel=1e-8)
 
 
 # ------------------------------------------------------------------- fit
