@@ -10,11 +10,11 @@ Downstream of this module, the graphs are read only through
 S0 = sum_k (L_k + L_k^T): the fit's Z step and its objective trace both
 take S0 alone. One per-view generator yields each view's weights W_k
 (the first-order similarity, or the fused weights of a second-order
-graph built just then); build_graph_set folds each W_k's Laplacian into
-S0 and lets both go before the next view's, so a GraphSet stores the
-first-order graphs, the consensus and S0. Its second-order graphs and
-Laplacians, which diagnostics and graph dumps read, are derived again
-on demand through the same path, bit for bit.
+graph built just then) and that graph; build_graph_set folds each W_k's
+Laplacian into S0, writes a dump's CSVs as it goes, and lets them all go
+before the next view's, so a GraphSet stores the first-order graphs,
+the consensus and S0. Diagnostics derive the rest again through the
+same path, bit for bit.
 
 Samples are columns of each view matrix. All outputs are dense; the
 intended problem sizes are a few thousand samples at most.
@@ -185,16 +185,18 @@ def _fused_weight(consensus, ups, alpha, v):
 
 
 def _view_weights(first_order, consensus, alpha):
-    """Each view's weight matrix W_k, in view order: its first-order
-    similarity when consensus is None (mode "first_order"), else its
-    fused weights, from a second-order graph that is built here and
-    dropped before the next view's."""
+    """Each view's (W_k, second-order graph), in view order: its
+    first-order similarity and None when consensus is None (mode
+    "first_order"), else its fused weights and the second-order graph
+    built here for them, dropped before the next view's."""
     v = len(first_order)
     for g in first_order:
         if consensus is None:
-            yield g.similarity
+            yield g.similarity, None
         else:
-            yield _fused_weight(consensus, second_order_proximity(g), alpha, v)
+            ups = second_order_proximity(g)
+            yield _fused_weight(consensus, ups, alpha, v), ups
+            del ups  # else it lives on through the next view's build
 
 
 def laplacian_from_weights(W):
@@ -216,9 +218,9 @@ class GraphSet:
     directly as its weight matrix, with no support split.
 
     laplacian_sum is S0 = sum_k (L_k + L_k^T), summed in view order: the
-    one matrix a fit reads. second_order and laplacians are not stored
-    by the build; they are derived on first use through the path the
-    build used, so they are bit-identical to what it summed.
+    one matrix a fit reads. The laplacians are not stored by the build;
+    they are derived on first use through the path the build used, so
+    they are bit-identical to what it summed.
     """
 
     first_order: list
@@ -228,18 +230,11 @@ class GraphSet:
     consensus: ConsensusGraph | None = None
 
     @cached_property
-    def second_order(self):
-        """Per-view second-order graphs (None in mode "first_order")."""
-        if self.mode == "first_order":
-            return None
-        return [second_order_proximity(g) for g in self.first_order]
-
-    @cached_property
     def laplacians(self):
         """Per-view Laplacians L_k of the weights the set regularizes with."""
         return [
             laplacian_from_weights(W)
-            for W in _view_weights(self.first_order, self.consensus, self.alpha)
+            for W, _ in _view_weights(self.first_order, self.consensus, self.alpha)
         ]
 
     def regularizer_direct(self, Z):
@@ -253,22 +248,25 @@ class GraphSet:
             )
         cons = 0.5 * np.sum(self.consensus.lambda_star[self.consensus.omega]
                             * d2[self.consensus.omega])
+        bar = self.consensus.omega_bar
         comp = sum(
-            0.5 * np.sum(ups.similarity[self.consensus.omega_bar]
-                         * d2[self.consensus.omega_bar])
-            for ups in self.second_order
+            0.5 * np.sum(second_order_proximity(g).similarity[bar] * d2[bar])
+            for g in self.first_order
         )
         return float(cons + self.alpha * comp)
 
 
-def build_graph_set(views, knn, alpha, mode="fused", first_order=None):
+def build_graph_set(views, knn, alpha, mode="fused", first_order=None,
+                    dump_dir=None):
     """Construct the graph set of a list of view matrices.
 
     first_order may carry the views' first-order graphs from an earlier
     build with the same knn (they depend only on the views and knn), so
     graph sets of both modes can share them. Each view's weights and
     Laplacian (and in mode "fused" its second-order graph) are folded
-    into S0 and dropped before the next view's are formed.
+    into S0 and dropped before the next view's are formed. dump_dir
+    receives the graphs as CSV, each second-order one while the build
+    holds it; a build that fails partway leaves what it has written.
     """
     if mode not in ("fused", "first_order"):
         raise ValidationError(f"unknown graph mode {mode!r}")
@@ -287,26 +285,24 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None):
         if alpha < 0:
             raise ValidationError(f"alpha must be nonnegative, got {alpha}")
         cons = consensus_graph(first)
+    if dump_dir is not None:
+        out = Path(dump_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        for k, g in enumerate(first):
+            np.savetxt(out / f"first_order_view{k}.csv", g.similarity, delimiter=",")
+        if cons is not None:
+            np.savetxt(out / "consensus.csv", cons.lambda_star, delimiter=",")
     S0 = np.zeros((first[0].n,) * 2)
-    for W in _view_weights(first, cons, alpha):
+    # the loop names, and enumerate's last tuple, would keep this view's
+    # graphs alive while the next view's are built
+    k = 0
+    for W, ups in _view_weights(first, cons, alpha):
+        if dump_dir is not None and ups is not None:
+            np.savetxt(out / f"second_order_view{k}.csv", ups.similarity, delimiter=",")
         L = laplacian_from_weights(W)
         S0 += L + L.T
-        # the loop names would keep this view's W and L alive while the
-        # next view's are built
-        del W, L
+        del W, ups, L
+        k += 1
     return GraphSet(
         first_order=first, laplacian_sum=S0, alpha=alpha, mode=mode, consensus=cons
     )
-
-
-def dump_graphs(graph_set, out_dir):
-    """Write the first-order, consensus, and second-order matrices as CSV."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for k, g in enumerate(graph_set.first_order):
-        np.savetxt(out / f"first_order_view{k}.csv", g.similarity, delimiter=",")
-    if graph_set.consensus is not None:
-        np.savetxt(out / "consensus.csv", graph_set.consensus.lambda_star, delimiter=",")
-    if graph_set.second_order is not None:
-        for k, ups in enumerate(graph_set.second_order):
-            np.savetxt(out / f"second_order_view{k}.csv", ups.similarity, delimiter=",")

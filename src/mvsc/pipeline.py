@@ -1,21 +1,21 @@
 """Batch orchestration: multi-restart runs, ablations, and lambda sweeps.
 
-A command chains pure stages: graphs once per (knn, alpha, variant),
-one fit per (variant, lambda), one spectral embedding per fit, then one
-k-means per restart. The graph stage runs only when a fit reads its
-result (an effective lambda2 > 0) or a dump asks for it, and it ends
-before any fit: graphs are dumped, then only the set's
-S0 = sum_k (L_k + L_k^T) goes on to the fits, whose iterations and
-objective traces read nothing else. A configuration is a convex
-problem with one solution, so a restart is only a k-means seed:
-restart r clusters the shared embedding with seed base_seed + r. Every
-restart clusters the same finite embedding, so a failure in one would
-be a failure in all; any stage that fails raises, and the CLI maps the
-error to its exit code. Rows are emitted in restart order, and no
-timestamps or environment details leak into the artifacts, so
-re-running a command overwrites its outputs byte-identically. Commands
-and run_restarts run BLAS on one thread (blas.single_thread), so
-outputs do not depend on the caller's thread environment either.
+A command lists its configurations and chains pure stages: graphs once
+per (knn, alpha, mode), one fit per (variant, lambda), one spectral
+embedding per fit, then one k-means per restart. One function,
+_graph_terms, runs the graph stage before the first fit: it builds the
+sets a fit reads (an effective lambda2 > 0) or a dump asks for, and
+hands each fit its set's S0 = sum_k (L_k + L_k^T) alone. A
+configuration is a convex problem with one solution, so a restart is
+only a k-means seed: restart r clusters the shared embedding with seed
+base_seed + r. Every restart clusters the same finite embedding, so a
+failure in one would be a failure in all; any stage that fails raises,
+and the CLI maps the error to its exit code. Rows are emitted in
+restart order, and no timestamps or environment details leak into the
+artifacts, so re-running a command overwrites its outputs
+byte-identically. Commands and run_restarts run BLAS on one thread
+(blas.single_thread), so outputs do not depend on the caller's thread
+environment either.
 """
 
 import csv
@@ -24,12 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import graphs as _graphs
 from .blas import single_thread
 from .data import generate_synthetic, load_dataset, load_synthetic_spec, normalize_views
 from .errors import ValidationError
 from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std, nmi
-from .solver import HyperParams, fit, variant_graphs, variant_label
+from .solver import GRAPH_MODES, HyperParams, fit, variant_graphs, variant_label
 from .spectral import affinity_from_representation, cluster_embedding, spectral_embedding
 
 LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
@@ -55,6 +54,8 @@ class RunConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise ValidationError(f"restarts must be at least 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
         if (self.manifest is None) == (self.synthetic is None):
             raise ValidationError(
                 "exactly one of manifest and synthetic spec must be given"
@@ -172,10 +173,16 @@ def summary_row(dataset, params, results):
     }
     for name in METRIC_FIELDS:
         row[name] = format_mean_std(getattr(mean, name), getattr(std, name))
-    for name in METRIC_FIELDS:
-        row[name + "_mean"] = _fmt(getattr(mean, name))
-        row[name + "_std"] = _fmt(getattr(std, name))
+    row.update(_stat_cells(mean, std))
     return row
+
+
+def _stat_cells(mean, std):
+    """Full-precision mean and std columns, metric by metric."""
+    return {
+        f"{name}_{stat}": _fmt(getattr(values, name))
+        for name in METRIC_FIELDS for stat, values in (("mean", mean), ("std", std))
+    }
 
 
 def write_csv(path, rows):
@@ -212,21 +219,29 @@ def write_traces(out_dir, results):
             write_csv(Path(out_dir) / f"residuals_restart{r.index}.csv", rows)
 
 
-def _maybe_dump_graphs(config, dataset, params, graphs):
-    if not config.dump_graphs:
-        return
-    if graphs is None:
-        # a graph-free variant; dump the set the full model would use
-        graphs = variant_graphs(dataset, replace(params, variant="grmsc"))
-    if config.dump_graphs is True:
-        target = Path(config.out_dir) / "graphs"
-    else:
-        target = Path(config.dump_graphs)
-    _graphs.dump_graphs(graphs, target)
-
-
-def _laplacian_sum(graphs):
-    return None if graphs is None else graphs.laplacian_sum
+def _graph_terms(dataset, configs, dump_dir=None):
+    """{mode: S0} for each build_graph_set mode that a fit among configs
+    (HyperParams sharing knn and alpha) reads: a graph variant's at an
+    effective lambda2 > 0. The sets share one build of the first-order
+    graphs. dump_dir receives the CSVs of configs[0]'s set (grmsc's for
+    a graph-free variant), built for the dump alone if no fit reads it.
+    """
+    builds = {GRAPH_MODES[p.variant]: p for p in configs if p.effective_lambda2 > 0}
+    read, dump_mode = set(builds), None
+    if dump_dir is not None:
+        dump = configs[0]
+        if dump.variant not in GRAPH_MODES:
+            dump = replace(dump, variant="grmsc")
+        dump_mode = GRAPH_MODES[dump.variant]
+        builds.setdefault(dump_mode, dump)
+    terms, first = {}, None
+    for mode, params in builds.items():
+        graphs = variant_graphs(dataset, params, first_order=first,
+                                dump_dir=dump_dir if mode == dump_mode else None)
+        first = graphs.first_order
+        if mode in read:
+            terms[mode] = graphs.laplacian_sum
+    return terms
 
 
 @single_thread()
@@ -237,14 +252,11 @@ def cmd_run(config):
     dataset = resolve_dataset(config)
     params = config.params
     out = Path(config.out_dir)
-    graphs = None
-    if params.effective_lambda2 > 0 or config.dump_graphs:
-        graphs = variant_graphs(dataset, params)
-    _maybe_dump_graphs(config, dataset, params, graphs)
-    S0 = _laplacian_sum(graphs)
-    del graphs  # the fit reads S0 alone
+    dump = out / "graphs" if config.dump_graphs is True else config.dump_graphs
+    terms = _graph_terms(dataset, [params], dump_dir=dump or None)
     results = run_restarts(
-        dataset, params, config.restarts, laplacian_sum=S0,
+        dataset, params, config.restarts,
+        laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)),
         trace=config.trace_residuals, seed=config.seed,
     )
     write_csv(out / "report.csv", report_rows(dataset, params, results))
@@ -258,27 +270,20 @@ def cmd_run(config):
 @single_thread()
 def cmd_ablate(config):
     """All four variants under identical restart seeds; one combined table.
-    The graph variants share one build of the first-order graphs; each
-    fit gets its set's S0 alone."""
+    Both graph sets are built, sharing their first-order graphs, before
+    the first fit."""
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
+    configs = [replace(config.params, variant=v) for v in ABLATION_ORDER]
+    terms = _graph_terms(dataset, configs)
     summary = []
-    first_order = None
-    for variant in ABLATION_ORDER:
-        params = replace(config.params, variant=variant)
-        S0 = None
-        if params.effective_lambda2 > 0:
-            graphs = variant_graphs(dataset, params, first_order=first_order)
-            # grmsc-naive's first-order graphs are grmsc's too, and no
-            # later variant needs them
-            first_order = graphs.first_order if variant == "grmsc-naive" else None
-            S0 = graphs.laplacian_sum
-            del graphs
+    for params in configs:
         results = run_restarts(
-            dataset, params, config.restarts, laplacian_sum=S0, seed=config.seed
+            dataset, params, config.restarts,
+            laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)), seed=config.seed,
         )
         write_csv(
-            out / f"report_{variant_label(variant)}.csv",
+            out / f"report_{variant_label(params.variant)}.csv",
             report_rows(dataset, params, results),
         )
         summary.append(summary_row(dataset, params, results))
@@ -289,32 +294,24 @@ def cmd_ablate(config):
 @single_thread()
 def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
     """Full pipeline per (lambda1, lambda2) grid point; one sweep.csv row
-    each, suitable for a heatmap."""
+    each, suitable for a heatmap. One graph build serves the grid."""
     if not grid1 or not grid2:
         raise ValidationError("sweep grids must be non-empty")
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
-    # graphs do not depend on the lambdas: one build serves the whole
-    # grid, and none is needed when no point has a graph term
-    S0 = None
-    if any(float(l2) > 0 for l2 in grid2):
-        S0 = _laplacian_sum(variant_graphs(dataset, config.params))
+    configs = [
+        replace(config.params, lambda1=float(l1), lambda2=float(l2))
+        for l1 in grid1 for l2 in grid2
+    ]
+    terms = _graph_terms(dataset, configs)
     rows = []
-    for l1 in grid1:
-        for l2 in grid2:
-            params = replace(config.params, lambda1=float(l1), lambda2=float(l2))
-            results = run_restarts(
-                dataset, params, config.restarts, laplacian_sum=S0, seed=config.seed
-            )
-            mean, std, n_runs = summarize(results)
-            row = {
-                "lambda1": _fmt(l1),
-                "lambda2": _fmt(l2),
-                "n_runs": n_runs,
-            }
-            for name in METRIC_FIELDS:
-                row[name + "_mean"] = _fmt(getattr(mean, name))
-                row[name + "_std"] = _fmt(getattr(std, name))
-            rows.append(row)
+    for params in configs:
+        results = run_restarts(
+            dataset, params, config.restarts,
+            laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)), seed=config.seed,
+        )
+        mean, std, n_runs = summarize(results)
+        rows.append({"lambda1": _fmt(params.lambda1), "lambda2": _fmt(params.lambda2),
+                     "n_runs": n_runs, **_stat_cells(mean, std)})
     write_csv(out / "sweep.csv", rows)
     return 0

@@ -63,6 +63,7 @@ The solver only optimizes: it is deterministic, starts from Z = 0 as
 LRR's ALM does, and never sees labels or clusterings.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -107,16 +108,17 @@ class HyperParams:
     variant: str = "grmsc"
 
     def __post_init__(self):
-        if self.lambda1 <= 0:
-            raise ValidationError(f"lambda1 must be positive, got {self.lambda1}")
-        if self.lambda2 < 0:
-            raise ValidationError(f"lambda2 must be nonnegative, got {self.lambda2}")
-        if self.alpha < 0:
-            raise ValidationError(f"alpha must be nonnegative, got {self.alpha}")
+        # the chained comparisons are false for NaN and infinities too
+        if not 0 < self.lambda1 < math.inf:
+            raise ValidationError(f"lambda1 must be finite and > 0, got {self.lambda1}")
+        if not 0 <= self.lambda2 < math.inf:
+            raise ValidationError(f"lambda2 must be finite and >= 0, got {self.lambda2}")
+        if not 0 <= self.alpha < math.inf:
+            raise ValidationError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.knn is not None and self.knn < 1:
             raise ValidationError(f"knn must be at least 1, got {self.knn}")
-        if self.eps <= 0:
-            raise ValidationError(f"eps must be positive, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValidationError(f"eps must be finite and > 0, got {self.eps}")
         if self.max_iter < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
         if self.variant not in VARIANTS:
@@ -320,6 +322,8 @@ def objective_value(state, X_list, S0, params):
     return float(val)
 
 
+# an overflow shows up as non-finite residuals, which raise NumericalError
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
     state = _init_state(X_list)
     # Q lies near the row space of the stacked dictionary, whose rank is
@@ -371,20 +375,21 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
     return state.Z, state
 
 
-def variant_graphs(dataset, params, first_order=None):
+def variant_graphs(dataset, params, first_order=None, dump_dir=None):
     """The graph set a variant regularizes with: per-view first-order
     graphs for grmsc-naive, the fused consensus/second-order set for
     grmsc, and None for the graph-free variants. The set depends only on
     (views, knn, alpha, variant), not on lambda2, so one build serves
     every lambda and restart of a batch; at lambda2 = 0 fit ignores it.
     first_order, the first-order graphs of another variant's set at the
-    same knn, is reused rather than rebuilt."""
+    same knn, is reused rather than rebuilt. dump_dir goes to the build."""
     mode = GRAPH_MODES.get(params.variant)
     if mode is None:
         return None
     knn = params.resolve_knn(dataset.n_samples, dataset.n_clusters)
     return build_graph_set(
-        dataset.views, knn, params.alpha, mode=mode, first_order=first_order
+        dataset.views, knn, params.alpha, mode=mode, first_order=first_order,
+        dump_dir=dump_dir,
     )
 
 

@@ -38,6 +38,43 @@ spans.Tracer().install()
 """
 
 
+def test_each_command_normalizes_once_through_the_module_attribute(
+    tmp_path, monkeypatch
+):
+    # perfbench/launch.py stamps setup_s by patching
+    # pipeline.normalize_views; a command that reached the function some
+    # other way, or called it twice, would skew that stamp
+    import mvsc.pipeline as pipeline
+    from mvsc.solver import HyperParams
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 24, "clusters": 2, "dims": [5, 6], "subspace_rank": 2,
+        "noise_sigma": 0.05, "seed": 3,
+    }))
+    calls = []
+    real = pipeline.normalize_views
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "normalize_views", counting)
+    commands = {
+        "run": pipeline.cmd_run,
+        "ablate": pipeline.cmd_ablate,
+        "sweep": lambda config: pipeline.cmd_sweep(config, (0.5,), (0.0, 1.0)),
+    }
+    for name, command in commands.items():
+        calls.clear()
+        config = pipeline.RunConfig(
+            params=HyperParams(max_iter=20), out_dir=tmp_path / name,
+            synthetic=spec, restarts=1,
+        )
+        assert command(config) == 0
+        assert calls == [("unit_column",)], name
+
+
 def test_package_import_exposes_what_the_benchmark_wraps():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -356,19 +356,48 @@ def test_zero_restarts_exits_2(spec_file, tmp_path):
                    "--out", tmp_path / "out", "--restarts", 0) == 2
 
 
-@pytest.mark.parametrize("variant", ["grmsc", "msc-naive"])
-def test_overflowing_views_exit_3(variant, tmp_path, capsys):
-    # finite input whose Gram matrices overflow is a numerical failure,
-    # not a validation problem
+def test_negative_seed_exits_2_before_any_work(spec_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli("run", "--synthetic", spec_file, "--out", out, "--seed", -1) == 2
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("run", "--lambda1", "nan"), ("run", "--lambda1", "inf"),
+    ("run", "--lambda2", "nan"), ("run", "--lambda2", "inf"),
+    ("run", "--alpha", "nan"), ("run", "--alpha", "inf"),
+    ("run", "--eps", "nan"), ("run", "--eps", "inf"),
+    ("sweep", "--lambda1-grid", "0.5,nan"), ("sweep", "--lambda2-grid", "0,inf"),
+])
+def test_non_finite_hyperparameters_exit_2(command, flag, value, spec_file,
+                                           tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command, "--synthetic", spec_file, "--out", out,
+                   "--restarts", 1, flag, value) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "variant, scale",
+    [("grmsc", 1e160), ("msc-naive", 1e160), ("grmsc", 1e20), ("msc-naive", 1e20)],
+    ids=["grmsc", "msc-naive", "grmsc-1e20", "msc-naive-1e20"],
+)
+def test_overflowing_views_exit_3(variant, scale, tmp_path, capsys):
+    # finite input whose Gram matrices (1e160) or ALM iterates (1e20)
+    # overflow is a numerical failure, not a validation problem, and the
+    # error is all the command prints
     spec = SyntheticSpec(n=150, clusters=3, dims=(20, 30, 40), subspace_rank=3,
                          noise_sigma=0.05, seed=7)
     ds = generate_synthetic(spec)
-    ds.views = [1e160 * X for X in ds.views]
+    ds.views = [scale * X for X in ds.views]
     manifest = write_dataset(ds, tmp_path / "data")
     code = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out",
                    "--normalize", "none", "--restarts", 1, "--variant", variant)
     assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mvsc: numerical failure")
 
 
 MANIFEST = {

@@ -13,7 +13,6 @@ from mvsc.graphs import (
     SecondOrderGraph,
     build_graph_set,
     consensus_graph,
-    dump_graphs,
     _fused_weight,
     first_order_proximity,
     gaussian_kernel,
@@ -338,9 +337,8 @@ def test_build_graph_set_reuses_first_order_graphs(monkeypatch):
 def test_dump_graphs_writes_files(tmp_path):
     rng = np.random.default_rng(12)
     views = [rng.standard_normal((3, 10)) for _ in range(2)]
-    gs = build_graph_set(views, 3, 0.001)
-    dump_graphs(gs, tmp_path)
-    names = {p.name for p in tmp_path.iterdir()}
+    gs = build_graph_set(views, 3, 0.001, dump_dir=tmp_path / "fused")
+    names = {p.name for p in (tmp_path / "fused").iterdir()}
     assert names == {
         "first_order_view0.csv",
         "first_order_view1.csv",
@@ -348,8 +346,17 @@ def test_dump_graphs_writes_files(tmp_path):
         "second_order_view0.csv",
         "second_order_view1.csv",
     }
-    loaded = np.loadtxt(tmp_path / "consensus.csv", delimiter=",")
+    loaded = np.loadtxt(tmp_path / "fused" / "consensus.csv", delimiter=",")
     np.testing.assert_allclose(loaded, gs.consensus.lambda_star, atol=1e-12)
+    for k, g in enumerate(gs.first_order):
+        loaded = np.loadtxt(tmp_path / "fused" / f"second_order_view{k}.csv",
+                            delimiter=",")
+        np.testing.assert_allclose(
+            loaded, second_order_proximity(g).similarity, atol=1e-12
+        )
+    build_graph_set(views, 3, 0.001, mode="first_order", dump_dir=tmp_path / "naive")
+    names = {p.name for p in (tmp_path / "naive").iterdir()}
+    assert names == {"first_order_view0.csv", "first_order_view1.csv"}
 
 
 @pytest.mark.parametrize(
@@ -359,24 +366,20 @@ def test_dump_graphs_writes_files(tmp_path):
 )
 def test_laplacian_sum_is_the_view_order_sum_of_the_laplacians(mode, shared):
     # the build folds each view into S0 and keeps neither its weights nor
-    # its second-order graph; what is derived afterwards sums to S0 bit
-    # for bit and equals what the graph functions give on their own
+    # its Laplacian; what is derived afterwards sums to S0 bit for bit
+    # and equals what the graph functions give on their own
     rng = np.random.default_rng(21)
     views = [rng.standard_normal((4 + k, 25)) for k in range(3)]
     first = None
     if shared:
         first = build_graph_set(views, 4, 0.01, mode="first_order").first_order
     gs = build_graph_set(views, 4, 0.01, mode=mode, first_order=first)
-    assert "second_order" not in vars(gs) and "laplacians" not in vars(gs)
+    assert "laplacians" not in vars(gs)
     assert np.array_equal(gs.laplacian_sum, sum(L + L.T for L in gs.laplacians))
     if mode == "first_order":
-        assert gs.second_order is None
         expected = [laplacian_from_weights(g.similarity) for g in gs.first_order]
     else:
         seconds = [second_order_proximity(g) for g in gs.first_order]
-        for got, ups in zip(gs.second_order, seconds):
-            assert np.array_equal(got.similarity, ups.similarity)
-            assert got.sigma == ups.sigma
         expected = [
             laplacian_from_weights(_fused_weight(gs.consensus, ups, 0.01, len(views)))
             for ups in seconds
@@ -395,20 +398,24 @@ def test_build_graph_set_rejects_negative_alpha_and_no_views():
         build_graph_set([], 3, 0.01, mode="first_order")
 
 
-def test_fused_build_peak_memory_is_at_most_9_5_nxn_arrays():
+def test_fused_build_peak_memory_is_at_most_9_5_nxn_arrays(tmp_path):
     # one view's second-order graph, weights and Laplacian are alive at a
-    # time; the set keeps three first-order graphs, the consensus and S0
-    # (11.25 n x n arrays when the last view's W and L stayed alive while
-    # the next view's were built)
+    # time, also while a dump writes that second-order graph; the set
+    # keeps three first-order graphs, the consensus and S0 (11.25 n x n
+    # arrays when the last view's W and L stayed alive while the next
+    # view's were built)
     n = 600
     spec = SyntheticSpec(n=n, clusters=3, dims=(20, 30, 40), subspace_rank=3,
                          noise_sigma=0.05, seed=7)
     views = normalize_views(generate_synthetic(spec), "unit_column").views
-    tracemalloc.start()
-    try:
-        gs = build_graph_set(views, 10, 0.001)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert gs.mode == "fused"
-    assert peak <= 9.5 * n * n * 8, f"peak {peak / (n * n * 8):.2f} n x n arrays"
+    for dump_dir in (None, tmp_path):
+        tracemalloc.start()
+        try:
+            gs = build_graph_set(views, 10, 0.001, dump_dir=dump_dir)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gs.mode == "fused"
+        assert peak <= 9.5 * n * n * 8, (
+            f"dump_dir={dump_dir}: peak {peak / (n * n * 8):.2f} n x n arrays"
+        )

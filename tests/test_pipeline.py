@@ -155,7 +155,9 @@ def test_ablate_shares_first_order_graphs(tmp_path, monkeypatch):
     real_variant_graphs = solver.variant_graphs
     monkeypatch.setattr(
         pipeline, "variant_graphs",
-        lambda dataset, params, first_order=None: real_variant_graphs(dataset, params),
+        lambda dataset, params, first_order=None, dump_dir=None: real_variant_graphs(
+            dataset, params, dump_dir=dump_dir
+        ),
     )
     separate = ablate(tmp_path / "separate")
     assert len(calls) == 3 + 6  # a build per graph variant: two per view
@@ -209,6 +211,32 @@ def test_only_a_traced_run_takes_its_graph_set_into_the_fit(trace, tmp_path, mon
         assert [r["objective"] for r in rows] == [
             pipeline._fmt(v) for v in state.objective_history
         ]
+
+
+def test_dumping_run_builds_each_second_order_graph_once(tmp_path, monkeypatch):
+    # the build writes each view's second-order graph while it holds it,
+    # so a dump derives none of them again
+    calls = []
+    real_second_order = graphs.second_order_proximity
+
+    def counting(g):
+        calls.append(g.n)
+        return real_second_order(g)
+
+    monkeypatch.setattr(graphs, "second_order_proximity", counting)
+    out = tmp_path / "out"
+    config = pipeline.RunConfig(
+        params=HyperParams(max_iter=20), out_dir=out,
+        synthetic=write_spec(tmp_path / "spec.json", 60), restarts=1,
+        dump_graphs=True,
+    )
+    assert pipeline.cmd_run(config) == 0
+    assert calls == [60, 60, 60]
+    assert sorted(p.name for p in (out / "graphs").iterdir()) == [
+        "consensus.csv", "first_order_view0.csv", "first_order_view1.csv",
+        "first_order_view2.csv", "second_order_view0.csv",
+        "second_order_view1.csv", "second_order_view2.csv",
+    ]
 
 
 def test_cmd_run_peak_memory_is_at_most_18_nxn_arrays(tmp_path):
