@@ -147,6 +147,23 @@ def load_dataset(manifest_path):
     ).validate()
 
 
+def write_matrix(path, A, fmt="%.18e", delimiter=","):
+    """Write a 2-D array as text, byte for byte what
+    np.savetxt(path, A, fmt=fmt, delimiter=delimiter) writes, with one
+    % per block of rows over a repeated row template instead of one per
+    row."""
+    A = np.asarray(A)
+    # about 4096 values per block: enough to leave the per-row loop
+    # behind, few enough that a block's text and Python floats stay a
+    # small fraction of an n x n array
+    rows = max(1, 4096 // max(A.shape[1], 1))
+    line = delimiter.join([fmt] * A.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        for i in range(0, A.shape[0], rows):
+            block = A[i:i + rows]
+            fh.write(line * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_dataset(ds, out_dir):
     """Dump a dataset in manifest form; returns the manifest path.
 
@@ -158,12 +175,12 @@ def write_dataset(ds, out_dir):
     entries = []
     for k, X in enumerate(ds.views):
         rel = f"view{k}.csv"
-        np.savetxt(out_dir / rel, X, delimiter=",", fmt="%.17g")
+        write_matrix(out_dir / rel, X, fmt="%.17g")
         entries.append({"path": rel, "rows": int(X.shape[0])})
     labels_rel = None
     if ds.labels is not None:
         labels_rel = "labels.csv"
-        np.savetxt(out_dir / labels_rel, ds.labels[:, None], fmt="%d")
+        write_matrix(out_dir / labels_rel, ds.labels[:, None], fmt="%d")
     manifest = {
         "name": ds.name,
         "clusters": int(ds.n_clusters),

@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_matrix
 from .errors import DegenerateInputError, NumericalError, ValidationError
 
 # Consensus entries at or below this are treated as zero when forming the
@@ -75,14 +76,19 @@ def _kernel_from_sq_dists(d2):
 def _knn_sets(d2, k):
     """Boolean n x n mask: entry (i, j) true when j is among the k nearest
     neighbors of i. Self excluded; distance ties break toward the smaller
-    index (stable sort) for cross-platform reproducibility."""
-    n = d2.shape[0]
+    index (as a stable sort would) for cross-platform reproducibility.
+
+    No row is sorted: a partition finds each row's k-th smallest
+    distance t, every closer entry is in, and the slots left go to the
+    entries at distance t in index order."""
     d = d2.copy()
     np.fill_diagonal(d, np.inf)
-    order = np.argsort(d, axis=1, kind="stable")
-    mask = np.zeros((n, n), dtype=bool)
-    rows = np.repeat(np.arange(n), k)
-    mask[rows, order[:, :k].ravel()] = True
+    t = np.partition(d, k - 1, axis=1)[:, [k - 1]]
+    mask = d < t
+    ties = d == t
+    del d
+    ties &= np.cumsum(ties, axis=1) <= k - mask.sum(axis=1, keepdims=True)
+    mask |= ties
     return mask
 
 
@@ -289,16 +295,16 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None,
         out = Path(dump_dir)
         out.mkdir(parents=True, exist_ok=True)
         for k, g in enumerate(first):
-            np.savetxt(out / f"first_order_view{k}.csv", g.similarity, delimiter=",")
+            write_matrix(out / f"first_order_view{k}.csv", g.similarity)
         if cons is not None:
-            np.savetxt(out / "consensus.csv", cons.lambda_star, delimiter=",")
+            write_matrix(out / "consensus.csv", cons.lambda_star)
     S0 = np.zeros((first[0].n,) * 2)
     # the loop names, and enumerate's last tuple, would keep this view's
     # graphs alive while the next view's are built
     k = 0
     for W, ups in _view_weights(first, cons, alpha):
         if dump_dir is not None and ups is not None:
-            np.savetxt(out / f"second_order_view{k}.csv", ups.similarity, delimiter=",")
+            write_matrix(out / f"second_order_view{k}.csv", ups.similarity)
         L = laplacian_from_weights(W)
         S0 += L + L.T
         del W, ups, L

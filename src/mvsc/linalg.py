@@ -3,6 +3,12 @@
 All functions are pure: they never mutate their arguments and hold no
 state, so concurrent calls are safe. Matrices are float64 ndarrays;
 callers own the layout.
+
+svt_factors takes one of four paths per call: the zero skip, a warm
+sketch from a start the caller passes in (the right factor of its last
+call), the cold seeded sketch, and the full SVD. Both sketches must pass
+the same residual certificate; a failed warm sketch falls back to the
+cold one, and a failed cold sketch to the full SVD.
 """
 
 import logging
@@ -15,9 +21,9 @@ from .errors import DecompositionError, NumericalError, ValidationError
 logger = logging.getLogger(__name__)
 
 # Rank-aware svt: the zero skip's relative margin, the sketch's
-# oversampling beyond the rank hint, its power iterations, its size gate
-# SKETCH_RATIO * (hint + SKETCH_OVERSAMPLE) <= min(M.shape) (below it a
-# full SVD costs about as much) and its fixed seed.
+# oversampling beyond the rank hint, the cold sketch's power iterations,
+# its size gate SKETCH_RATIO * (hint + SKETCH_OVERSAMPLE) <= min(M.shape)
+# (below it a full SVD costs about as much) and its fixed seed.
 SKIP_MARGIN = 1e-12
 SKETCH_OVERSAMPLE = 10
 SKETCH_POWER_ITERS = 2
@@ -75,50 +81,92 @@ def _sketch_range(M, k):
     return U
 
 
-def svt_factors(M, tau, rank_hint=None):
+def _warm_range(M, start, k):
+    """Orthonormal p x k basis from one power step on a start: the first
+    k rows of start, transposed, as the test matrix (padded with seeded
+    Gaussian columns when start has fewer rows), and one QR of M M^T M
+    times it (Halko, Martinsson & Tropp 2011, Algorithm 4.3)."""
+    omega = start[:k].T
+    if omega.shape[1] < k:
+        pad = np.random.default_rng(SKETCH_SEED).standard_normal(
+            (M.shape[1], k - omega.shape[1])
+        )
+        omega = np.hstack([omega, pad])
+    U, _ = np.linalg.qr(M @ (M.T @ (M @ omega)))
+    return U
+
+
+def _certified(M, U, tau):
+    """svt of M through the basis U, or None when U fails the
+    certificate ||M - U U^T M||_F <= tau."""
+    B = U.T @ M
+    R = U @ B
+    np.subtract(M, R, out=R)
+    if np.linalg.norm(R) > tau:
+        return None
+    del R
+    Ub, s, Vt = _svd(B)
+    return _threshold(U @ Ub, s, Vt, tau)
+
+
+def svt_factors(M, tau, rank_hint=None, start=None):
     """Singular value thresholding: prox of tau * nuclear norm at M, as
     factors (L, Rt) of width rank(Q) with Q = L @ Rt.
 
     Q = U diag(max(s - tau, 0)) Vt is the unique minimizer of
     tau*||Q||_* + 0.5*||Q - M||_F^2; L = U diag(max(s - tau, 0)) and
-    Rt = Vt keep only the surviving triplets. Three paths, chosen per call:
+    Rt = Vt keep only the surviving triplets. Four paths, chosen per call:
 
     - zero skip: ||M||_F <= tau (less a 1e-12 relative margin) bounds
       sigma_1 by tau, so Q = 0 exactly (factors of width 0) and no SVD
       runs;
-    - sketched: given rank_hint h, an expected bound on rank(Q), and
-      4 (h + 10) <= min(M.shape), an orthonormal basis U of h + 10
-      sketched directions is accepted when ||M - U U^T M||_F <= tau,
-      which proves sigma_{h+11}(M) <= tau; Q is then thresholded from
-      the SVD of the small matrix U^T M. That is the exact svt of
-      U U^T M, so (svt being nonexpansive) it is within tau of the full
-      result in Frobenius norm, and to rounding when the spectrum has a
-      gap after rank h; it is not bit for bit the full SVD's;
-    - full SVD otherwise, including when the sketch fails its check.
+    - warm: given rank_hint h with 4 (h + 10) <= min(M.shape) and a start
+      of at least h rows (the Rt of the previous call on a nearby
+      matrix), one power step from start's first h + 10 rows and one QR
+      give the basis U; it is accepted by the certificate below;
+    - cold sketch: under the same size gate, when there is no warm path
+      or its basis fails the certificate, an orthonormal basis U of
+      h + 10 seeded Gaussian directions with 2 power iterations;
+    - full SVD otherwise, including when the cold sketch fails.
 
-    Deterministic: the sketch uses a fixed seed.
+    A sketched basis U is accepted when ||M - U U^T M||_F <= tau, which
+    proves sigma_{h+11}(M) <= tau; Q is then thresholded from the SVD of
+    the small matrix U^T M. That is the exact svt of U U^T M, so (svt
+    being nonexpansive) it is within tau of the full result in Frobenius
+    norm, and to rounding when the spectrum has a gap after rank h; it
+    is not bit for bit the full SVD's. A direction the warm step loses to
+    rounding carries its sigma > tau into the residual, so the
+    certificate rejects that basis.
+
+    Deterministic: both sketches use a fixed seed, and start is only read.
     """
     M = _as_matrix(M)
     if tau <= 0:
         raise ValidationError(f"svt threshold must be positive, got {tau}")
     if rank_hint is not None and rank_hint < 0:
         raise ValidationError(f"rank_hint must be nonnegative, got {rank_hint}")
+    if start is not None and (start.ndim != 2 or start.shape[1] != M.shape[1]):
+        raise ValidationError(
+            f"svt start of shape {start.shape} does not fit a {M.shape} matrix"
+        )
     if np.linalg.norm(M) <= tau * (1.0 - SKIP_MARGIN):
         return np.zeros((M.shape[0], 0)), np.zeros((0, M.shape[1]))
     if rank_hint is not None:
         k = rank_hint + SKETCH_OVERSAMPLE
         if SKETCH_RATIO * k <= min(M.shape):
-            U = _sketch_range(M, k)
-            B = U.T @ M
-            if np.linalg.norm(M - U @ B) <= tau:
-                Ub, s, Vt = _svd(B)
-                return _threshold(U @ Ub, s, Vt, tau)
+            if start is not None and start.shape[0] >= rank_hint:
+                factors = _certified(M, _warm_range(M, start, k), tau)
+                if factors is not None:
+                    return factors
+            factors = _certified(M, _sketch_range(M, k), tau)
+            if factors is not None:
+                return factors
     return _threshold(*_svd(M), tau)
 
 
 def svt(M, tau, rank_hint=None):
     """Singular value thresholding as a dense matrix: the product of
-    svt_factors(M, tau, rank_hint), which documents the three paths."""
+    svt_factors(M, tau, rank_hint), which documents its paths."""
     L, Rt = svt_factors(M, tau, rank_hint=rank_hint)
     return L @ Rt
 
@@ -156,8 +204,11 @@ def l21_norm(M):
 
 
 def inf_norm(M):
-    """Max absolute entry (the stopping-criterion norm)."""
-    return float(np.max(np.abs(M))) if np.asarray(M).size else 0.0
+    """Max absolute entry (the stopping-criterion norm), read from the
+    extremes without an abs copy; NaN anywhere gives NaN, and the outer
+    abs turns an all -0.0 matrix's -0.0 into 0.0."""
+    M = np.asarray(M)
+    return float(abs(max(M.max(), -M.min()))) if M.size else 0.0
 
 
 def solve_spd(A, B):

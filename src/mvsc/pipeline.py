@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .blas import single_thread
-from .data import generate_synthetic, load_dataset, load_synthetic_spec, normalize_views
+from .data import (
+    generate_synthetic, load_dataset, load_synthetic_spec, normalize_views, write_matrix,
+)
 from .errors import ValidationError
 from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std, nmi
 from .solver import GRAPH_MODES, HyperParams, fit, variant_graphs, variant_label
@@ -63,11 +65,22 @@ class RunConfig:
 
 
 def resolve_dataset(config):
+    """The command's normalized dataset; raises ValidationError when it
+    has no labels to evaluate against, before any graph is built."""
     if config.manifest is not None:
         ds = load_dataset(config.manifest)
     else:
         ds = generate_synthetic(load_synthetic_spec(config.synthetic))
-    return normalize_views(ds, config.normalize)
+    ds = normalize_views(ds, config.normalize)
+    _require_labels(ds)
+    return ds
+
+
+def _require_labels(dataset):
+    if dataset.labels is None:
+        raise ValidationError(
+            "evaluation needs ground-truth labels; the manifest declares none"
+        )
 
 
 @dataclass
@@ -108,10 +121,7 @@ def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
     keeps the view whose clustering scores the best NMI. Any failure, of
     a fit, an embedding or a clustering, raises.
     """
-    if dataset.labels is None:
-        raise ValidationError(
-            "evaluation needs ground-truth labels; the manifest declares none"
-        )
+    _require_labels(dataset)
     if params.variant == "lrr-bsv":
         fits = [
             fit(replace(dataset, views=[X]), params, trace_objective=trace)
@@ -196,7 +206,7 @@ def write_csv(path, rows):
 
 
 def write_labels(path, labels):
-    np.savetxt(path, np.asarray(labels, dtype=int)[:, None], fmt="%d")
+    write_matrix(path, np.asarray(labels, dtype=int)[:, None], fmt="%d")
 
 
 def write_traces(out_dir, results):

@@ -43,9 +43,19 @@ J = V^T (Y2 + S) is carried from one iteration to the next. By the Z
 step's own equations the dual step's Y2 + mu (Z - Q) + S equals
 Xs^T (T - mu Xs V C) - S V C, and V^T S V = diag(lam), so the next
 J = (Xs V)^T (T - mu Xs V C) - diag(lam) C costs two n x d x n
-products. The one n x n x n product per iteration is then V C.
-Otherwise V^T D = (Xs V)^T T + V^T (mu Q - Y2) - V^T S - mu V^T takes
-one dense product.
+products. The one n x n x n product per iteration is then V C. The
+first of those two products, Xs V C = Xs (Z - I), also gives the
+residuals' X_k Z as X_k plus its rows, so no d_k x n x n product forms
+X_k Z. Otherwise V^T D = (Xs V)^T T + V^T (mu Q - Y2) - V^T S - mu V^T
+takes one dense product, and X_k Z is formed from Z.
+
+The Q step thresholds Z + Y2 / mu with a rank hint of d = sum_k d_k
+rows, and the loop carries Q's right factor Rt from one iteration to
+the next. Consecutive iterates are close, so once Rt has d rows the
+SVT starts its sketch from it, with one power step and one QR, and
+checks the result with the same certificate as the cold sketch (see
+linalg.svt_factors); a failed check falls back to the cold sketch,
+then to the full SVD.
 
 update_Z can also take one "as-printed" step (sign flipped on the error
 term, no -Y2) for comparison; it does not satisfy the stationarity
@@ -183,14 +193,15 @@ def update_E(state, X_list, lambda1, products=None):
     return out
 
 
-def update_Q(state, rank_hint=None):
+def update_Q(state, rank_hint=None, start=None):
     """Nuclear-norm copy update: singular value thresholding of
     Z + Y2 / mu at level 1 / mu, returned as factors (L, Rt) with
     Q = L @ Rt. rank_hint, an expected bound on the rank of the result,
-    lets the SVT sketch instead of running a full SVD."""
-    return svt_factors(
-        state.Z + state.Y2 / state.mu, 1.0 / state.mu, rank_hint=rank_hint
-    )
+    lets the SVT sketch instead of running a full SVD; start, the Rt of
+    the previous Q, lets the sketch start warm (see svt_factors)."""
+    M = state.Y2 / state.mu
+    M += state.Z
+    return svt_factors(M, 1.0 / state.mu, rank_hint=rank_hint, start=start)
 
 
 def _congruence(S, G, Vt):
@@ -233,7 +244,7 @@ def _z_basis(X_list, S0, lambda2):
 
 
 def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
-             J=None, Q_factors=None):
+             J=None, Q_factors=None, XVC=None):
     """Solve the Z subproblem's normal equations (mu P + S) Z = B.
 
     L_list holds the per-view Laplacians; it is read only to build the
@@ -247,7 +258,9 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     with Q = L @ Rt, which is used only with J. With J, V^T D is built
     from thin products, and J is advanced in place to its value after
     the dual step Y2 += mu (Z - Q) that follows this Z step. Without
-    it, V^T D costs one dense n x n x n product.
+    it, V^T D costs one dense n x n x n product. XVC, a (sum d_k) x n
+    array given with J, is overwritten with Xs V C = Xs (Z - I), which
+    that advance computes anyway: X_k Z is X_k plus its rows of it.
     """
     if mode == "as-printed":
         state = replace(state, E=[-E for E in state.E], Y2=np.zeros_like(state.Y2))
@@ -280,7 +293,8 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
         # Z solves its normal equations, so the dual step's
         # Y2 + mu (Z - Q) + S equals Xs^T (T - mu Xs (Z - I)) - S (Z - I),
         # and V^T S V = diag(lam)
-        np.matmul(XV.T, Ts - mu * (XV @ C), out=J)
+        XVC = np.matmul(XV, C, out=XVC)
+        np.matmul(XV.T, Ts - mu * XVC, out=J)
         C *= lam[:, None]
         J -= C
     return Z
@@ -330,7 +344,7 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
     # at most its row count
     rank_hint = sum(X.shape[0] for X in X_list)
     V, lam, XV, VtS = basis = _z_basis(X_list, S0, lambda2)
-    J = None
+    J = XVC = None
     # V^T D from the carried J and Q's factors costs about 2 (d + rank Q)
     # n^2 flops, with rank Q near d, against n^3 for the dense product
     if 4 * rank_hint < len(lam):
@@ -338,15 +352,23 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
         # at 0); update_Z advances it
         J = np.zeros_like(state.Z) if VtS is None else VtS
         basis = (V, lam, XV, None)
+        # Xs V C = Xs (Z - I), filled by update_Z, gives each X_k Z
+        XVC = np.empty((rank_hint, len(lam)))
+        view_rows = np.cumsum([X.shape[0] for X in X_list])[:-1]
     products = None  # X_k Z of the last residuals, reused by the next E step
+    Rt = None  # Q's right factor, the next SVT's warm start
     for _ in range(params.max_iter):
         state.E = update_E(state, X_list, params.lambda1, products=products)
-        Q_factors = update_Q(state, rank_hint=rank_hint)
-        state.Q = Q_factors[0] @ Q_factors[1]
+        L, Rt = update_Q(state, rank_hint=rank_hint, start=Rt)
+        state.Q = L @ Rt
         state.Z = update_Z(
-            state, X_list, None, lambda2, basis=basis, J=J, Q_factors=Q_factors,
+            state, X_list, None, lambda2, basis=basis, J=J, Q_factors=(L, Rt),
+            XVC=XVC,
         )
-        products = [X @ state.Z for X in X_list]
+        if J is None:
+            products = [X @ state.Z for X in X_list]
+        else:
+            products = [X + P for X, P in zip(X_list, np.split(XVC, view_rows))]
         R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
         R_zq = state.Z - state.Q
         view_resids = [inf_norm(R) for R in R_list]

@@ -351,6 +351,24 @@ def test_label_free_manifest_exits_2(tmp_path, capsys):
     assert "labels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "ablate", "sweep"])
+def test_label_free_manifest_exits_2_before_any_graph_build(
+    command, tmp_path, capsys, counted_builds
+):
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "view0.csv", rng.standard_normal((4, 8)), delimiter=",")
+    (tmp_path / "manifest.json").write_text(json.dumps({
+        "name": "unlabeled", "clusters": 2,
+        "views": [{"path": "view0.csv", "rows": 4}], "labels": None,
+    }))
+    code = run_cli(command, "--manifest", tmp_path / "manifest.json",
+                   "--out", tmp_path / "out")
+    assert code == 2
+    assert "labels" in capsys.readouterr().err
+    assert counted_builds == []
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_restarts_exits_2(spec_file, tmp_path):
     assert run_cli("run", "--synthetic", spec_file,
                    "--out", tmp_path / "out", "--restarts", 0) == 2

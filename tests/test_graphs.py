@@ -14,6 +14,7 @@ from mvsc.graphs import (
     build_graph_set,
     consensus_graph,
     _fused_weight,
+    _knn_sets,
     first_order_proximity,
     gaussian_kernel,
     laplacian_from_weights,
@@ -332,6 +333,40 @@ def test_build_graph_set_reuses_first_order_graphs(monkeypatch):
         build_graph_set(views, 5, 0.001, first_order=naive.first_order)
     with pytest.raises(ValidationError):
         build_graph_set(views[:2], 4, 0.001, first_order=naive.first_order)
+
+
+def _knn_sets_by_stable_sort(d2, k):
+    """The k-nearest-neighbor mask from a stable argsort of every row:
+    ties go to the smaller index."""
+    n = d2.shape[0]
+    d = d2.copy()
+    np.fill_diagonal(d, np.inf)
+    order = np.argsort(d, axis=1, kind="stable")
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.repeat(np.arange(n), k), order[:, :k].ravel()] = True
+    return mask
+
+
+@pytest.mark.parametrize("decimals", [None, 1, 0])
+@pytest.mark.parametrize("k", [1, 10, 30])
+def test_knn_sets_match_a_stable_sort_ties_included(k, decimals):
+    # rounded distances tie often, also across the k-th neighbor
+    rng = np.random.default_rng(23)
+    d2 = pairwise_sq_dists(rng.standard_normal((3, 80)))
+    if decimals is not None:
+        d2 = np.round(d2, decimals)
+        assert len(np.unique(d2)) < d2.size // 10
+    mask = _knn_sets(d2, k)
+    assert np.array_equal(mask, _knn_sets_by_stable_sort(d2, k))
+    assert (mask.sum(axis=1) == k).all() and not mask.diagonal().any()
+
+
+def test_knn_sets_all_tied_take_the_smallest_indices():
+    mask = _knn_sets(np.zeros((6, 6)), 2)
+    expected = np.zeros((6, 6), dtype=bool)
+    for i in range(6):
+        expected[i, [j for j in range(6) if j != i][:2]] = True
+    assert np.array_equal(mask, expected)
 
 
 def test_dump_graphs_writes_files(tmp_path):

@@ -239,6 +239,110 @@ def test_svt_factors_multiply_to_svt(path, monkeypatch):
         assert np.array_equal(Q, (U[:, keep] * s[keep]) @ Vt[keep, :])
 
 
+def _count_ranges(monkeypatch):
+    """Record which range finders svt_factors runs, in call order."""
+    calls = []
+    for name in ("_warm_range", "_sketch_range"):
+        real = getattr(linalg, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(linalg, name, counting)
+    return calls
+
+
+def _warm_start(rng, M, tau, rank):
+    """The right factor of the svt of a nearby matrix, as the fit
+    carries it from the previous iteration."""
+    _, Rt = linalg.svt_factors(M + 1e-6 * rng.standard_normal(M.shape), tau)
+    assert Rt.shape[0] == rank
+    return Rt
+
+
+@pytest.mark.parametrize("extra_rows", [0, 4, 10, 25])
+def test_svt_warm_start_matches_full_svd(extra_rows, monkeypatch):
+    # a start narrower than hint + 10 rows is padded with Gaussian columns
+    rng = np.random.default_rng(25)
+    rank, tau = 12, 1e-3
+    M = _planted(rng, (240, 240), rank, noise=1e-7)
+    start = _warm_start(rng, M, tau, rank)
+    start = np.vstack([start, rng.standard_normal((extra_rows, 240))])
+    expected = _full_svt(M, tau)
+    calls = _count_ranges(monkeypatch)
+    shapes = _count_svds(monkeypatch)
+    L, Rt = linalg.svt_factors(M, tau, rank_hint=rank, start=start)
+    assert calls == ["_warm_range"]
+    assert shapes == [(rank + linalg.SKETCH_OVERSAMPLE, 240)]
+    assert L.shape == (240, rank) and Rt.shape == (rank, 240)
+    assert np.abs(L @ Rt - expected).max() <= 1e-10
+
+
+def test_svt_warm_start_orthogonal_to_the_top_space_falls_back(monkeypatch):
+    # the start sees none of M's top singular directions, so its basis
+    # leaves them in the residual and the certificate rejects it
+    rng = np.random.default_rng(26)
+    rank, tau = 8, 1e-3
+    M = _planted(rng, (200, 200), rank, noise=1e-7)
+    _, _, Vt = np.linalg.svd(M)
+    start = Vt[rank:2 * rank + linalg.SKETCH_OVERSAMPLE]
+    expected = _full_svt(M, tau)
+    calls = _count_ranges(monkeypatch)
+    shapes = _count_svds(monkeypatch)
+    out = linalg.svt_factors(M, tau, rank_hint=rank, start=start)
+    assert calls == ["_warm_range", "_sketch_range"]
+    assert shapes == [(rank + linalg.SKETCH_OVERSAMPLE, 200)]
+    cold = linalg.svt_factors(M, tau, rank_hint=rank)
+    assert all(np.array_equal(a, b) for a, b in zip(out, cold))
+    assert np.abs(out[0] @ out[1] - expected).max() <= 1e-10
+
+
+def test_svt_failed_warm_and_cold_sketches_end_in_the_full_svd(monkeypatch):
+    rng = np.random.default_rng(27)
+    M = _planted(rng, (240, 240), 30, noise=1e-7)
+    tau = 1e-3
+    start = _warm_start(rng, M, tau, 30)
+    calls = _count_ranges(monkeypatch)
+    shapes = _count_svds(monkeypatch)
+    # 15 sketched directions < rank 30: both bases fail the certificate
+    L, Rt = linalg.svt_factors(M, tau, rank_hint=5, start=start)
+    assert calls == ["_warm_range", "_sketch_range"]
+    assert shapes == [(240, 240)]
+    assert np.array_equal(L @ Rt, _full_svt(M, tau))
+
+
+@pytest.mark.parametrize("rows", [0, 5, 11])
+def test_svt_start_narrower_than_the_hint_goes_cold(rows, monkeypatch):
+    rng = np.random.default_rng(28)
+    M = _planted(rng, (200, 200), 12, noise=1e-7)
+    start = rng.standard_normal((rows, 200))
+    calls = _count_ranges(monkeypatch)
+    out = linalg.svt_factors(M, 1e-3, rank_hint=12, start=start)
+    assert calls == ["_sketch_range"]
+    cold = linalg.svt_factors(M, 1e-3, rank_hint=12)
+    assert all(np.array_equal(a, b) for a, b in zip(out, cold))
+
+
+def test_svt_start_is_only_read_and_the_warm_path_is_deterministic():
+    rng = np.random.default_rng(29)
+    M = _planted(rng, (200, 200), 10, noise=1e-7)
+    for rows in (10, 25):  # padded and unpadded
+        start = _warm_start(rng, M, 1e-3, 10)
+        start = np.vstack([start, rng.standard_normal((rows - 10, 200))])
+        kept = start.copy()
+        start.flags.writeable = False
+        a = linalg.svt_factors(M, 1e-3, rank_hint=10, start=start)
+        b = linalg.svt_factors(M, 1e-3, rank_hint=10, start=start)
+        assert np.array_equal(start, kept)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
+def test_svt_rejects_a_start_of_the_wrong_width():
+    with pytest.raises(ValidationError, match="start"):
+        linalg.svt_factors(np.eye(3), 0.5, rank_hint=1, start=np.ones((1, 4)))
+
+
 def test_svt_rejects_negative_hint():
     with pytest.raises(ValidationError):
         svt(np.eye(2), 0.5, rank_hint=-1)
@@ -318,6 +422,18 @@ def test_l21_norm_values():
 
 def test_inf_norm_is_entrywise_max():
     assert inf_norm(np.array([[1.0, -7.0], [3.0, 2.0]])) == 7.0
+
+
+def test_inf_norm_propagates_nan_and_reads_zero_as_positive():
+    # the fit's divergence check relies on a NaN anywhere reading NaN
+    for where in ((0, 0), (1, 1), (0, 1)):
+        M = np.array([[1.0, -7.0], [3.0, 2.0]])
+        M[where] = np.nan
+        assert np.isnan(inf_norm(M))
+    assert inf_norm(np.array([[np.inf, 1.0]])) == np.inf
+    assert inf_norm(np.array([[-np.inf, 1.0]])) == np.inf
+    for zero in (0.0, -0.0):
+        assert str(inf_norm(np.full((2, 2), zero))) == "0.0"
 
 
 def test_solve_spd_identity_and_diagonal():

@@ -326,10 +326,16 @@ def test_update_Z_carried_products_match_dense():
     V, S = basis[0], lam2 * sum(L + L.T for L in L_list)
     J = V.T @ (state.Y2 + S)
     expected = update_Z(state, X_list, L_list, lam2)
-    got = update_Z(state, X_list, L_list, lam2, basis=basis, J=J, Q_factors=(QL, QRt))
+    XVC = np.full((sum(X.shape[0] for X in X_list), n), np.nan)
+    got = update_Z(state, X_list, L_list, lam2, basis=basis, J=J,
+                   Q_factors=(QL, QRt), XVC=XVC)
     assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
     J_next = V.T @ (state.Y2 + state.mu * (got - state.Q) + S)
     assert np.linalg.norm(J - J_next) <= 1e-11 * np.linalg.norm(J_next)
+    # XVC comes back as Xs (Z - I), so X_k Z = X_k + its rows of XVC
+    Xs = np.vstack(X_list)
+    XZ = Xs @ got
+    assert np.linalg.norm(Xs + XVC - XZ) <= 1e-12 * np.linalg.norm(XZ)
 
 
 def test_update_Z_rejects_unknown_mode():
@@ -482,23 +488,30 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
     spec = SyntheticSpec(n=160, clusters=2, dims=(6, 8), subspace_rank=2,
                          noise_sigma=0.05, seed=0)
     ds = normalize_views(generate_synthetic(spec), "unit_column")
-    sketches = []
-    real_sketch = linalg._sketch_range
+    sketches, warm = [], []
+    real_sketch, real_warm = linalg._sketch_range, linalg._warm_range
 
     def counting_sketch(M, k):
         sketches.append(k)
         return real_sketch(M, k)
 
+    def counting_warm(M, start, k):
+        warm.append(k)
+        return real_warm(M, start, k)
+
     monkeypatch.setattr(linalg, "_sketch_range", counting_sketch)
+    monkeypatch.setattr(linalg, "_warm_range", counting_warm)
     Z, state = fit(ds, HyperParams())
     assert sketches and set(sketches) == {14 + linalg.SKETCH_OVERSAMPLE}
-    sketched = len(sketches)
+    assert warm and set(warm) == {14 + linalg.SKETCH_OVERSAMPLE}
+    sketched, warmed = len(sketches), len(warm)
     monkeypatch.setattr(
         solver_module, "svt_factors",
-        lambda M, tau, rank_hint=None: linalg.svt_factors(M, tau),
+        lambda M, tau, rank_hint=None, start=None: linalg.svt_factors(M, tau),
     )
     Z_full, state_full = fit(ds, HyperParams())
-    assert len(sketches) == sketched  # no hint, no sketch
+    # no hint, no sketch
+    assert (len(sketches), len(warm)) == (sketched, warmed)
     assert state.iteration == state_full.iteration
     assert np.abs(Z - Z_full).max() <= 1e-8
     for seed in range(3):
@@ -513,14 +526,18 @@ def _dense_update_Z(S0):
     D = Xs^T T + mu (Q - I) - Y2 - S, S = lambda2 S0 (the fit passes
     the basis, not the Laplacians, so S0 comes from the test)."""
 
-    def step(state, X_list, L_list, lambda2, basis=None, **carried):
+    def step(state, X_list, L_list, lambda2, basis=None, XVC=None, **carried):
         V, lam = basis[:2]
         mu = state.mu
+        Xs = np.vstack(X_list)
         T = np.vstack([Y1 - mu * E for Y1, E in zip(state.Y1, state.E)])
-        D = np.vstack(X_list).T @ T + mu * (state.Q - np.eye(len(V))) - state.Y2
+        D = Xs.T @ T + mu * (state.Q - np.eye(len(V))) - state.Y2
         if lambda2 > 0:
             D -= lambda2 * S0
-        return np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
+        Z = np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
+        if XVC is not None:  # the carried path reads X_k Z from it
+            XVC[:] = Xs @ Z - Xs
+        return Z
 
     return step
 
