@@ -1,8 +1,9 @@
 """Dense matrix primitives used by the solver.
 
-All functions are pure: they never mutate their arguments and hold no
-state, so concurrent calls are safe. Matrices are float64 ndarrays;
-callers own the layout.
+All functions but add_transpose are pure: they never mutate their
+arguments and hold no state, so concurrent calls are safe. Matrices are
+float64 ndarrays; callers own the layout. add_transpose works in place,
+so that symmetrizing an n x n array takes no second n x n array.
 
 svt_factors takes one of four paths per call: the zero skip, a warm
 sketch from a start the caller passes in (the right factor of its last
@@ -30,6 +31,9 @@ SKETCH_POWER_ITERS = 2
 SKETCH_RATIO = 4
 SKETCH_SEED = 0
 
+# add_transpose's block edge: one block pair's sum is a 0.5 MB temporary
+TRANSPOSE_BLOCK = 256
+
 
 def _as_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=float)
@@ -38,6 +42,27 @@ def _as_matrix(M, name="matrix"):
     if not np.isfinite(M).all():
         raise ValidationError(f"{name} contains NaN or Inf entries")
     return M
+
+
+def add_transpose(A):
+    """A += A^T in place for a square array A, returned; the same bits as
+    A + A^T (IEEE addition commutes, so the result is exactly symmetric).
+
+    It works one pair of TRANSPOSE_BLOCK blocks at a time, where numpy's
+    A += A.T, seeing the overlap, first copies A^T to an n x n temporary.
+    """
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValidationError(f"add_transpose needs a square matrix, got {A.shape}")
+    n = A.shape[0]
+    for i in range(0, n, TRANSPOSE_BLOCK):
+        rows = slice(i, i + TRANSPOSE_BLOCK)
+        for j in range(i, n, TRANSPOSE_BLOCK):
+            cols = slice(j, j + TRANSPOSE_BLOCK)
+            block = A[rows, cols] + A[cols, rows].T
+            A[rows, cols] = block
+            if j != i:
+                A[cols, rows] = block.T
+    return A
 
 
 def _svd(M):

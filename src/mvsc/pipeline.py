@@ -89,23 +89,23 @@ class RestartResult:
     seed: int
     report: object
     labels: np.ndarray
-    state: object  # the fit clustered; converged and iteration live here
+    state: object  # the fit clustered, less Q and Y2; converged and iteration live here
     view: int  # index of the fit kept: for lrr-bsv, the view
 
 
-def _restart(dataset, fits, embeddings, index, seed):
+def _restart(dataset, states, embeddings, index, seed):
     """Cluster every fit's embedding with one k-means seed, keep the best
     by NMI (ties go to the lowest index), and score it."""
     labels = [cluster_embedding(U, dataset.n_clusters, seed) for U in embeddings]
     best = 0
-    if len(fits) > 1:
-        best = max(range(len(fits)), key=lambda k: nmi(labels[k], dataset.labels))
+    if len(states) > 1:
+        best = max(range(len(states)), key=lambda k: nmi(labels[k], dataset.labels))
     return RestartResult(
         index=index,
         seed=seed,
         report=evaluate(labels[best], dataset.labels),
         labels=labels[best],
-        state=fits[best][1],
+        state=states[best],
         view=best,
     )
 
@@ -118,24 +118,26 @@ def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
 
     laplacian_sum goes to the fit as it is (see solver.fit).
     lrr-bsv fits each view as its own one-view dataset and, per restart,
-    keeps the view whose clustering scores the best NMI. Any failure, of
-    a fit, an embedding or a clustering, raises.
+    keeps the view whose clustering scores the best NMI. Each fit is
+    embedded as soon as it returns, after its state drops Q and Y2
+    (nothing downstream reads them), so of the fit's n x n arrays only
+    Z stays live through the embedding. Any failure, of a fit, an
+    embedding or a clustering, raises.
     """
     _require_labels(dataset)
     if params.variant == "lrr-bsv":
-        fits = [
-            fit(replace(dataset, views=[X]), params, trace_objective=trace)
-            for X in dataset.views
-        ]
+        datasets = [replace(dataset, views=[X]) for X in dataset.views]
     else:
-        fits = [fit(
-            dataset, params, laplacian_sum=laplacian_sum, trace_objective=trace
-        )]
-    embeddings = [
-        spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
-        for Z, _ in fits
-    ]
-    return [_restart(dataset, fits, embeddings, r, seed + r) for r in range(restarts)]
+        datasets = [dataset]
+    states, embeddings = [], []
+    for data in datasets:
+        Z, state = fit(data, params, laplacian_sum=laplacian_sum, trace_objective=trace)
+        state.Q = state.Y2 = None
+        states.append(state)
+        embeddings.append(
+            spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
+        )
+    return [_restart(dataset, states, embeddings, r, seed + r) for r in range(restarts)]
 
 
 def summarize(results):

@@ -57,6 +57,15 @@ checks the result with the same certificate as the cold sketch (see
 linalg.svt_factors); a failed check falls back to the cold sketch,
 then to the full SVD.
 
+The loop works in place, with the bits of the allocating expressions.
+Z, Y2 and (on the dense path) Q keep their buffers: the Z step writes
+V C into Z, after using it for mu V^T, and the dual step adds
+mu (Z - Q) into Y2. One more n x n array holds Z + Y2 / mu for the Q
+step, then Z - Q. On the carried path the loop keeps Q as its factors,
+forms Z - Q as Z - L Rt in that array, and forms the dense Q once, on
+exit, so an iteration allocates two n x n arrays: C and the SVT
+certificate's residual.
+
 update_Z can also take one "as-printed" step (sign flipped on the error
 term, no -Y2) for comparison; it does not satisfy the stationarity
 condition and fails gradient checks, and fits never use it.
@@ -80,7 +89,9 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .graphs import build_graph_set, row_sq_dists
-from .linalg import _svd, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factors
+from .linalg import (
+    _svd, add_transpose, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factors,
+)
 # unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
 # (SOLVER_KERNELS), and tests/test_benchmark_hooks.py pins them
 from .linalg import solve_spd, svt  # noqa: F401
@@ -193,24 +204,25 @@ def update_E(state, X_list, lambda1, products=None):
     return out
 
 
-def update_Q(state, rank_hint=None, start=None):
+def update_Q(state, rank_hint=None, start=None, out=None):
     """Nuclear-norm copy update: singular value thresholding of
     Z + Y2 / mu at level 1 / mu, returned as factors (L, Rt) with
     Q = L @ Rt. rank_hint, an expected bound on the rank of the result,
     lets the SVT sketch instead of running a full SVD; start, the Rt of
-    the previous Q, lets the sketch start warm (see svt_factors)."""
-    M = state.Y2 / state.mu
+    the previous Q, lets the sketch start warm (see svt_factors). out,
+    an n x n array, takes Z + Y2 / mu in place of a new one."""
+    M = np.divide(state.Y2, state.mu, out=out)
     M += state.Z
     return svt_factors(M, 1.0 / state.mu, rank_hint=rank_hint, start=start)
 
 
 def _congruence(S, G, Vt):
     """R S R for symmetric S and R = I + G Vt, without forming R:
-    S + G H^T + H G^T with H = S Vt^T + G (Vt S Vt^T) / 2."""
+    S + G H^T + H G^T with H = S Vt^T + G (Vt S Vt^T) / 2, in one n x n
+    array (G H^T plus its transpose in place, then S)."""
     SVr = S @ Vt.T
     H = SVr + 0.5 * (G @ (Vt @ SVr))
-    RSR = G @ H.T
-    RSR += RSR.T
+    RSR = add_transpose(G @ H.T)
     RSR += S
     return RSR
 
@@ -220,7 +232,8 @@ def _z_basis(X_list, S0, lambda2):
     with (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T for every mu and
     S = lambda2 * S0 (see the module docstring), XV = Xs V and
     VtS = V^T S (None without a graph term: lambda2 = 0 or S0 None). V is
-    in Fortran order, so V.T is C-contiguous. Raises NumericalError when
+    in Fortran order, so V.T is C-contiguous. eigh's W is dropped as soon
+    as V exists. Raises NumericalError when
     sum_k X_k^T X_k overflows."""
     Xs = np.vstack(X_list)
     _, s, Vt = _svd(Xs)
@@ -237,6 +250,7 @@ def _z_basis(X_list, S0, lambda2):
         lam, W = np.linalg.eigh(_congruence(S, G, Vt))
         V = np.asfortranarray(W)
         V += G @ (Vt @ W)  # V = R W
+        del W  # before V^T S allocates
         return V, lam, Xs @ V, V.T @ S
     V = np.asfortranarray(G @ Vt)
     V[np.diag_indices_from(V)] += 1.0
@@ -244,7 +258,7 @@ def _z_basis(X_list, S0, lambda2):
 
 
 def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
-             J=None, Q_factors=None, XVC=None):
+             J=None, Q_factors=None, XVC=None, out=None):
     """Solve the Z subproblem's normal equations (mu P + S) Z = B.
 
     L_list holds the per-view Laplacians; it is read only to build the
@@ -261,6 +275,10 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     it, V^T D costs one dense n x n x n product. XVC, a (sum d_k) x n
     array given with J, is overwritten with Xs V C = Xs (Z - I), which
     that advance computes anyway: X_k Z is X_k plus its rows of it.
+
+    out, an n x n array, receives Z and serves as workspace before that;
+    the step never reads state.Z, so out may be state.Z. Given out and
+    J, the step allocates one n x n array, C.
     """
     if mode == "as-printed":
         state = replace(state, E=[-E for E in state.E], Y2=np.zeros_like(state.Y2))
@@ -274,20 +292,25 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     V, lam, XV, VtS = basis
     Vt = V.T
     Ts = np.vstack(T)
+    if out is None:
+        out = np.empty_like(V)
     # C = V^T D / (mu + lam) with D = B - mu P - S
     #   = Xs^T T + mu (Q - I) - Y2 - S
     if J is None:
-        C = XV.T @ Ts + Vt @ (mu * state.Q - state.Y2)
-        C -= mu * Vt
+        work = np.multiply(state.Q, mu, out=out)
+        work -= state.Y2
+        C = XV.T @ Ts
+        C += Vt @ work
+        C -= np.multiply(Vt, mu, out=out)
         if VtS is not None:
             C -= VtS
     else:
         L, Rt = Q_factors
         C = np.hstack([XV.T, mu * (Vt @ L)]) @ np.vstack([Ts, Rt])
-        C -= mu * Vt
+        C -= np.multiply(Vt, mu, out=out)
         C -= J
     C /= (mu + lam)[:, None]
-    Z = V @ C
+    Z = np.matmul(V, C, out=out)
     Z[np.diag_indices_from(Z)] += 1.0
     if J is not None:
         # Z solves its normal equations, so the dual step's
@@ -300,11 +323,13 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     return Z
 
 
-def update_multipliers(state, X_list, residuals=None):
+def update_multipliers(state, X_list, residuals=None, in_place=False):
     """Dual ascent on Y1 (per view) and Y2, then grow mu by RHO up to MU_MAX.
 
     residuals, when given, is the precomputed pair (R_list, R_zq) with
-    R_k = X_k - X_k Z - E_k and R_zq = Z - Q.
+    R_k = X_k - X_k Z - E_k and R_zq = Z - Q. in_place advances state.Y2
+    itself, with the bits of Y2 + mu R_zq, and scales R_zq by mu on the
+    way, so the step allocates no n x n array.
     """
     if residuals is None:
         R_list = [X - X @ state.Z - E for X, E in zip(X_list, state.E)]
@@ -312,7 +337,12 @@ def update_multipliers(state, X_list, residuals=None):
     else:
         R_list, R_zq = residuals
     Y1 = [Y + state.mu * R for Y, R in zip(state.Y1, R_list)]
-    Y2 = state.Y2 + state.mu * R_zq
+    if in_place:
+        R_zq *= state.mu
+        Y2 = state.Y2
+        Y2 += R_zq
+    else:
+        Y2 = state.Y2 + state.mu * R_zq
     return Y1, Y2, min(RHO * state.mu, MU_MAX)
 
 
@@ -355,22 +385,30 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
         # Xs V C = Xs (Z - I), filled by update_Z, gives each X_k Z
         XVC = np.empty((rank_hint, len(lam)))
         view_rows = np.cumsum([X.shape[0] for X in X_list])[:-1]
+        # the loop keeps Q as its factors and forms it once, on exit
+        state.Q = None
+    # holds M = Z + Y2 / mu for the Q step, then Z - Q; Z, Y2 and a
+    # dense Q are overwritten in place (see the module docstring)
+    work = np.empty_like(state.Z)
     products = None  # X_k Z of the last residuals, reused by the next E step
     Rt = None  # Q's right factor, the next SVT's warm start
     for _ in range(params.max_iter):
         state.E = update_E(state, X_list, params.lambda1, products=products)
-        L, Rt = update_Q(state, rank_hint=rank_hint, start=Rt)
-        state.Q = L @ Rt
+        L, Rt = update_Q(state, rank_hint=rank_hint, start=Rt, out=work)
+        if J is None:
+            np.matmul(L, Rt, out=state.Q)
         state.Z = update_Z(
             state, X_list, None, lambda2, basis=basis, J=J, Q_factors=(L, Rt),
-            XVC=XVC,
+            XVC=XVC, out=state.Z,
         )
         if J is None:
             products = [X @ state.Z for X in X_list]
+            R_zq = np.subtract(state.Z, state.Q, out=work)
         else:
             products = [X + P for X, P in zip(X_list, np.split(XVC, view_rows))]
+            R_zq = np.matmul(L, Rt, out=work)
+            np.subtract(state.Z, R_zq, out=R_zq)
         R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
-        R_zq = state.Z - state.Q
         view_resids = [inf_norm(R) for R in R_list]
         zq_resid = inf_norm(R_zq)
         if not np.isfinite([*view_resids, zq_resid]).all():
@@ -388,12 +426,15 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
             )
 
         state.Y1, state.Y2, state.mu = update_multipliers(
-            state, X_list, residuals=(R_list, R_zq)
+            state, X_list, residuals=(R_list, R_zq), in_place=True
         )
         state.iteration += 1
         if max(view_resids) < params.eps and zq_resid < params.eps:
             state.converged = True
             break
+    if state.Q is None:
+        del work, R_zq
+        state.Q = L @ Rt
     return state.Z, state
 
 

@@ -5,6 +5,11 @@ The affinity is the symmetrized magnitude of the representation,
 symmetric normalized Laplacian with a seeded k-means: KMEANS_STARTS
 k-means++ starts, each refined by Lloyd's iterations, best inertia wins.
 
+The affinity and the Laplacian take one n x n array each: they are
+scaled and symmetrized in place (linalg.add_transpose), with the bits
+of the plain expressions, so an embedding holds the affinity, the
+Laplacian and eigh's eigenvectors beside the caller's arrays.
+
 One k-means call advances all its starts together as (starts, n)
 arrays: only the k-means++ draws run start by start, and distances are
 built one center column at a time, so no (starts, n, k, dim) temporary
@@ -17,7 +22,7 @@ import logging
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _as_matrix
+from .linalg import _as_matrix, add_transpose
 
 logger = logging.getLogger(__name__)
 
@@ -29,11 +34,14 @@ LLOYD_TOL = 1e-12
 
 
 def affinity_from_representation(Z):
-    """Symmetric nonnegative affinity (|Z| + |Z^T|) / 2."""
+    """Symmetric nonnegative affinity (|Z| + |Z^T|) / 2, in one n x n
+    array: |Z| + |Z|^T added in place, then halved."""
     Z = _as_matrix(Z, "Z")
     if Z.shape[0] != Z.shape[1]:
         raise ValidationError(f"representation must be square, got {Z.shape}")
-    return (np.abs(Z) + np.abs(Z.T)) / 2.0
+    A = add_transpose(np.abs(Z))
+    A /= 2.0
+    return A
 
 
 def normalized_laplacian(A):
@@ -41,6 +49,7 @@ def normalized_laplacian(A):
 
     Vertices with zero degree keep a unit diagonal entry (their degree is
     treated as 1, leaving the corresponding row/column of A untouched).
+    Symmetrized as (L + L^T) / 2 in place, so it takes one n x n array.
     """
     A = _as_matrix(A, "A")
     n = A.shape[0]
@@ -51,19 +60,28 @@ def normalized_laplacian(A):
     deg = A.sum(axis=1)
     safe = np.where(deg > 0, deg, 1.0)
     inv_sqrt = 1.0 / np.sqrt(safe)
-    L = np.eye(n) - inv_sqrt[:, None] * A * inv_sqrt[None, :]
-    return (L + L.T) / 2.0
+    L = inv_sqrt[:, None] * A
+    L *= inv_sqrt[None, :]
+    # I - L with the bits of np.eye(n) - L: 0 - x off the diagonal
+    # (+0.0 where x is 0, which negating would make -0.0), 1 - x on it
+    diag = 1.0 - L.diagonal()
+    np.subtract(0.0, L, out=L)
+    L[np.diag_indices(n)] = diag
+    add_transpose(L)
+    L /= 2.0
+    return L
 
 
 def spectral_embedding(A, n_clusters):
     """Rows of the n_clusters bottom eigenvectors of the normalized
-    Laplacian, row-normalized to unit length (all-zero rows are kept)."""
-    L = normalized_laplacian(A)
-    n = L.shape[0]
+    Laplacian, row-normalized to unit length (all-zero rows are kept).
+    n_clusters is checked before the Laplacian is built."""
+    n = len(A)
     if not 1 <= n_clusters <= n:
         raise ValidationError(
             f"n_clusters must lie in [1, {n}], got {n_clusters}"
         )
+    L = normalized_laplacian(A)
     vecs = np.linalg.eigh(L)[1][:, :n_clusters]
     norms = np.linalg.norm(vecs, axis=1)
     return vecs / np.where(norms > 0, norms, 1.0)[:, None]

@@ -7,6 +7,7 @@ from scipy.optimize import minimize_scalar
 from mvsc import linalg
 from mvsc.errors import DecompositionError, ValidationError
 from mvsc.linalg import (
+    add_transpose,
     inf_norm,
     l21_norm,
     nuclear_norm,
@@ -434,6 +435,47 @@ def test_inf_norm_propagates_nan_and_reads_zero_as_positive():
     assert inf_norm(np.array([[-np.inf, 1.0]])) == np.inf
     for zero in (0.0, -0.0):
         assert str(inf_norm(np.full((2, 2), zero))) == "0.0"
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_add_transpose_has_the_bits_of_a_plus_its_transpose(n):
+    # block edges fall inside, on and past TRANSPOSE_BLOCK = 256; the
+    # input is not symmetric, and signed zeros and infinities ride along
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+    A[rng.random((n, n)) < 0.05] = 0.0
+    A[rng.random((n, n)) < 0.05] = -0.0
+    A.flat[::7] = np.inf
+    expected = A + A.T
+    got = A.copy()
+    assert add_transpose(got) is got
+    assert _same_bits(got, expected)
+
+
+def test_add_transpose_allocates_no_second_nxn_array():
+    import tracemalloc
+
+    n = 600
+    A = np.random.default_rng(0).standard_normal((n, n))
+    tracemalloc.start()
+    try:
+        add_transpose(A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a block pair's sum, the last pair's until it is rebound, and the
+    # ufunc's buffer: 1.2 MB, where numpy's A += A.T copies all of A^T
+    # (2.9 MB at n=600)
+    assert peak <= 3 * linalg.TRANSPOSE_BLOCK ** 2 * 8
+
+
+def test_add_transpose_rejects_a_non_square_matrix():
+    with pytest.raises(ValidationError):
+        add_transpose(np.zeros((2, 3)))
 
 
 def test_solve_spd_identity_and_diagonal():

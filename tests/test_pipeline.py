@@ -260,3 +260,50 @@ def test_cmd_run_peak_memory_is_at_most_18_nxn_arrays(tmp_path):
         assert peak <= 18 * n * n * 8, (
             f"traced={trace}: peak {peak / (n * n * 8):.1f} n x n arrays"
         )
+
+
+def test_cmd_run_fit_and_embedding_peaks_on_the_carried_path(tmp_path, monkeypatch):
+    # n = 600 with the reference dims carries J (4 d = 360 < n). Peaks
+    # count from the command's start, in n x n arrays. The fit holds S0,
+    # the basis, J, Z, Y2 and one work array, and allocates C and the
+    # certificate's residual per iteration (11.6 when it also formed Q,
+    # Z - Q and the multiplier step's sums); the embedding sees S0, Z,
+    # the affinity, the Laplacian and its eigenvectors (9.1 while the
+    # fit's Q and Y2 lived on and the Laplacian took six arrays)
+    n = 600
+    spec = write_spec(tmp_path / "spec.json", n)
+    peaks = {}
+
+    def staged(name, fn):
+        def wrapped(*args, **kwargs):
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1] / (n * n * 8)
+
+        return wrapped
+
+    carried = []
+    real_update_Z = solver.update_Z
+
+    def spying_update_Z(*args, J=None, **kwargs):
+        carried.append(J is not None)
+        return real_update_Z(*args, J=J, **kwargs)
+
+    monkeypatch.setattr(solver, "update_Z", spying_update_Z)
+    monkeypatch.setattr(pipeline, "fit", staged("fit", pipeline.fit))
+    monkeypatch.setattr(
+        pipeline, "spectral_embedding", staged("embedding", pipeline.spectral_embedding)
+    )
+    config = pipeline.RunConfig(
+        params=HyperParams(), out_dir=tmp_path / "out", synthetic=spec, restarts=1,
+    )
+    tracemalloc.start()
+    try:
+        assert pipeline.cmd_run(config) == 0
+    finally:
+        tracemalloc.stop()
+    assert carried and all(carried)
+    assert peaks["fit"] <= 10.2, peaks
+    assert peaks["embedding"] <= 6.5, peaks

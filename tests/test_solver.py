@@ -21,7 +21,7 @@ from mvsc.solver import (
     update_Z,
 )
 from mvsc.spectral import affinity_from_representation, spectral_cluster
-from references import laplacian_quadratic
+from references import congruence, laplacian_quadratic
 
 
 def random_state(rng, n, v, mu=None):
@@ -312,6 +312,55 @@ def test_z_basis_diagonalizes_the_system(dims, n, lam2):
         assert VtS is None and not lam.any()
 
 
+@pytest.mark.parametrize("n, d", [(30, 6), (300, 40)])
+def test_congruence_has_the_bits_of_its_expression(n, d):
+    # n = 300 crosses add_transpose's 256-wide blocks
+    rng = np.random.default_rng(n)
+    S = rng.standard_normal((n, n))
+    S += S.T
+    G = rng.standard_normal((n, d))
+    Vt = rng.standard_normal((d, n))
+    got = solver_module._congruence(S, G, Vt)
+    assert got.tobytes() == congruence(S, G, Vt).tobytes()
+
+
+@pytest.mark.parametrize("carried", [False, True], ids=["dense", "carried"])
+def test_in_place_steps_keep_the_bits_of_the_allocating_ones(carried):
+    # the fit passes update_Z its state.Z as out and advances Y2 in place
+    rng = np.random.default_rng(15)
+    n, lam2 = 40, 0.6
+    X_list, state = random_state(rng, n, 3)
+    QL = rng.standard_normal((n, 5))
+    QRt = rng.standard_normal((5, n))
+    state.Q = QL @ QRt
+    basis = _z_basis(X_list, laplacian_sum(random_laplacians(rng, n, 3)), lam2)
+    rows = sum(X.shape[0] for X in X_list)
+    kwargs = {}
+    if carried:
+        kwargs = dict(Q_factors=(QL, QRt), XVC=np.empty((rows, n)))
+        basis = (*basis[:3], None)
+    J = rng.standard_normal((n, n)) if carried else None
+    J_in_place = None if J is None else J.copy()
+    expected = update_Z(state, X_list, None, lam2, basis=basis, J=J, **kwargs)
+    out = state.Z
+    got = update_Z(state, X_list, None, lam2, basis=basis, J=J_in_place,
+                   out=out, **kwargs)
+    assert got is out
+    assert got.tobytes() == expected.tobytes()
+    if carried:
+        assert J_in_place.tobytes() == J.tobytes()
+    state.Z = got
+    R_zq = state.Z - state.Q
+    residuals = ([X - X @ state.Z - E for X, E in zip(X_list, state.E)], R_zq)
+    Y1, Y2, mu = update_multipliers(state, X_list, residuals=residuals)
+    Y2_buffer = state.Y2
+    Y1_ip, Y2_ip, mu_ip = update_multipliers(
+        state, X_list, residuals=residuals, in_place=True
+    )
+    assert Y2_ip is Y2_buffer and Y2_ip.tobytes() == Y2.tobytes()
+    assert mu_ip == mu and all(a.tobytes() == b.tobytes() for a, b in zip(Y1, Y1_ip))
+
+
 def test_update_Z_carried_products_match_dense():
     # J = V^T (Y2 + S) and Q's factors give the dense path's Z, and J
     # comes back as V^T (Y2 + mu (Z - Q) + S)
@@ -524,14 +573,17 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
 def _dense_update_Z(S0):
     """The Z step with V^T D rebuilt from a dense D every iteration:
     D = Xs^T T + mu (Q - I) - Y2 - S, S = lambda2 S0 (the fit passes
-    the basis, not the Laplacians, so S0 comes from the test)."""
+    the basis, not the Laplacians, so S0 comes from the test). On the
+    carried path the fit keeps Q as its factors, so Q is formed here."""
 
-    def step(state, X_list, L_list, lambda2, basis=None, XVC=None, **carried):
+    def step(state, X_list, L_list, lambda2, basis=None, XVC=None,
+             Q_factors=None, **carried):
         V, lam = basis[:2]
         mu = state.mu
         Xs = np.vstack(X_list)
         T = np.vstack([Y1 - mu * E for Y1, E in zip(state.Y1, state.E)])
-        D = Xs.T @ T + mu * (state.Q - np.eye(len(V))) - state.Y2
+        Q = state.Q if state.Q is not None else Q_factors[0] @ Q_factors[1]
+        D = Xs.T @ T + mu * (Q - np.eye(len(V))) - state.Y2
         if lambda2 > 0:
             D -= lambda2 * S0
         Z = np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
@@ -572,6 +624,35 @@ def test_fit_carried_J_matches_dense_reference(variant, n, carried, monkeypatch)
     assert state.converged
     assert np.linalg.norm(Z - Z_ref) <= 1e-11 * np.linalg.norm(Z_ref)
 
+
+
+def test_fit_carried_path_forms_Q_once_from_the_last_factors(monkeypatch):
+    # the carried loop keeps Q as factors; fit still returns the dense Q
+    # (perfbench reads its rank), and each step runs once per iteration
+    ds = small_dataset(seed=3, n=120)
+    steps = ("update_E", "update_Q", "update_Z", "update_multipliers")
+    calls = dict.fromkeys(steps, 0)
+    last = []
+
+    def counting(name):
+        real = getattr(solver_module, name)
+
+        def step(*args, **kwargs):
+            calls[name] += 1
+            result = real(*args, **kwargs)
+            if name == "update_Q":
+                last[:] = [np.copy(result[0]), np.copy(result[1])]
+            return result
+
+        return step
+
+    for name in calls:
+        monkeypatch.setattr(solver_module, name, counting(name))
+    Z, state = fit(ds, HyperParams())
+    assert state.converged
+    assert set(calls.values()) == {state.iteration}
+    assert isinstance(state.Q, np.ndarray) and state.Q.shape == Z.shape
+    assert state.Q.tobytes() == (last[0] @ last[1]).tobytes()
 
 
 def _z_basis_from_laplacians(X_list, L_list, lambda2):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from mvsc import spectral
 from mvsc.blas import single_thread
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import ValidationError
@@ -23,6 +24,7 @@ from mvsc.spectral import (
     spectral_cluster,
     spectral_embedding,
 )
+import references
 
 
 def test_affinity_fixed_point_for_symmetric_nonnegative():
@@ -43,6 +45,59 @@ def test_affinity_forced_arithmetic():
     np.testing.assert_allclose(
         affinity_from_representation(Z), np.array([[0.0, 1.5], [1.5, 0.0]])
     )
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _signed_zero_matrix(rng, n):
+    """Nonsymmetric, with +0.0 and -0.0 entries, an all-zero row and
+    column (a zero-degree vertex) and a wide range of magnitudes."""
+    Z = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-6, 6, (n, n))
+    Z[rng.random((n, n)) < 0.1] = 0.0
+    Z[rng.random((n, n)) < 0.1] = -0.0
+    Z[n // 3, :] = Z[:, n // 3] = 0.0
+    return Z
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 256, 300])
+def test_affinity_and_laplacian_have_the_bits_of_their_expressions(n):
+    rng = np.random.default_rng(n)
+    Z = _signed_zero_matrix(rng, n)
+    A = affinity_from_representation(Z)
+    assert _same_bits(A, references.affinity_from_representation(Z))
+    for W in (A, np.abs(Z), np.zeros((n, n))):
+        assert _same_bits(normalized_laplacian(W), references.normalized_laplacian(W))
+
+
+def test_affinity_and_laplacian_take_one_nxn_array_each():
+    n = 600
+    Z = np.random.default_rng(3).standard_normal((n, n))
+    for f, arg in ((affinity_from_representation, Z), (normalized_laplacian, np.abs(Z))):
+        tracemalloc.start()
+        try:
+            f(arg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the result, plus the checks' boolean arrays and add_transpose's
+        # blocks; the expressions they replaced took 4 and 6 arrays
+        assert peak <= 1.5 * n * n * 8, (f.__name__, peak / (n * n * 8))
+
+
+def test_spectral_embedding_checks_the_cluster_count_before_the_laplacian(monkeypatch):
+    built = []
+    real = spectral.normalized_laplacian
+    monkeypatch.setattr(
+        spectral, "normalized_laplacian", lambda A: built.append(1) or real(A)
+    )
+    for c in (0, 5):
+        with pytest.raises(ValidationError, match=r"n_clusters must lie in \[1, 4\]"):
+            spectral_embedding(np.eye(4), c)
+    assert built == []
+    spectral_embedding(np.eye(4), 2)
+    assert built == [1]
 
 
 def test_affinity_requires_square():
