@@ -1,17 +1,27 @@
 """One BLAS thread for the duration of a command.
 
-numpy and scipy each bundle an OpenBLAS with its own thread pool. One
-thread beat the default pool size at every size measured (n = 150 to
-1200, 2 vCPUs), and a fixed count keeps the blocked kernels' summation
-order, and so every output byte, independent of the caller's
-OPENBLAS_NUM_THREADS. The pools are found in the process's memory map
-when the pin starts; commands load only numpy's, and the one path that
-imports scipy pins again once it has. A pool's size is process-wide:
-threads of one process that run commands at once share one setting.
+numpy and scipy each bundle an OpenBLAS with its own thread pool. A
+fixed count of one keeps the blocked kernels' summation order, and so
+every output byte, independent of the caller's OPENBLAS_NUM_THREADS;
+a pool of two changes the bits. Two threads are faster for a large
+product (a 1200^3 GEMM takes 59-77 ms on one, 37-42 ms on two), but
+the pool's workers spin between calls: with the pool at two, mvsc run
+at n = 1200 took 8.1 s of wall time instead of 10.2 s, and 15.5 s of
+CPU time instead of 9.4 s (2 vCPUs, medians of 3 runs). The fit's
+large products use the second CPU through linalg.matmul instead, which
+splits each into two one-thread calls by its shapes alone and runs
+them at once only inside the pin (pinned()). A one-thread OpenBLAS
+gives concurrent callers the bits it gives one.
+
+The pools are found in the process's memory map when the pin starts;
+commands load only numpy's, and the one path that imports scipy pins
+again once it has. A pool's size is process-wide: threads of one
+process that run commands at once share one setting.
 """
 
 import contextlib
 import ctypes
+import threading
 
 # (get, set) thread-count entry points of the 64-bit-integer build numpy
 # bundles, the 32-bit one scipy bundles, and a system OpenBLAS
@@ -45,6 +55,22 @@ def openblas_pools():
     return pools
 
 
+# single_thread() blocks open in the process, counted under the lock
+_open_pins = 0
+_pin_lock = threading.Lock()
+
+
+def _count_pin(step):
+    global _open_pins
+    with _pin_lock:
+        _open_pins += step
+
+
+def pinned():
+    """Whether a single_thread() block is open in this process."""
+    return _open_pins > 0
+
+
 @contextlib.contextmanager
 def single_thread():
     """Run every OpenBLAS pool on one thread inside the block (or the
@@ -53,8 +79,10 @@ def single_thread():
     previous = [get() for get, _ in pools]
     for _, set_ in pools:
         set_(1)
+    _count_pin(1)
     try:
         yield
     finally:
+        _count_pin(-1)
         for (_, set_), size in zip(pools, previous):
             set_(size)

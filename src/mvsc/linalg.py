@@ -1,9 +1,15 @@
 """Dense matrix primitives used by the solver.
 
-All functions but add_transpose are pure: they never mutate their
-arguments and hold no state, so concurrent calls are safe. Matrices are
-float64 ndarrays; callers own the layout. add_transpose works in place,
-so that symmetrizing an n x n array takes no second n x n array.
+All functions but add_transpose and matmul are pure: they never mutate
+their arguments and hold no state, so concurrent calls are safe.
+Matrices are float64 ndarrays; callers own the layout. add_transpose
+works in place, so that symmetrizing an n x n array takes no second
+n x n array.
+
+matmul is np.matmul for the fit's large products: it splits each in
+two parts by its shapes and, inside blas.single_thread(), runs the
+second on one worker thread while BLAS stays on one thread. The
+sketches and the certificate of svt_factors use it.
 
 svt_factors takes one of four paths per call: the zero skip, a warm
 sketch from a start the caller passes in (the right factor of its last
@@ -12,10 +18,13 @@ the same residual certificate; a failed warm sketch falls back to the
 cold one, and a failed cold sketch to the full SVD.
 """
 
+import contextvars
 import logging
+import os
 
 import numpy as np
 
+from . import blas
 from .blas import single_thread
 from .errors import DecompositionError, NumericalError, ValidationError
 
@@ -33,6 +42,37 @@ SKETCH_SEED = 0
 
 # add_transpose's block edge: one block pair's sum is a 0.5 MB temporary
 TRANSPOSE_BLOCK = 256
+
+# matmul's size gate in multiply-adds (no product at n = 150 reaches it)
+# and the multiple its split points are rounded up to. OpenBLAS computes
+# the output in tiles of up to 16 rows or columns, and a bound on a tile
+# edge keeps more of them whole: the split products of n = 400, 600 and
+# 1200 then have the unsplit product's bits on OpenBLAS 0.3.31 with
+# SkylakeX kernels, where plain halves of (90, 600, 600) do not.
+SPLIT_MIN_MACS = 1 << 22
+SPLIT_ALIGN = 16
+
+# the worker that runs the second part of a split product, made on
+# first use (two threads making it at once leave one executor unused,
+# and an executor starts its thread at its first job); a forked child
+# makes its own
+_worker = None
+
+
+def _forget_worker():
+    global _worker
+    _worker = None
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
 
 
 def _as_matrix(M, name="matrix"):
@@ -63,6 +103,54 @@ def add_transpose(A):
             if j != i:
                 A[cols, rows] = block.T
     return A
+
+
+def matmul(A, B, out=None):
+    """A @ B for 2-D float arrays, into out when given (as np.matmul).
+
+    Above SPLIT_MIN_MACS multiply-adds the output is computed in two
+    parts, split at the first multiple of SPLIT_ALIGN at or past the
+    middle of its rows, or of its columns when it has fewer rows than
+    columns; each part is one np.matmul into its slice of out. The split
+    depends on the shapes alone, so the bits do not depend on how many
+    CPUs run it. Inside blas.single_thread() with more than one CPU the
+    second part runs on the worker thread, in a copy of the caller's
+    context (so its np.errstate holds there), while the caller computes
+    the first; an error in either part reaches the caller once both
+    have ended.
+    """
+    (m, k), p = A.shape, B.shape[1]
+    rows = m >= p
+    size = m if rows else p
+    if (m * k * p < SPLIT_MIN_MACS or size < 2 * SPLIT_ALIGN
+            or np.may_share_memory(A, B)
+            or out is not None and (np.may_share_memory(out, A)
+                                    or np.may_share_memory(out, B))):
+        return np.matmul(A, B, out=out)
+    if out is None:
+        out = np.empty((m, p), dtype=np.result_type(A, B))
+    h = (size // 2 + SPLIT_ALIGN - 1) // SPLIT_ALIGN * SPLIT_ALIGN
+    if rows:
+        first, second = (A[:h], B, out[:h]), (A[h:], B, out[h:])
+    else:
+        first, second = (A, B[:, :h], out[:, :h]), (A, B[:, h:], out[:, h:])
+    if not (blas.pinned() and _cpus() > 1):
+        for a, b, part in (first, second):
+            np.matmul(a, b, out=part)
+        return out
+    global _worker
+    if _worker is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _worker = ThreadPoolExecutor(1, thread_name_prefix="mvsc-matmul")
+    a, b, part = second
+    job = _worker.submit(contextvars.copy_context().run, np.matmul, a, b, out=part)
+    try:
+        a, b, part = first
+        np.matmul(a, b, out=part)
+    finally:
+        job.result()
+    return out
 
 
 def _svd(M):
@@ -99,10 +187,10 @@ def _sketch_range(M, k):
     Gaussian range finder with QR-re-orthonormalized power iterations
     (Halko, Martinsson & Tropp 2011, Algorithm 4.4)."""
     omega = np.random.default_rng(SKETCH_SEED).standard_normal((M.shape[1], k))
-    U, _ = np.linalg.qr(M @ omega)
+    U, _ = np.linalg.qr(matmul(M, omega))
     for _ in range(SKETCH_POWER_ITERS):
-        W, _ = np.linalg.qr(M.T @ U)
-        U, _ = np.linalg.qr(M @ W)
+        W, _ = np.linalg.qr(matmul(M.T, U))
+        U, _ = np.linalg.qr(matmul(M, W))
     return U
 
 
@@ -117,15 +205,15 @@ def _warm_range(M, start, k):
             (M.shape[1], k - omega.shape[1])
         )
         omega = np.hstack([omega, pad])
-    U, _ = np.linalg.qr(M @ (M.T @ (M @ omega)))
+    U, _ = np.linalg.qr(matmul(M, matmul(M.T, matmul(M, omega))))
     return U
 
 
 def _certified(M, U, tau):
     """svt of M through the basis U, or None when U fails the
     certificate ||M - U U^T M||_F <= tau."""
-    B = U.T @ M
-    R = U @ B
+    B = matmul(U.T, M)
+    R = matmul(U, B)
     np.subtract(M, R, out=R)
     if np.linalg.norm(R) > tau:
         return None

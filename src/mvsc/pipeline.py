@@ -15,7 +15,9 @@ restart order, and no timestamps or environment details leak into the
 artifacts, so re-running a command overwrites its outputs
 byte-identically. Commands and run_restarts run BLAS on one thread
 (blas.single_thread), so outputs do not depend on the caller's thread
-environment either.
+environment either. Inside that pin the fit's large products run in two
+parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
+so outputs do not depend on the CPU count.
 """
 
 import csv

@@ -66,6 +66,11 @@ forms Z - Q as Z - L Rt in that array, and forms the dense Q once, on
 exit, so an iteration allocates two n x n arrays: C and the SVT
 certificate's residual.
 
+The large products, V C and Q's on either path, the carried path's thin
+ones and the basis's, go through linalg.matmul, which splits each in
+two parts by its shape and runs them on two CPUs, with the bits of a
+run on one.
+
 update_Z can also take one "as-printed" step (sign flipped on the error
 term, no -Y2) for comparison; it does not satisfy the stationarity
 condition and fails gradient checks, and fits never use it.
@@ -90,7 +95,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .graphs import build_graph_set, row_sq_dists
 from .linalg import (
-    _svd, add_transpose, inf_norm, l21_norm, nuclear_norm, prox_l21, svt_factors,
+    _svd, add_transpose, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21, svt_factors,
 )
 # unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
 # (SOLVER_KERNELS), and tests/test_benchmark_hooks.py pins them
@@ -251,10 +256,10 @@ def _z_basis(X_list, S0, lambda2):
         V = np.asfortranarray(W)
         V += G @ (Vt @ W)  # V = R W
         del W  # before V^T S allocates
-        return V, lam, Xs @ V, V.T @ S
+        return V, lam, matmul(Xs, V), matmul(V.T, S)
     V = np.asfortranarray(G @ Vt)
     V[np.diag_indices_from(V)] += 1.0
-    return V, np.zeros(V.shape[0]), Xs @ V, None
+    return V, np.zeros(V.shape[0]), matmul(Xs, V), None
 
 
 def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
@@ -300,24 +305,24 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
         work = np.multiply(state.Q, mu, out=out)
         work -= state.Y2
         C = XV.T @ Ts
-        C += Vt @ work
+        C += matmul(Vt, work)
         C -= np.multiply(Vt, mu, out=out)
         if VtS is not None:
             C -= VtS
     else:
         L, Rt = Q_factors
-        C = np.hstack([XV.T, mu * (Vt @ L)]) @ np.vstack([Ts, Rt])
+        C = matmul(np.hstack([XV.T, mu * matmul(Vt, L)]), np.vstack([Ts, Rt]))
         C -= np.multiply(Vt, mu, out=out)
         C -= J
     C /= (mu + lam)[:, None]
-    Z = np.matmul(V, C, out=out)
+    Z = matmul(V, C, out=out)
     Z[np.diag_indices_from(Z)] += 1.0
     if J is not None:
         # Z solves its normal equations, so the dual step's
         # Y2 + mu (Z - Q) + S equals Xs^T (T - mu Xs (Z - I)) - S (Z - I),
         # and V^T S V = diag(lam)
-        XVC = np.matmul(XV, C, out=XVC)
-        np.matmul(XV.T, Ts - mu * XVC, out=J)
+        XVC = matmul(XV, C, out=XVC)
+        matmul(XV.T, Ts - mu * XVC, out=J)
         C *= lam[:, None]
         J -= C
     return Z
@@ -396,7 +401,7 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
         state.E = update_E(state, X_list, params.lambda1, products=products)
         L, Rt = update_Q(state, rank_hint=rank_hint, start=Rt, out=work)
         if J is None:
-            np.matmul(L, Rt, out=state.Q)
+            matmul(L, Rt, out=state.Q)
         state.Z = update_Z(
             state, X_list, None, lambda2, basis=basis, J=J, Q_factors=(L, Rt),
             XVC=XVC, out=state.Z,
@@ -406,7 +411,7 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
             R_zq = np.subtract(state.Z, state.Q, out=work)
         else:
             products = [X + P for X, P in zip(X_list, np.split(XVC, view_rows))]
-            R_zq = np.matmul(L, Rt, out=work)
+            R_zq = matmul(L, Rt, out=work)
             np.subtract(state.Z, R_zq, out=R_zq)
         R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
         view_resids = [inf_norm(R) for R in R_list]

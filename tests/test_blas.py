@@ -2,6 +2,8 @@
 thread inside a command and gives each its previous size back."""
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -95,3 +97,41 @@ def test_commands_run_single_threaded_and_restore(two_threads, tmp_path, monkeyp
     assert sizes() == [2] * len(POOLS)
     assert len(seen) == 1 + 5 + 1 + 1  # ablate: lrr-bsv fits each of 2 views
     assert all(s == [1] * len(POOLS) for s in seen)
+
+
+def test_pinned_while_a_pin_is_open():
+    # linalg.matmul runs split products on two threads only inside a pin
+    assert not blas.pinned()
+    with blas.single_thread():
+        assert blas.pinned()
+        with blas.single_thread():
+            assert blas.pinned()
+        assert blas.pinned()
+    assert not blas.pinned()
+    with pytest.raises(RuntimeError, match="boom"):
+        with blas.single_thread():
+            raise RuntimeError("boom")
+    assert not blas.pinned()
+
+
+def test_pins_opened_from_many_threads_all_close():
+    # the open-pin count is a read-modify-write shared by every thread
+    def pin_often():
+        start.wait()
+        for _ in range(50):
+            with blas.single_thread():
+                assert blas.pinned()
+
+    start = threading.Barrier(4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=pin_often) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not blas.pinned()

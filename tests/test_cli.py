@@ -6,12 +6,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mvsc import pipeline, solver
+from mvsc import linalg, pipeline, solver
 from mvsc.cli import build_parser, config_from_args, main
 from mvsc.data import SyntheticSpec, generate_synthetic, write_dataset
 from mvsc.errors import NumericalError
@@ -189,6 +190,42 @@ def test_outputs_do_not_depend_on_blas_thread_variables(tmp_path):
     assert "graphs/consensus.csv" in trees[0]
     assert "residuals_restart1.csv" in trees[0]
     assert trees[0] == trees[1]
+
+
+def test_split_products_do_not_depend_on_blas_threads_or_cpus(tmp_path):
+    # at n=400 the fit's large products are split in two (linalg.matmul)
+    # and, given two CPUs, run on two threads; every output must match a
+    # run limited to one CPU, where the parts run one after the other
+    n, dims = 400, [20, 30, 40]
+    assert sum(dims) * n * n >= linalg.SPLIT_MIN_MACS
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": n, "clusters": 3, "dims": dims, "subspace_rank": 3,
+        "noise_sigma": 0.05, "seed": 7,
+    }))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    trees = []
+    for name, extra, preexec in (("one", {"OPENBLAS_NUM_THREADS": "1"}, None),
+                                 ("default", {}, None), ("one-cpu", {}, one_cpu)):
+        out = tmp_path / name
+        subprocess.run(
+            [sys.executable, "-m", "mvsc.cli", "run", "--synthetic", str(spec),
+             "--out", str(out), "--restarts", "1", "--trace-residuals",
+             "--dump-graphs"],
+            env={**base, **extra}, preexec_fn=preexec, check=True, timeout=300,
+        )
+        trees.append({str(p.relative_to(out)): p.read_bytes()
+                      for p in sorted(out.rglob("*")) if p.is_file()})
+    assert "graphs/consensus.csv" in trees[0]
+    assert "residuals_restart0.csv" in trees[0]
+    assert trees[0] == trees[1] == trees[2]
 
 
 def test_commands_load_no_scipy(spec_file, tmp_path):
@@ -414,6 +451,25 @@ def test_overflowing_views_exit_3(variant, scale, tmp_path, capsys):
     code = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out",
                    "--normalize", "none", "--restarts", 1, "--variant", variant)
     assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("mvsc: numerical failure")
+
+
+def test_overflow_in_split_products_exits_3_without_a_warning(tmp_path, capsys):
+    # at n=400 the fit's products run in two parts on two threads; the
+    # fit's errstate must hold in both, so the overflow shows only as the
+    # error line
+    spec = SyntheticSpec(n=400, clusters=3, dims=(20, 30, 40), subspace_rank=3,
+                         noise_sigma=0.05, seed=7)
+    ds = generate_synthetic(spec)
+    ds.views = [1e20 * X for X in ds.views]
+    manifest = write_dataset(ds, tmp_path / "data")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--manifest", manifest, "--out", tmp_path / "out",
+                       "--normalize", "none", "--restarts", 1)
+    assert code == 3
+    assert caught == []
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("mvsc: numerical failure")
 

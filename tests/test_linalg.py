@@ -1,3 +1,7 @@
+import os
+import signal
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -524,3 +528,182 @@ def test_rejects_nonfinite_input():
         svt(M, 0.1)
     with pytest.raises(ValidationError):
         nuclear_norm(M)
+
+
+# ----------------------------------------------------------------- matmul
+# shapes above the split gate: rows split (m >= p) and columns split,
+# odd sizes whose halves end inside a kernel tile, and two whose plain
+# halves change the bits of the unsplit product on SkylakeX kernels
+SPLIT_SHAPES = [(161, 173, 157), (97, 211, 245), (450, 90, 450), (90, 600, 600)]
+
+
+class RecordingWorker:
+    """A one-thread executor that counts the jobs submitted to it."""
+
+    def __init__(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.jobs = 0
+        self._pool = ThreadPoolExecutor(1)
+
+    def submit(self, *args, **kwargs):
+        self.jobs += 1
+        return self._pool.submit(*args, **kwargs)
+
+
+@pytest.fixture
+def worker(monkeypatch):
+    """Two CPUs, and a recording worker in place of matmul's."""
+    spy = RecordingWorker()
+    monkeypatch.setattr(linalg, "_worker", spy)
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    yield spy
+    spy._pool.shutdown()
+
+
+def _operands(m, k, p, layout, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, k))
+    B = rng.standard_normal((k, p))
+    if layout == "F":
+        A, B = np.asfortranarray(A), np.asfortranarray(B)
+    elif layout == "transposed":
+        A, B = rng.standard_normal((k, m)).T, rng.standard_normal((p, k)).T
+    return A, B
+
+
+@pytest.mark.parametrize("with_out", [False, True], ids=["new", "out"])
+@pytest.mark.parametrize("layout", ["C", "F", "transposed"])
+@pytest.mark.parametrize("m, k, p", SPLIT_SHAPES)
+def test_matmul_bits_do_not_depend_on_the_cpu_count(m, k, p, layout, with_out,
+                                                    worker, monkeypatch):
+    assert m * k * p >= linalg.SPLIT_MIN_MACS
+    A, B = _operands(m, k, p, layout)
+    results = []
+    with linalg.single_thread():
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+            out = np.full((m, p), np.nan) if with_out else None
+            got = linalg.matmul(A, B, out=out)
+            assert got is out or out is None
+            results.append(got.tobytes())
+    assert worker.jobs == 2  # the two- and three-CPU products
+    assert results[0] == results[1] == results[2]
+    np.testing.assert_allclose(got, A @ B, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("m, k, p", [(150, 150, 150), (90, 150, 150), (150, 90, 150),
+                                     (1000, 2, 1000), (20, 20000, 20)])
+def test_matmul_below_the_gate_is_np_matmul(m, k, p, worker):
+    # n = 150's largest products, and ones with an output side too short
+    # to split, run whole
+    A, B = _operands(m, k, p, "C")
+    with linalg.single_thread():
+        assert linalg.matmul(A, B).tobytes() == np.matmul(A, B).tobytes()
+    assert worker.jobs == 0
+
+
+def test_matmul_gram_and_overlapping_products_take_numpy_path(worker):
+    # X^T X on one buffer is numpy's symmetric (syrk) product, which a
+    # split would change; an output that overlaps an input needs numpy's
+    # copy
+    X = np.random.default_rng(1).standard_normal((300, 200))
+    with linalg.single_thread():
+        gram = linalg.matmul(X.T, X)
+        assert gram.tobytes() == np.matmul(X.T, X).tobytes()
+        A, B = _operands(200, 200, 200, "C", seed=2)
+        expected = A.copy()
+        np.matmul(expected, B, out=expected)
+        got = linalg.matmul(A, B, out=A)
+    assert got is A
+    assert A.tobytes() == expected.tobytes()
+    assert worker.jobs == 0
+
+
+def test_matmul_error_in_the_worker_reaches_the_caller(worker):
+    # only the worker's part overflows, under the caller's errstate
+    m, k, p = SPLIT_SHAPES[0]
+    A, B = _operands(m, k, p, "C")
+    A[m // 2 + linalg.SPLIT_ALIGN:] = 1e308
+    B = np.abs(B) + 1.0
+    with linalg.single_thread():
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError, match="overflow"):
+                linalg.matmul(A, B)
+        assert worker.jobs == 1
+        # the warnings filter turns a RuntimeWarning into an error; the
+        # caller's errstate must silence it in the worker too
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = linalg.matmul(A, B)
+    assert worker.jobs == 2
+    assert not np.isfinite(got[-1]).all() and np.isfinite(got[0]).all()
+
+
+def test_matmul_outside_the_pin_submits_nothing(worker):
+    # outside the pin OpenBLAS may run its own threads
+    A, B = _operands(*SPLIT_SHAPES[0], "C")
+    np.testing.assert_allclose(linalg.matmul(A, B), A @ B, rtol=1e-12, atol=1e-12)
+    assert worker.jobs == 0
+    with linalg.single_thread():
+        linalg.matmul(A, B)
+    assert worker.jobs == 1
+
+
+def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatch):
+    # more callers than cores, switching often, share the one worker
+    import sys
+    import threading
+
+    monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+    shapes = [(m, k, p) for m, k, p in SPLIT_SHAPES for _ in range(2)]
+    operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(shapes)]
+    with linalg.single_thread():
+        expected = [linalg.matmul(A, B).tobytes() for A, B in operands]
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    callers = 4
+    results = [[] for _ in range(callers)]
+    start = threading.Barrier(callers)
+
+    def run(slot):
+        start.wait()
+        for _ in range(3):
+            results[slot].append([linalg.matmul(A, B).tobytes() for A, B in operands])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with linalg.single_thread():
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[expected] * 3] * callers
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_matmul_in_a_forked_child_makes_its_own_worker(monkeypatch):
+    # a child forked after a split product inherits the parent's executor
+    # but not its thread; a job submitted there would never run
+    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    A, B = _operands(*SPLIT_SHAPES[0], "C")
+    with linalg.single_thread():
+        expected = linalg.matmul(A, B).tobytes()
+        assert linalg._worker is not None
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if linalg.matmul(A, B).tobytes() == expected else 1)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's split product never finished")
+    assert os.waitstatus_to_exitcode(status) == 0
