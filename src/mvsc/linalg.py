@@ -9,7 +9,9 @@ n x n array.
 matmul is np.matmul for the fit's large products: it splits each in
 two parts by its shapes and, inside blas.single_thread(), runs the
 second on one worker thread while BLAS stays on one thread. The
-sketches and the certificate of svt_factors use it.
+sketches and the certificate of svt_factors use it. Where in_lane is
+set (pipeline.in_order's lanes, which already keep both CPUs busy) it
+runs the two parts in turn.
 
 svt_factors takes one of four paths per call: the zero skip, a warm
 sketch from a start the caller passes in (the right factor of its last
@@ -51,6 +53,10 @@ TRANSPOSE_BLOCK = 256
 # SkylakeX kernels, where plain halves of (90, 600, 600) do not.
 SPLIT_MIN_MACS = 1 << 22
 SPLIT_ALIGN = 16
+
+# True in the contexts that run pipeline.in_order's items on two lanes,
+# where matmul runs its parts in turn
+in_lane = contextvars.ContextVar("in_lane", default=False)
 
 # the worker that runs the second part of a split product, made on
 # first use (two threads making it at once leave one executor unused,
@@ -117,7 +123,7 @@ def matmul(A, B, out=None):
     second part runs on the worker thread, in a copy of the caller's
     context (so its np.errstate holds there), while the caller computes
     the first; an error in either part reaches the caller once both
-    have ended.
+    have ended. Inside a lane (in_lane) the parts run in turn.
     """
     (m, k), p = A.shape, B.shape[1]
     rows = m >= p
@@ -134,7 +140,7 @@ def matmul(A, B, out=None):
         first, second = (A[:h], B, out[:h]), (A[h:], B, out[h:])
     else:
         first, second = (A, B[:, :h], out[:, :h]), (A, B[:, h:], out[:, h:])
-    if not (blas.pinned() and _cpus() > 1):
+    if in_lane.get() or not (blas.pinned() and _cpus() > 1):
         for a, b, part in (first, second):
             np.matmul(a, b, out=part)
         return out

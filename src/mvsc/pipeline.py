@@ -18,14 +18,27 @@ byte-identically. Commands and run_restarts run BLAS on one thread
 environment either. Inside that pin the fit's large products run in two
 parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
 so outputs do not depend on the CPU count.
+
+Below that size, where one fit's products stay whole, a command's
+independent fits use the second CPU instead: in_order maps ablate's
+variants, sweep's grid points and lrr-bsv's views over two lanes, the
+caller and one thread. Each item runs whole on one lane, so every
+output keeps its bits; results come back in item order, the error of
+the lowest failed item is raised, and the log records of each item are
+emitted after the map in item order, so stdout, stderr and the files
+are those of the plain loop.
 """
 
+import contextvars
 import csv
+import logging
+import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .blas import single_thread
 from .data import (
     generate_synthetic, load_dataset, load_synthetic_spec, normalize_views, write_matrix,
@@ -38,6 +51,106 @@ from .spectral import affinity_from_representation, cluster_embedding, spectral_
 LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
 ABLATION_ORDER = ("lrr-bsv", "msc-naive", "grmsc-naive", "grmsc")
+
+# the log records of the in_order item this context runs on a lane
+_held = contextvars.ContextVar("held", default=None)
+
+
+def _hold(record):
+    """Logger filter: a record logged inside a lane's item waits in the
+    item's list, for in_order to emit after the map."""
+    held = _held.get()
+    if held is None:
+        return True
+    held.append(record)
+    return False
+
+
+for _name in ("data", "linalg", "spectral"):  # the package's loggers
+    logging.getLogger(f"{__package__}.{_name}").addFilter(_hold)
+
+
+class _Map:
+    """One in_order map over two lanes: each lane takes the next index
+    under the lock until none is left or an item has failed, and runs
+    the item in a copy of the caller's context with its own record list."""
+
+    def __init__(self, fn, items):
+        self.fn, self.items = fn, items
+        self.results = [None] * len(items)
+        self.records = [[] for _ in items]
+        self.errors = {}
+        self.taken = 0
+        self.lock = threading.Lock()
+        self.started = threading.Event()
+        self.context = contextvars.copy_context()
+
+    def run(self):
+        while True:
+            with self.lock:
+                if self.errors or self.taken == len(self.items):
+                    return
+                index = self.taken
+                self.taken += 1
+            self.context.copy().run(self._item, index)
+
+    def _item(self, index):
+        linalg.in_lane.set(True)
+        _held.set(self.records[index])
+        try:
+            self.results[index] = self.fn(self.items[index])
+        except BaseException as err:  # re-raised by in_order
+            with self.lock:
+                self.errors[index] = err
+
+
+def lane(work):
+    """The second lane of an in_order map: signals that it has started,
+    then runs items until none is left. in_order waits for the signal
+    before it takes an item itself, so a tracer that parents a thread's
+    first span on the caller's open span sees this one start inside
+    in_order."""
+    work.started.set()
+    work.run()
+
+
+def in_order(fn, items, n_samples):
+    """[fn(x) for x in items], computed on two lanes when that helps.
+
+    The lanes are the caller and one thread, and each item runs wholly
+    on one of them. They run only with two or more items, more than one
+    CPU, outside another lane, and fits of n_samples below matmul's
+    split gate (n_samples**3 < linalg.SPLIT_MIN_MACS): larger fits split
+    their own products over both CPUs, and two of their n x n working
+    sets would be live at once. Otherwise, and for a call inside a
+    lane, the items run in turn. Inside a lane matmul runs its parts in
+    turn, so no more than two threads are ever busy.
+
+    After a failure no new item starts; once both lanes have ended, the
+    error of the lowest failed item is raised. The records an item logs
+    through the package's loggers are held and emitted after the map in
+    item order, up to that failed item, as the plain loop would have
+    logged them.
+    """
+    items = list(items)
+    if (len(items) < 2 or linalg.in_lane.get() or linalg._cpus() < 2
+            or n_samples ** 3 >= linalg.SPLIT_MIN_MACS):
+        return [fn(x) for x in items]
+    work = _Map(fn, items)
+    thread = threading.Thread(target=lane, args=(work,), name="mvsc-lane", daemon=True)
+    thread.start()
+    try:
+        work.started.wait()
+        work.run()
+    finally:
+        thread.join()
+    last = min(work.errors, default=len(items) - 1)
+    for records in work.records[:last + 1]:
+        for record in records:
+            logging.getLogger(record.name).handle(record)
+    if work.errors:
+        raise work.errors[last]
+    return work.results
 
 
 @dataclass
@@ -123,22 +236,24 @@ def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
     keeps the view whose clustering scores the best NMI. Each fit is
     embedded as soon as it returns, after its state drops Q and Y2
     (nothing downstream reads them), so of the fit's n x n arrays only
-    Z stays live through the embedding. Any failure, of a fit, an
-    embedding or a clustering, raises.
+    Z stays live through the embedding. lrr-bsv's views are fitted and
+    embedded through in_order. Any failure, of a fit, an embedding or a
+    clustering, raises.
     """
     _require_labels(dataset)
     if params.variant == "lrr-bsv":
         datasets = [replace(dataset, views=[X]) for X in dataset.views]
     else:
         datasets = [dataset]
-    states, embeddings = [], []
-    for data in datasets:
+
+    def fit_and_embed(data):
         Z, state = fit(data, params, laplacian_sum=laplacian_sum, trace_objective=trace)
         state.Q = state.Y2 = None
-        states.append(state)
-        embeddings.append(
-            spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
+        return state, spectral_embedding(
+            affinity_from_representation(Z), dataset.n_clusters
         )
+
+    states, embeddings = zip(*in_order(fit_and_embed, datasets, dataset.n_samples))
     return [_restart(dataset, states, embeddings, r, seed + r) for r in range(restarts)]
 
 
@@ -285,30 +400,40 @@ def cmd_run(config):
 def cmd_ablate(config):
     """All four variants under identical restart seeds; one combined table.
     Both graph sets are built, sharing their first-order graphs, before
-    the first fit."""
+    the first fit. The variants run through in_order; when one fails,
+    the reports of the variants before it are written, as a loop that
+    wrote each report after its fit would have left them."""
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
     configs = [replace(config.params, variant=v) for v in ABLATION_ORDER]
     terms = _graph_terms(dataset, configs)
-    summary = []
-    for params in configs:
+    rows = {}
+
+    def fit_variant(params):
         results = run_restarts(
             dataset, params, config.restarts,
             laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)), seed=config.seed,
         )
-        write_csv(
-            out / f"report_{variant_label(params.variant)}.csv",
-            report_rows(dataset, params, results),
-        )
-        summary.append(summary_row(dataset, params, results))
-    write_csv(out / "ablation.csv", summary)
+        rows[params.variant] = (report_rows(dataset, params, results),
+                                summary_row(dataset, params, results))
+
+    try:
+        in_order(fit_variant, configs, dataset.n_samples)
+    finally:
+        for params in configs:
+            if params.variant not in rows:
+                break
+            write_csv(out / f"report_{variant_label(params.variant)}.csv",
+                      rows[params.variant][0])
+    write_csv(out / "ablation.csv", [rows[p.variant][1] for p in configs])
     return 0
 
 
 @single_thread()
 def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
-    """Full pipeline per (lambda1, lambda2) grid point; one sweep.csv row
-    each, suitable for a heatmap. One graph build serves the grid."""
+    """Full pipeline per (lambda1, lambda2) grid point, through in_order;
+    one sweep.csv row each, suitable for a heatmap. One graph build
+    serves the grid."""
     if not grid1 or not grid2:
         raise ValidationError("sweep grids must be non-empty")
     dataset = resolve_dataset(config)
@@ -318,14 +443,14 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
         for l1 in grid1 for l2 in grid2
     ]
     terms = _graph_terms(dataset, configs)
-    rows = []
-    for params in configs:
-        results = run_restarts(
+
+    def grid_point(params):
+        mean, std, n_runs = summarize(run_restarts(
             dataset, params, config.restarts,
             laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)), seed=config.seed,
-        )
-        mean, std, n_runs = summarize(results)
-        rows.append({"lambda1": _fmt(params.lambda1), "lambda2": _fmt(params.lambda2),
-                     "n_runs": n_runs, **_stat_cells(mean, std)})
-    write_csv(out / "sweep.csv", rows)
+        ))
+        return {"lambda1": _fmt(params.lambda1), "lambda2": _fmt(params.lambda2),
+                "n_runs": n_runs, **_stat_cells(mean, std)}
+
+    write_csv(out / "sweep.csv", in_order(grid_point, configs, dataset.n_samples))
     return 0

@@ -139,3 +139,46 @@ def test_every_layer_metric_reads_a_traced_function():
         obj = getattr(module, attr, None)
         assert inspect.isfunction(obj) and not attr.startswith("_"), name
         assert obj.__module__ == module.__name__, name
+
+
+# a traced ablate at n=150, whose variants run on two lanes given two
+# CPUs; prints span_table's problems and each span name's call count
+TRACED_ABLATE = """
+import importlib.util, json, os, sys
+spec = importlib.util.spec_from_file_location("spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+import mvsc.cli
+code = mvsc.cli.main(sys.argv[2:])
+_, calls, _, problems = spans.span_table({"spans": tracer.spans})
+print(json.dumps([code, len(os.sched_getaffinity(0)), problems, calls]))
+"""
+
+
+def test_traced_ablate_nests_lane_spans_inside_their_parents(tmp_path):
+    # the tracer parents a thread's first span on the innermost span open
+    # in the main thread: in_order's, once the lane has signalled its start
+    data = tmp_path / "spec.json"
+    data.write_text(json.dumps({
+        "n": 150, "clusters": 3, "dims": [20, 30, 40], "subspace_rank": 3,
+        "noise_sigma": 0.05, "seed": 7,
+    }))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", TRACED_ABLATE, str(ROOT / "perfbench" / "spans.py"),
+         "ablate", "--synthetic", str(data), "--out", str(tmp_path / "out"),
+         "--restarts", "2"],
+        env=env, timeout=300, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    code, cpus, problems, calls = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    assert problems == []
+    assert calls["pipeline.run_restarts"] == 4
+    assert calls["pipeline.in_order"] == 1 + 4  # variants, then each one's fits
+    assert calls.get("pipeline.lane", 0) == (1 if cpus > 1 else 0)

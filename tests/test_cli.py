@@ -228,6 +228,98 @@ def test_split_products_do_not_depend_on_blas_threads_or_cpus(tmp_path):
     assert trees[0] == trees[1] == trees[2]
 
 
+def run_on_one_cpu_and_all(tmp_path, argv, script=None):
+    """(files, stdout, stderr) of a command launched in a fresh process on
+    one CPU and on every CPU the test may use; script, given, runs in
+    place of `-m mvsc.cli` with argv as its arguments."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    base = {k: v for k, v in os.environ.items()
+            if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base.get("PYTHONPATH")]))
+
+    def one_cpu():
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+    runs = []
+    for name, preexec in (("one-cpu", one_cpu), ("default", None)):
+        out = tmp_path / name
+        head = ["-c", script] if script else ["-m", "mvsc.cli"]
+        done = subprocess.run(
+            [sys.executable, *head, *argv, "--out", str(out)],
+            env=base, preexec_fn=preexec, timeout=300, capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        files = {str(p.relative_to(out)): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        runs.append((files, done.stdout, done.stderr))
+    return runs
+
+
+@pytest.mark.parametrize("argv", [
+    ["ablate", "--restarts", "2"],
+    ["sweep", "--restarts", "1", "--lambda1-grid", "0.5,1", "--lambda2-grid", "0,1"],
+    ["run", "--variant", "lrr-bsv", "--restarts", "2", "--trace-residuals"],
+], ids=["ablate", "sweep", "run-lrr-bsv"])
+def test_lanes_do_not_change_outputs(argv, tmp_path):
+    # at n=150 ablate's variants, sweep's grid points and lrr-bsv's views
+    # run on two lanes given two CPUs (pipeline.in_order), in turn on one
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({
+        "n": 150, "clusters": 3, "dims": [20, 30, 40], "subspace_rank": 3,
+        "noise_sigma": 0.05, "seed": 7,
+    }))
+    one, every = run_on_one_cpu_and_all(tmp_path, [*argv, "--synthetic", str(spec)])
+    assert one[0] and one == every
+
+
+# ablate with msc-naive's and grmsc's clusterings collapsed to one and two
+# clusters; msc-naive waits first, so on two lanes grmsc warns before it
+WARNING_SCRIPT = """
+import contextvars, logging, sys, time
+import numpy as np
+from mvsc import cli, pipeline, spectral
+
+variant = contextvars.ContextVar("variant", default=None)
+real_restarts, real_kmeans = pipeline.run_restarts, spectral.kmeans
+
+def tagged(dataset, params, *args, **kwargs):
+    variant.set(params.variant)
+    if params.variant == "msc-naive":
+        time.sleep(0.5)
+    return real_restarts(dataset, params, *args, **kwargs)
+
+def collapsing(X, k, seed):
+    labels, inertia = real_kmeans(X, k, seed)
+    keep = {"msc-naive": 0, "grmsc": 1}.get(variant.get())
+    return (labels if keep is None else np.minimum(labels, keep)), inertia
+
+class Counter(logging.Handler):
+    count = 0
+
+    def emit(self, record):
+        Counter.count += 1
+
+logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+logging.getLogger("mvsc.spectral").addHandler(Counter(logging.WARNING))
+pipeline.run_restarts, spectral.kmeans = tagged, collapsing
+print(cli.main(sys.argv[1:]), Counter.count)
+"""
+
+
+def test_lane_warnings_reach_stderr_in_the_order_of_one_cpu(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(dict(TINY_SPEC, n=45, clusters=3, dims=[8, 10, 12])))
+    one, every = run_on_one_cpu_and_all(
+        tmp_path, ["ablate", "--synthetic", str(spec), "--restarts", "2"],
+        script=WARNING_SCRIPT,
+    )
+    warning = "WARNING mvsc.spectral: spectral clustering produced {} nonempty " \
+        "clusters (asked for 3)\n"
+    assert one[2].decode() == 2 * warning.format(1) + 2 * warning.format(2)
+    assert one[1] == b"0 4\n"
+    assert one == every
+
+
 def test_commands_load_no_scipy(spec_file, tmp_path):
     # importing scipy cost more than half a second per process; the
     # commands run on numpy alone

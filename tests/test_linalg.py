@@ -649,6 +649,27 @@ def test_matmul_outside_the_pin_submits_nothing(worker):
     assert worker.jobs == 1
 
 
+def test_matmul_inside_a_lane_runs_the_split_in_turn(worker, monkeypatch):
+    # pipeline.in_order's two lanes already keep both CPUs busy: a lane's
+    # product runs its two parts one after the other, with the split's bits
+    from mvsc import pipeline
+
+    operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(SPLIT_SHAPES)]
+
+    def product(operands):
+        assert linalg.in_lane.get()
+        return linalg.matmul(*operands).tobytes()
+
+    with linalg.single_thread():
+        monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+        expected = [linalg.matmul(A, B).tobytes() for A, B in operands]
+        monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+        assert pipeline.in_order(product, operands, 150) == expected
+        assert worker.jobs == 0
+        linalg.matmul(*operands[0])
+    assert worker.jobs == 1
+
+
 def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatch):
     # more callers than cores, switching often, share the one worker
     import sys

@@ -1,14 +1,19 @@
 """Restart protocol: one fit per configuration, one clustering per seed."""
 
 import csv
+import importlib
 import json
+import logging
+import sys
+import threading
+import time
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from mvsc import graphs, pipeline, solver
+from mvsc import graphs, linalg, pipeline, solver
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.solver import HyperParams
@@ -307,3 +312,242 @@ def test_cmd_run_fit_and_embedding_peaks_on_the_carried_path(tmp_path, monkeypat
     assert carried and all(carried)
     assert peaks["fit"] <= 10.2, peaks
     assert peaks["embedding"] <= 6.5, peaks
+
+
+# ----------------------------------------------------------------- in_order
+
+
+class CountingThread(threading.Thread):
+    """threading.Thread that records the name of every thread started."""
+
+    started = []
+
+    def start(self):
+        CountingThread.started.append(self.name)
+        super().start()
+
+
+@pytest.fixture
+def lanes(monkeypatch):
+    """Two CPUs, and the names of the lane threads in_order starts."""
+    monkeypatch.setattr(pipeline.linalg, "_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline.threading, "Thread", CountingThread)
+    CountingThread.started = []
+    yield CountingThread.started
+
+
+def lane_threads(started):
+    return [name for name in started if name == "mvsc-lane"]
+
+
+def test_in_order_returns_results_in_item_order_from_two_lanes(lanes):
+    threads = []
+
+    def square(x):
+        threads.append(threading.get_ident())
+        time.sleep(0.01)
+        return x * x
+
+    assert pipeline.in_order(square, range(10), 161) == [x * x for x in range(10)]
+    assert lane_threads(lanes) == ["mvsc-lane"]
+    assert len(set(threads)) == 2
+
+
+@pytest.mark.parametrize("items, cpus, n", [
+    ([], 2, 150), ([3], 2, 150), ([1, 2, 3], 1, 150),
+    ([1, 2, 3], 2, 162),  # 162**3 reaches the split gate, 161**3 does not
+])
+def test_in_order_starts_no_thread_where_lanes_do_not_help(items, cpus, n, lanes,
+                                                          monkeypatch):
+    assert 161 ** 3 < linalg.SPLIT_MIN_MACS <= 162 ** 3
+    monkeypatch.setattr(pipeline.linalg, "_cpus", lambda: cpus)
+    threads = set()
+
+    def double(x):
+        threads.add(threading.get_ident())
+        return 2 * x
+
+    assert pipeline.in_order(double, items, n) == [2 * x for x in items]
+    assert lanes == []
+    assert threads <= {threading.get_ident()}
+
+
+def test_in_order_inside_a_lane_runs_in_turn(lanes):
+    def inner(x):
+        assert linalg.in_lane.get()
+        return threading.get_ident()
+
+    def outer(x):
+        threads = pipeline.in_order(inner, range(4), 150)
+        assert threads == [threading.get_ident()] * 4
+        return x
+
+    assert pipeline.in_order(outer, range(4), 150) == list(range(4))
+    assert lane_threads(lanes) == ["mvsc-lane"]
+    assert not linalg.in_lane.get()
+
+
+def test_in_order_raises_the_lowest_failed_item_and_starts_no_item_after(lanes):
+    # item 2 fails slowly while the other lane fails item 3 at once
+    started = []
+
+    def slow_two_fast_three(x):
+        started.append(x)
+        if x == 2:
+            time.sleep(0.3)
+        if x in (2, 3):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="item 2"):
+        pipeline.in_order(slow_two_fast_three, range(10), 150)
+    assert sorted(started) == [0, 1, 2, 3]
+    assert lane_threads(lanes) == ["mvsc-lane"]
+
+
+def test_in_order_takes_no_item_before_the_lane_has_started(lanes, monkeypatch):
+    # perfbench's tracer parents a thread's first span on the innermost
+    # span open in the caller, which must be in_order's, not an item's
+    seen = []
+    real_lane = pipeline.lane
+
+    def slow_lane(work):
+        time.sleep(0.05)
+        seen.append(work.taken)
+        real_lane(work)
+
+    monkeypatch.setattr(pipeline, "lane", slow_lane)
+    assert pipeline.in_order(lambda x: x, range(4), 150) == list(range(4))
+    assert seen == [0]
+
+
+def test_in_order_emits_held_records_in_item_order_up_to_the_failed_item(lanes):
+    # item 2 logs last, while the other lane runs the items after it
+    logger = logging.getLogger("mvsc.spectral")
+    emitted = []
+
+    class Recording(logging.Handler):
+        def emit(self, record):
+            emitted.append(record.getMessage())
+
+    def logging_item(x, fail):
+        if x == 2:
+            time.sleep(0.2)
+        logger.warning("item %d", x)
+        if x == 2 and fail:
+            raise ValueError("item 2")
+        return x
+
+    handler = Recording(level=logging.WARNING)
+    logger.addHandler(handler)
+    try:
+        assert pipeline.in_order(lambda x: logging_item(x, False), range(6), 150) == \
+            list(range(6))
+        assert emitted == [f"item {x}" for x in range(6)]
+        emitted.clear()
+        with pytest.raises(ValueError, match="item 2"):
+            pipeline.in_order(lambda x: logging_item(x, True), range(6), 150)
+        assert emitted == ["item 0", "item 1", "item 2"]
+    finally:
+        logger.removeHandler(handler)
+    assert lane_threads(lanes) == ["mvsc-lane"] * 2
+
+
+def test_every_package_logger_holds_lane_records():
+    # a module that logs from inside a lane's item, through a logger
+    # without the filter, would print in the order the lanes ran
+    for name in ("data", "graphs", "linalg", "metrics", "solver", "spectral", "pipeline"):
+        module = importlib.import_module(f"mvsc.{name}")
+        logger = getattr(module, "logger", None)
+        if logger is not None:
+            assert pipeline._hold in logger.filters, name
+
+
+def test_lrr_bsv_views_run_on_two_lanes_with_the_bits_of_one(lanes, monkeypatch):
+    ds = small_dataset(dims=(8, 10, 12))
+    params = HyperParams(variant="lrr-bsv", max_iter=150)
+    threads = []
+    real_fit = pipeline.fit
+
+    def recording_fit(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "fit", recording_fit)
+    two = pipeline.run_restarts(ds, params, 3)
+    assert lane_threads(lanes) == ["mvsc-lane"]
+    monkeypatch.setattr(pipeline.linalg, "_cpus", lambda: 1)
+    one = pipeline.run_restarts(ds, params, 3)
+    assert len(lanes) == 1
+    assert len(set(threads[3:])) == 1
+    for a, b in zip(one, two):
+        assert (a.view, a.seed) == (b.view, b.seed)
+        assert a.state.Z.tobytes() == b.state.Z.tobytes()
+        np.testing.assert_array_equal(a.labels, b.labels)
+
+
+def test_ablate_at_n_600_starts_no_lane(tmp_path, lanes):
+    config = pipeline.RunConfig(
+        params=HyperParams(max_iter=3), out_dir=tmp_path / "out",
+        synthetic=write_spec(tmp_path / "spec.json", 600), restarts=1,
+    )
+    assert pipeline.cmd_ablate(config) == 0
+    assert lane_threads(lanes) == []
+
+
+def test_failed_ablate_writes_the_reports_before_the_failed_variant(tmp_path, lanes,
+                                                                   monkeypatch):
+    # grmsc-naive fails while grmsc, on the other lane, may finish: the
+    # files are those of a loop that stopped at the failure
+    real = pipeline.run_restarts
+
+    def naive_fails(dataset, params, *args, **kwargs):
+        if params.variant == "grmsc-naive":
+            time.sleep(0.2)
+            raise NumericalError("grmsc-naive diverged")
+        return real(dataset, params, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_restarts", naive_fails)
+    config = pipeline.RunConfig(
+        params=HyperParams(max_iter=50), out_dir=tmp_path / "out",
+        synthetic=write_spec(tmp_path / "spec.json", 45), restarts=1,
+    )
+    with pytest.raises(NumericalError, match="grmsc-naive diverged"):
+        pipeline.cmd_ablate(config)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "report_LRR_BSV.csv", "report_MSC_NAIVE.csv",
+    ]
+    assert lane_threads(lanes) == ["mvsc-lane"]
+
+
+def test_in_order_maps_from_many_threads_at_once_run_each_item_once(lanes):
+    # four callers, each with its own lane, on two CPUs, switching often
+    callers, items = 4, 300
+    calls = [[0] * items for _ in range(callers)]
+    results = [None] * callers
+
+    def count(slot):
+        def item(x):
+            calls[slot][x] += 1
+            return -x
+        return item
+
+    def run(slot):
+        start.wait()
+        results[slot] = pipeline.in_order(count(slot), range(items), 150)
+
+    start = threading.Barrier(callers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[-x for x in range(items)]] * callers
+    assert calls == [[1] * items] * callers
+    assert lane_threads(lanes) == ["mvsc-lane"] * callers
