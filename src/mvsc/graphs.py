@@ -48,18 +48,21 @@ def gaussian_kernel(X):
 
     sigma is the median Euclidean distance over distinct column pairs.
     Returns (S, sigma); raises DegenerateInputError when sigma is zero
-    (all columns identical) and NumericalError when a distance overflows.
+    (at least half the column pairs identical) and NumericalError when a
+    distance overflows, or when all underflow to zero between columns
+    that differ.
     """
     n = X.shape[1]
     if n < 2:
         raise ValidationError(f"need at least 2 samples, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = pairwise_sq_dists(X)
-    return _kernel_from_sq_dists(d2)
+    return _kernel_from_sq_dists(d2, X)
 
 
-def _kernel_from_sq_dists(d2):
-    """gaussian_kernel from precomputed squared distances d2 (n >= 2)."""
+def _kernel_from_sq_dists(d2, X):
+    """gaussian_kernel from the squared distances d2 between the columns
+    of X (n >= 2)."""
     iu = np.triu_indices(d2.shape[0], k=1)
     sigma = float(np.median(np.sqrt(d2[iu])))
     if not (np.isfinite(sigma) and np.isfinite(d2).all()):
@@ -67,10 +70,22 @@ def _kernel_from_sq_dists(d2):
             "pairwise distances overflow; rescale the view or normalize it"
         )
     if sigma == 0.0:
+        if not d2.any() and (X != X[:, :1]).any():
+            raise NumericalError(
+                "pairwise distances underflow to zero; rescale the view or normalize it"
+            )
         raise DegenerateInputError(
             "median pairwise distance is zero; kernel bandwidth undefined"
         )
     return np.exp(-d2 / sigma**2), sigma
+
+
+def _for_view(k, build, *args):
+    """build(*args) for view k, naming the view in a numerical failure."""
+    try:
+        return build(*args)
+    except NumericalError as exc:
+        raise type(exc)(f"view {k}: {exc}") from exc
 
 
 def _knn_sets(d2, k):
@@ -141,7 +156,7 @@ def first_order_proximity(X, k):
         raise ValidationError(f"neighbor count must satisfy 1 <= k < n, got k={k}, n={n}")
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = pairwise_sq_dists(X)
-    S, sigma = _kernel_from_sq_dists(d2)
+    S, sigma = _kernel_from_sq_dists(d2, X)
     knn = _knn_sets(d2, k)
     mutual = knn & knn.T
     lam = np.where(mutual, S, 0.0)
@@ -196,11 +211,11 @@ def _view_weights(first_order, consensus, alpha):
     "first_order"), else its fused weights and the second-order graph
     built here for them, dropped before the next view's."""
     v = len(first_order)
-    for g in first_order:
+    for k, g in enumerate(first_order):
         if consensus is None:
             yield g.similarity, None
         else:
-            ups = second_order_proximity(g)
+            ups = _for_view(k, second_order_proximity, g)
             yield _fused_weight(consensus, ups, alpha, v), ups
             del ups  # else it lives on through the next view's build
 
@@ -277,7 +292,8 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None,
     if mode not in ("fused", "first_order"):
         raise ValidationError(f"unknown graph mode {mode!r}")
     if first_order is None:
-        first = [first_order_proximity(X, knn) for X in views]
+        first = [_for_view(k, first_order_proximity, X, knn)
+                 for k, X in enumerate(views)]
     else:
         first = first_order
         if len(first) != len(views) or any(g.neighbor_count != knn for g in first):

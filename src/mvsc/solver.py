@@ -8,15 +8,22 @@ plus alpha times complementary part), subject to X = X Z + E per view.
 A copy variable Q carries the nuclear norm; multipliers Y1 (per view)
 and Y2 enforce the constraints with a growing penalty mu.
 
+The fit stacks the views once, Xs = (sum d_k) x n, and holds E and Y1
+stacked the same way, each view owning its rows. T = Y1 - mu E, the
+residuals and the Y1 dual step are then one elementwise expression
+each. On row views stay per view: the l2,1 prox (column norms within a
+view's rows), each view's inf-norm residual and, on the dense Z path,
+each X_k Z, which has the bits of the same product on a separate array
+where one stacked Xs Z does not (n=300 with the reference dims).
+
 The Z step solves the normal equations derived from the stationarity of
 the Z subproblem:
 
     (mu P + S) Z = B,  P = I + Xs^T Xs,  S = lambda2 * S0
     S0 = sum_k (L_k + L_k^T)
-    B = Xs^T (Y1s + mu (Xs - Es)) + mu Q - Y2
+    B = Xs^T (Y1 + mu (Xs - E)) + mu Q - Y2.
 
-where Xs, Y1s and Es stack the views, their multipliers and their
-errors (sum d_k x n). S0 is all a fit reads of the graphs, traced or
+S0 is all a fit reads of the graphs, traced or
 not: the graph set carries it (graphs.GraphSet.laplacian_sum), and
 the fit takes S0 alone. Only mu changes between iterations, so the system
 is diagonalized once per fit. R = P^(-1/2) = I + V_r diag((1 + s^2)^(-1/2)
@@ -28,7 +35,7 @@ and V_r^T W without forming R. Each iteration applies the inverse to
 the residual of Z = I,
 
     Z = I + V C,  C = diag(1 / (mu + lam)) V^T D,  D = B - mu P - S
-      = Xs^T T + mu (Q - I) - Y2 - S,  T = Y1s - mu Es.
+      = Xs^T T + mu (Q - I) - Y2 - S,  T = Y1 - mu E.
 
 Forming D without the mu Xs^T Xs term keeps B's large data-space part
 out of the fixed basis, which would round it the same way every
@@ -45,7 +52,7 @@ Xs^T (T - mu Xs V C) - S V C, and V^T S V = diag(lam), so the next
 J = (Xs V)^T (T - mu Xs V C) - diag(lam) C costs two n x d x n
 products. The one n x n x n product per iteration is then V C. The
 first of those two products, Xs V C = Xs (Z - I), also gives the
-residuals' X_k Z as X_k plus its rows, so no d_k x n x n product forms
+residuals' Xs Z as Xs + Xs V C, so no d_k x n x n product forms
 X_k Z. Otherwise V^T D = (Xs V)^T T + V^T (mu Q - Y2) - V^T S - mu V^T
 takes one dense product, and X_k Z is formed from Z.
 
@@ -71,10 +78,6 @@ ones and the basis's, go through linalg.matmul, which splits each in
 two parts by its shape and runs them on two CPUs, with the bits of a
 run on one.
 
-update_Z can also take one "as-printed" step (sign flipped on the error
-term, no -Y2) for comparison; it does not satisfy the stationarity
-condition and fails gradient checks, and fits never use it.
-
 The penalty mu follows a fixed schedule: it starts at MU0 and grows by
 RHO per iteration up to MU_MAX.
 
@@ -88,7 +91,7 @@ LRR's ALM does, and never sees labels or clusterings.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -165,12 +168,14 @@ class HyperParams:
 
 @dataclass
 class SolverState:
-    """Mutable optimization state plus per-iteration diagnostics."""
+    """Mutable optimization state plus per-iteration diagnostics. E and
+    Y1 stack the views' errors and multipliers as Xs stacks the views,
+    (sum d_k) x n, each view owning its rows."""
 
     Z: np.ndarray
     Q: np.ndarray
-    E: list
-    Y1: list
+    E: np.ndarray
+    Y1: np.ndarray
     Y2: np.ndarray
     mu: float
     iteration: int = 0
@@ -182,31 +187,33 @@ class SolverState:
     objective_history: list = field(default_factory=list)
 
 
-def _init_state(X_list):
-    n = X_list[0].shape[1]
+def _view_rows(X_list):
+    """Each view's row slice of the stacked arrays, in view order."""
+    ends = np.cumsum([X.shape[0] for X in X_list]).tolist()
+    return [slice(end - X.shape[0], end) for X, end in zip(X_list, ends)]
+
+
+def _init_state(Xs):
+    n = Xs.shape[1]
     return SolverState(
         Z=np.zeros((n, n)),
         Q=np.zeros((n, n)),
-        E=[np.zeros_like(X) for X in X_list],
-        Y1=[np.zeros_like(X) for X in X_list],
+        E=np.zeros_like(Xs),
+        Y1=np.zeros_like(Xs),
         Y2=np.zeros((n, n)),
         mu=MU0,
     )
 
 
-def update_E(state, X_list, lambda1, products=None):
+def update_E(state, gap, rows, lambda1):
     """Column-sparse error update: per view the l2,1 prox at
-    X - X Z + Y1 / mu with threshold lambda1 / mu.
-
-    products, when given, is the precomputed list of X_k Z.
-    """
-    if products is None:
-        products = [X @ state.Z for X in X_list]
-    out = []
-    for X, XZ, Y1 in zip(X_list, products, state.Y1):
-        T_E = X - XZ + Y1 / state.mu
-        out.append(prox_l21(T_E, lambda1 / state.mu))
-    return out
+    X_k - X_k Z + Y1_k / mu with threshold lambda1 / mu, returned
+    stacked. gap is the stacked X - X Z and rows the views' row slices."""
+    T = state.Y1 / state.mu
+    T += gap
+    for r in rows:
+        T[r] = prox_l21(T[r], lambda1 / state.mu)
+    return T
 
 
 def update_Q(state, rank_hint=None, start=None, out=None):
@@ -232,15 +239,14 @@ def _congruence(S, G, Vt):
     return RSR
 
 
-def _z_basis(X_list, S0, lambda2):
-    """The Z system's eigenbasis, built once per fit: (V, lam, XV, VtS)
-    with (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T for every mu and
-    S = lambda2 * S0 (see the module docstring), XV = Xs V and
-    VtS = V^T S (None without a graph term: lambda2 = 0 or S0 None). V is
-    in Fortran order, so V.T is C-contiguous. eigh's W is dropped as soon
-    as V exists. Raises NumericalError when
-    sum_k X_k^T X_k overflows."""
-    Xs = np.vstack(X_list)
+def _z_basis(Xs, S0, lambda2):
+    """The Z system's eigenbasis, built once per fit from the stacked
+    views Xs: (V, lam, XV, VtS) with (mu P + S)^(-1) =
+    V diag(1 / (mu + lam)) V^T for every mu and S = lambda2 * S0 (see the
+    module docstring), XV = Xs V and VtS = V^T S (None without a graph
+    term: lambda2 = 0 or S0 None). V is in Fortran order, so V.T is
+    C-contiguous. eigh's W is dropped as soon as V exists. Raises
+    NumericalError when sum_k X_k^T X_k overflows."""
     _, s, Vt = _svd(Xs)
     with np.errstate(over="ignore"):
         s2 = s * s
@@ -262,15 +268,11 @@ def _z_basis(X_list, S0, lambda2):
     return V, np.zeros(V.shape[0]), matmul(Xs, V), None
 
 
-def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
-             J=None, Q_factors=None, XVC=None, out=None):
-    """Solve the Z subproblem's normal equations (mu P + S) Z = B.
-
-    L_list holds the per-view Laplacians; it is read only to build the
-    basis, so a caller passing basis (the precomputed _z_basis of
-    S0 = sum_k (L_k + L_k^T)) may pass None. mode "as-printed" takes one step
-    of the inconsistent closed form (error-term sign flipped, -Y2
-    missing) for comparison: the derived step at -E and Y2 = 0.
+def update_Z(state, basis, out, J=None, Q_factors=None, XVC=None):
+    """Solve the Z subproblem's normal equations (mu P + S) Z = B with
+    basis, the fit's _z_basis, into out, an n x n array that serves as
+    workspace before that; the step never reads state.Z, so out may be
+    state.Z.
 
     J and Q_factors are what the fit carries from one iteration to the
     next: J = V^T (Y2 + S) for the current Y2 and Q_factors = (L, Rt)
@@ -278,40 +280,27 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
     from thin products, and J is advanced in place to its value after
     the dual step Y2 += mu (Z - Q) that follows this Z step. Without
     it, V^T D costs one dense n x n x n product. XVC, a (sum d_k) x n
-    array given with J, is overwritten with Xs V C = Xs (Z - I), which
-    that advance computes anyway: X_k Z is X_k plus its rows of it.
-
-    out, an n x n array, receives Z and serves as workspace before that;
-    the step never reads state.Z, so out may be state.Z. Given out and
-    J, the step allocates one n x n array, C.
+    array used only with J, is overwritten with Xs V C = Xs (Z - I),
+    which that advance computes anyway: Xs Z is Xs + XVC. With J the
+    step allocates one n x n array, C.
     """
-    if mode == "as-printed":
-        state = replace(state, E=[-E for E in state.E], Y2=np.zeros_like(state.Y2))
-    elif mode != "derived":
-        raise ValidationError(f"unknown Z step mode {mode!r}")
     mu = state.mu
-    T = [Y1 - mu * E for Y1, E in zip(state.Y1, state.E)]
-    if basis is None:
-        S0 = sum(L + L.T for L in L_list) if L_list else None
-        basis = _z_basis(X_list, S0, lambda2)
     V, lam, XV, VtS = basis
     Vt = V.T
-    Ts = np.vstack(T)
-    if out is None:
-        out = np.empty_like(V)
+    T = state.Y1 - mu * state.E
     # C = V^T D / (mu + lam) with D = B - mu P - S
     #   = Xs^T T + mu (Q - I) - Y2 - S
     if J is None:
         work = np.multiply(state.Q, mu, out=out)
         work -= state.Y2
-        C = XV.T @ Ts
+        C = XV.T @ T
         C += matmul(Vt, work)
         C -= np.multiply(Vt, mu, out=out)
         if VtS is not None:
             C -= VtS
     else:
         L, Rt = Q_factors
-        C = matmul(np.hstack([XV.T, mu * matmul(Vt, L)]), np.vstack([Ts, Rt]))
+        C = matmul(np.hstack([XV.T, mu * matmul(Vt, L)]), np.vstack([T, Rt]))
         C -= np.multiply(Vt, mu, out=out)
         C -= J
     C /= (mu + lam)[:, None]
@@ -322,37 +311,28 @@ def update_Z(state, X_list, L_list, lambda2, mode="derived", basis=None,
         # Y2 + mu (Z - Q) + S equals Xs^T (T - mu Xs (Z - I)) - S (Z - I),
         # and V^T S V = diag(lam)
         XVC = matmul(XV, C, out=XVC)
-        matmul(XV.T, Ts - mu * XVC, out=J)
+        matmul(XV.T, T - mu * XVC, out=J)
         C *= lam[:, None]
         J -= C
     return Z
 
 
-def update_multipliers(state, X_list, residuals=None, in_place=False):
-    """Dual ascent on Y1 (per view) and Y2, then grow mu by RHO up to MU_MAX.
-
-    residuals, when given, is the precomputed pair (R_list, R_zq) with
-    R_k = X_k - X_k Z - E_k and R_zq = Z - Q. in_place advances state.Y2
-    itself, with the bits of Y2 + mu R_zq, and scales R_zq by mu on the
-    way, so the step allocates no n x n array.
-    """
-    if residuals is None:
-        R_list = [X - X @ state.Z - E for X, E in zip(X_list, state.E)]
-        R_zq = state.Z - state.Q
-    else:
-        R_list, R_zq = residuals
-    Y1 = [Y + state.mu * R for Y, R in zip(state.Y1, R_list)]
-    if in_place:
-        R_zq *= state.mu
-        Y2 = state.Y2
-        Y2 += R_zq
-    else:
-        Y2 = state.Y2 + state.mu * R_zq
-    return Y1, Y2, min(RHO * state.mu, MU_MAX)
+def update_multipliers(state, R, R_zq):
+    """Dual ascent in place, then grow mu by RHO up to MU_MAX: Y1 += mu R
+    and Y2 += mu R_zq, with the bits of Y + mu R, for the stacked
+    residual R = X - X Z - E and R_zq = Z - Q. R and R_zq are scaled by
+    mu on the way, so the step allocates nothing. Returns (Y1, Y2, mu)."""
+    R *= state.mu
+    state.Y1 += R
+    R_zq *= state.mu
+    state.Y2 += R_zq
+    return state.Y1, state.Y2, min(RHO * state.mu, MU_MAX)
 
 
-def objective_value(state, X_list, S0, params):
-    """Objective of the full model at the current state, for diagnostics.
+def objective_value(state, rows, S0, params):
+    """Objective of the full model at the current state, for diagnostics;
+    rows are the views' row slices of state.E, whose l2,1 norm is taken
+    per view.
 
     The graph regularizer is evaluated as a pairwise double sum, not
     through the trace form the Z step uses, so this value can cross-check
@@ -364,7 +344,7 @@ def objective_value(state, X_list, S0, params):
     d_ij = ||z_i - z_j||^2 over the rows of Z.
     """
     val = nuclear_norm(state.Z)
-    val += params.lambda1 * sum(l21_norm(E) for E in state.E)
+    val += params.lambda1 * sum(l21_norm(state.E[r]) for r in rows)
     lam2 = params.effective_lambda2
     if lam2 > 0 and S0 is not None:
         val += lam2 * (-0.25 * float(np.sum(S0 * row_sq_dists(state.Z))))
@@ -374,47 +354,48 @@ def objective_value(state, X_list, S0, params):
 # an overflow shows up as non-finite residuals, which raise NumericalError
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
-    state = _init_state(X_list)
+    Xs = np.vstack(X_list)
+    rows = _view_rows(X_list)
+    state = _init_state(Xs)
     # Q lies near the row space of the stacked dictionary, whose rank is
     # at most its row count
-    rank_hint = sum(X.shape[0] for X in X_list)
-    V, lam, XV, VtS = basis = _z_basis(X_list, S0, lambda2)
-    J = XVC = None
+    rank_hint, n = Xs.shape
+    V, lam, XV, VtS = basis = _z_basis(Xs, S0, lambda2)
+    J = None
     # V^T D from the carried J and Q's factors costs about 2 (d + rank Q)
     # n^2 flops, with rank Q near d, against n^3 for the dense product
-    if 4 * rank_hint < len(lam):
+    if 4 * rank_hint < n:
         # J = V^T (Y2 + S) takes V^T S over from the basis (Y2 starts
         # at 0); update_Z advances it
         J = np.zeros_like(state.Z) if VtS is None else VtS
         basis = (V, lam, XV, None)
-        # Xs V C = Xs (Z - I), filled by update_Z, gives each X_k Z
-        XVC = np.empty((rank_hint, len(lam)))
-        view_rows = np.cumsum([X.shape[0] for X in X_list])[:-1]
         # the loop keeps Q as its factors and forms it once, on exit
         state.Q = None
     # holds M = Z + Y2 / mu for the Q step, then Z - Q; Z, Y2 and a
     # dense Q are overwritten in place (see the module docstring)
     work = np.empty_like(state.Z)
-    products = None  # X_k Z of the last residuals, reused by the next E step
+    # X - X Z for the residuals and the next E step, X while Z = 0; on
+    # the carried path update_Z first fills it with Xs V C = Xs (Z - I)
+    gap = Xs.copy()
     Rt = None  # Q's right factor, the next SVT's warm start
     for _ in range(params.max_iter):
-        state.E = update_E(state, X_list, params.lambda1, products=products)
+        state.E = update_E(state, gap, rows, params.lambda1)
         L, Rt = update_Q(state, rank_hint=rank_hint, start=Rt, out=work)
         if J is None:
             matmul(L, Rt, out=state.Q)
-        state.Z = update_Z(
-            state, X_list, None, lambda2, basis=basis, J=J, Q_factors=(L, Rt),
-            XVC=XVC, out=state.Z,
-        )
+        state.Z = update_Z(state, basis, state.Z, J=J, Q_factors=(L, Rt), XVC=gap)
         if J is None:
-            products = [X @ state.Z for X in X_list]
+            # one product per view: one Xs @ Z can round differently
+            for r in rows:
+                np.matmul(Xs[r], state.Z, out=gap[r])
             R_zq = np.subtract(state.Z, state.Q, out=work)
         else:
-            products = [X + P for X, P in zip(X_list, np.split(XVC, view_rows))]
+            gap += Xs
             R_zq = matmul(L, Rt, out=work)
             np.subtract(state.Z, R_zq, out=R_zq)
-        R_list = [X - XZ - E for X, XZ, E in zip(X_list, products, state.E)]
-        view_resids = [inf_norm(R) for R in R_list]
+        np.subtract(Xs, gap, out=gap)
+        R = gap - state.E
+        view_resids = [inf_norm(R[r]) for r in rows]
         zq_resid = inf_norm(R_zq)
         if not np.isfinite([*view_resids, zq_resid]).all():
             raise NumericalError(
@@ -427,12 +408,10 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
         state.residual_history.append((max(view_resids), zq_resid))
         if trace_objective:
             state.objective_history.append(
-                objective_value(state, X_list, S0, params)
+                objective_value(state, rows, S0, params)
             )
 
-        state.Y1, state.Y2, state.mu = update_multipliers(
-            state, X_list, residuals=(R_list, R_zq), in_place=True
-        )
+        state.Y1, state.Y2, state.mu = update_multipliers(state, R, R_zq)
         state.iteration += 1
         if max(view_resids) < params.eps and zq_resid < params.eps:
             state.converged = True

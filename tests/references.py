@@ -1,6 +1,11 @@
 """Reference implementations that only the tests use."""
 
+from dataclasses import replace
+
 import numpy as np
+
+from mvsc import solver
+from mvsc.linalg import prox_l21
 
 
 def laplacian_quadratic(L_list, Z):
@@ -40,3 +45,42 @@ def congruence(S, G, Vt):
     RSR += RSR.T
     RSR += S
     return RSR
+
+
+def z_step(state, X_list, L_list, lambda2):
+    """solver.update_Z as it once built its own basis from the per-view
+    Laplacians, S0 = sum_k (L_k + L_k^T), on every call."""
+    S0 = sum(L + L.T for L in L_list) if L_list else None
+    basis = solver._z_basis(np.vstack(X_list), S0, lambda2)
+    return solver.update_Z(state, basis, np.empty_like(state.Z))
+
+
+def as_printed_z_step(state, X_list, L_list, lambda2):
+    """One step of the closed form as the write-up prints it, with the
+    error term's sign flipped and -Y2 missing: the derived step at -E and
+    Y2 = 0. It does not satisfy the stationarity condition, and fits
+    never take it."""
+    state = replace(state, E=-state.E, Y2=np.zeros_like(state.Y2))
+    return z_step(state, X_list, L_list, lambda2)
+
+
+def update_E(state, X_list, lambda1):
+    """solver.update_E forming each X_k Z itself, one view at a time:
+    the l2,1 prox at X_k - X_k Z + Y1_k / mu, stacked."""
+    rows = solver._view_rows(X_list)
+    return np.vstack([
+        prox_l21(X - X @ state.Z + state.Y1[r] / state.mu, lambda1 / state.mu)
+        for X, r in zip(X_list, rows)
+    ])
+
+
+def update_multipliers(state, X_list):
+    """solver.update_multipliers as an allocating step that forms the
+    residuals itself: Y1 + mu R with R stacking X_k - X_k Z - E_k,
+    Y2 + mu (Z - Q), and the next mu."""
+    R = np.vstack([X - X @ state.Z for X in X_list]) - state.E
+    return (
+        state.Y1 + state.mu * R,
+        state.Y2 + state.mu * (state.Z - state.Q),
+        min(solver.RHO * state.mu, solver.MU_MAX),
+    )

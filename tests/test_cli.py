@@ -547,6 +547,37 @@ def test_overflowing_views_exit_3(variant, scale, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("mvsc: numerical failure")
 
 
+def _run_scaled_views(tmp_path, variant, transform):
+    ds = generate_synthetic(SyntheticSpec(n=60, clusters=3, dims=(20, 30, 40), seed=7))
+    ds.views = [transform(k, X) for k, X in enumerate(ds.views)]
+    manifest = write_dataset(ds, tmp_path / "data")
+    return run_cli("run", "--manifest", manifest, "--out", tmp_path / "out",
+                   "--normalize", "none", "--restarts", 1, "--variant", variant)
+
+
+@pytest.mark.parametrize("variant", ["grmsc", "grmsc-naive"])
+def test_underflowing_views_exit_3_naming_the_view(variant, tmp_path, capsys):
+    # distinct samples whose squared distances all underflow to zero are
+    # a numerical failure, not degenerate input
+    code = _run_scaled_views(tmp_path, variant, lambda k, X: 1e-165 * X)
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "mvsc: numerical failure: view 0: pairwise distances underflow to zero; "
+        "rescale the view or normalize it"
+    ]
+
+
+def test_identical_columns_exit_2(tmp_path, capsys):
+    code = _run_scaled_views(
+        tmp_path, "grmsc", lambda k, X: np.ones_like(X) if k == 1 else X
+    )
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "mvsc: validation error: median pairwise distance is zero; "
+        "kernel bandwidth undefined"
+    ]
+
+
 def test_overflow_in_split_products_exits_3_without_a_warning(tmp_path, capsys):
     # at n=400 the fit's products run in two parts on two threads; the
     # fit's errstate must hold in both, so the overflow shows only as the

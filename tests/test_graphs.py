@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
-from mvsc.errors import DegenerateInputError, ValidationError
+from mvsc.errors import DegenerateInputError, NumericalError, ValidationError
 from mvsc.graphs import (
     ConsensusGraph,
     FirstOrderGraph,
@@ -35,6 +35,28 @@ def test_gaussian_kernel_degenerate():
     X = np.ones((2, 4))
     with pytest.raises(DegenerateInputError):
         gaussian_kernel(X)
+
+
+def test_gaussian_kernel_underflow_is_a_numerical_failure():
+    # distinct columns whose squared distances all underflow to zero
+    X = 1e-165 * np.array([[0.0, 1.0, 3.0], [1.0, 2.0, 0.0]])
+    assert not pairwise_sq_dists(X).any()
+    with pytest.raises(NumericalError, match="underflow"):
+        gaussian_kernel(X)
+    with pytest.raises(NumericalError, match="underflow"):
+        first_order_proximity(X, 1)
+
+
+def test_graph_build_names_the_view_whose_distances_underflow():
+    rng = np.random.default_rng(4)
+    views = [rng.standard_normal((3, 12)), 1e-165 * rng.standard_normal((4, 12))]
+    with pytest.raises(NumericalError, match="^view 1: pairwise distances underflow"):
+        build_graph_set(views, 3, 0.1)
+    # the second-order kernel of view 1's first-order graph underflows
+    first = [first_order_proximity(X, 3) for X in views[:1]] * 2
+    first[1] = FirstOrderGraph(1e-165 * first[0].similarity, 1.0, 3)
+    with pytest.raises(NumericalError, match="^view 1: pairwise distances underflow"):
+        build_graph_set(views, 3, 0.1, first_order=first)
 
 
 def test_first_order_line_oracle():

@@ -3,15 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvsc import linalg
+from mvsc import blas, linalg
 from mvsc import solver as solver_module
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.graphs import laplacian_from_weights
-from mvsc.linalg import l21_norm, nuclear_norm, prox_l21
+from mvsc.linalg import inf_norm, l21_norm, nuclear_norm, prox_l21
 from mvsc.solver import (
     HyperParams,
     SolverState,
+    _view_rows,
     _z_basis,
     fit,
     objective_value,
@@ -21,7 +22,8 @@ from mvsc.solver import (
     update_Z,
 )
 from mvsc.spectral import affinity_from_representation, spectral_cluster
-from references import congruence, laplacian_quadratic
+import references
+from references import as_printed_z_step, congruence, laplacian_quadratic, z_step
 
 
 def random_state(rng, n, v, mu=None):
@@ -29,12 +31,24 @@ def random_state(rng, n, v, mu=None):
     state = SolverState(
         Z=rng.standard_normal((n, n)),
         Q=rng.standard_normal((n, n)),
-        E=[0.1 * rng.standard_normal(X.shape) for X in X_list],
-        Y1=[0.1 * rng.standard_normal(X.shape) for X in X_list],
+        E=np.vstack([0.1 * rng.standard_normal(X.shape) for X in X_list]),
+        Y1=np.vstack([0.1 * rng.standard_normal(X.shape) for X in X_list]),
         Y2=0.1 * rng.standard_normal((n, n)),
         mu=float(mu if mu is not None else rng.uniform(0.05, 2.0)),
     )
     return X_list, state
+
+
+def e_step(state, X_list, lambda1):
+    """The fit's E step at the state's own Z."""
+    Xs = np.vstack(X_list)
+    return update_E(state, Xs - Xs @ state.Z, _view_rows(X_list), lambda1)
+
+
+def dual_step(state, X_list):
+    """The fit's dual step at the state's own residuals."""
+    Xs = np.vstack(X_list)
+    return update_multipliers(state, Xs - Xs @ state.Z - state.E, state.Z - state.Q)
 
 
 def random_laplacians(rng, n, v):
@@ -55,9 +69,9 @@ def laplacian_sum(L_list):
 def z_subproblem_objective(Z, X_list, L_list, lambda2, state):
     """The quantity the Z step is supposed to minimize, written directly."""
     val = lambda2 * laplacian_quadratic(L_list, Z) if L_list else 0.0
-    for X, E, Y1 in zip(X_list, state.E, state.Y1):
-        R = X - X @ Z - E
-        val += float(np.sum(Y1 * R)) + state.mu / 2 * float(np.sum(R * R))
+    for X, r in zip(X_list, _view_rows(X_list)):
+        R = X - X @ Z - state.E[r]
+        val += float(np.sum(state.Y1[r] * R)) + state.mu / 2 * float(np.sum(R * R))
     RQ = Z - state.Q
     val += float(np.sum(state.Y2 * RQ)) + state.mu / 2 * float(np.sum(RQ * RQ))
     return val
@@ -83,52 +97,57 @@ def test_update_E_zero_when_reconstruction_exact():
     X = rng.standard_normal((4, 6))
     _, state = random_state(rng, 6, 1)
     state.Z = np.eye(6)  # X @ I = X
-    state.Y1 = [np.zeros_like(X)]
-    out = update_E(state, [X], lambda1=0.5)
-    assert np.all(out[0] == 0)
+    state.Y1 = np.zeros_like(X)
+    out = e_step(state, [X], lambda1=0.5)
+    assert np.all(out == 0)
 
 
 def test_update_E_vanishing_shrinkage_at_large_mu():
     rng = np.random.default_rng(1)
     X_list, state = random_state(rng, 8, 2, mu=1e9)
-    out = update_E(state, X_list, lambda1=0.5)
-    for X, E, Y1 in zip(X_list, out, state.Y1):
-        T = X - X @ state.Z + Y1 / state.mu
-        assert np.max(np.abs(E - T)) <= 0.5 / state.mu + 1e-12
+    out = e_step(state, X_list, lambda1=0.5)
+    for X, r in zip(X_list, _view_rows(X_list)):
+        T = X - X @ state.Z + state.Y1[r] / state.mu
+        assert np.max(np.abs(out[r] - T)) <= 0.5 / state.mu + 1e-12
 
 
-def test_fit_hands_residual_products_to_the_E_step(monkeypatch):
-    # from iteration 2 on, the E step reuses the X_k Z products of the
-    # previous residuals; they equal what it would compute, bit for bit
+@pytest.mark.parametrize("n, dims", [(30, (5, 6)), (300, (20, 30, 40))],
+                         ids=["n30", "n300"])
+def test_fit_hands_residual_products_to_the_E_step(n, dims, monkeypatch):
+    # the E step takes the stacked X - X Z of the previous residuals
+    # (X at the start); on the dense path it and the step's result have
+    # the bits of the per-view products X_k @ Z on separate arrays, also
+    # at n=300, where one stacked Xs @ Z would not
     ds = normalize_views(generate_synthetic(SyntheticSpec(
-        n=30, clusters=2, dims=(5, 6), subspace_rank=2, noise_sigma=0.05, seed=1,
+        n=n, clusters=2, dims=dims, subspace_rank=2, noise_sigma=0.05, seed=1,
     )), "unit_column")
-    seen = []
+    X_list = ds.views
+    ends = np.cumsum(dims).tolist()
+    calls = []
     real_update_E = solver_module.update_E
 
-    def checking_update_E(state, X_list, lambda1, products=None):
-        seen.append(products is not None)
-        if products is not None:
-            for X, XZ in zip(X_list, products):
-                assert np.array_equal(XZ, X @ state.Z)
-            assert all(np.array_equal(a, b) for a, b in zip(
-                real_update_E(state, X_list, lambda1, products=products),
-                real_update_E(state, X_list, lambda1),
-            ))
-        return real_update_E(state, X_list, lambda1, products=products)
+    def checking_update_E(state, gap, rows, lambda1):
+        calls.append(rows)
+        expected = np.vstack([X - X @ state.Z for X in X_list])
+        assert gap.tobytes() == expected.tobytes()
+        got = real_update_E(state, gap, rows, lambda1)
+        assert got.tobytes() == references.update_E(state, X_list, lambda1).tobytes()
+        return got
 
     monkeypatch.setattr(solver_module, "update_E", checking_update_E)
-    _, state = fit(ds, HyperParams(max_iter=20))
-    assert seen == [False] + [True] * (state.iteration - 1)
+    with blas.single_thread():
+        _, state = fit(ds, HyperParams(max_iter=20))
+    assert calls == [[slice(e - d, e) for d, e in zip(dims, ends)]] * state.iteration
 
 
 def test_update_E_is_the_l21_prox():
     rng = np.random.default_rng(2)
     X_list, state = random_state(rng, 7, 2)
     lam1 = 0.8
-    out = update_E(state, X_list, lam1)
-    for X, E, Y1 in zip(X_list, out, state.Y1):
-        T = X - X @ state.Z + Y1 / state.mu
+    out = e_step(state, X_list, lam1)
+    for X, r in zip(X_list, _view_rows(X_list)):
+        E = out[r]
+        T = X - X @ state.Z + state.Y1[r] / state.mu
         np.testing.assert_allclose(E, prox_l21(T, lam1 / state.mu), atol=1e-12)
         # prox optimality: beats small perturbations on the subproblem
         base = lam1 * l21_norm(E) + state.mu / 2 * np.sum((E - T) ** 2)
@@ -187,11 +206,11 @@ def test_update_Z_no_graph_closed_form():
     # lambda2=0, Y=0, E=0, Q=0 forces Z = (sum X^T X + I)^-1 sum X^T X
     rng = np.random.default_rng(6)
     X_list, state = random_state(rng, 6, 2)
-    state.E = [np.zeros_like(X) for X in X_list]
-    state.Y1 = [np.zeros_like(X) for X in X_list]
+    state.E = np.zeros_like(state.E)
+    state.Y1 = np.zeros_like(state.Y1)
     state.Y2 = np.zeros((6, 6))
     state.Q = np.zeros((6, 6))
-    Z = update_Z(state, X_list, [], 0.0)
+    Z = z_step(state, X_list, [], 0.0)
     G = sum(X.T @ X for X in X_list)
     expected = np.linalg.solve(G + np.eye(6), G)
     np.testing.assert_allclose(Z, expected, atol=1e-8)
@@ -202,11 +221,11 @@ def test_update_Z_identity_view_gives_half_identity():
     n = 5
     _, state = random_state(rng, n, 1)
     X = np.eye(n)
-    state.E = [np.zeros((n, n))]
-    state.Y1 = [np.zeros((n, n))]
+    state.E = np.zeros((n, n))
+    state.Y1 = np.zeros((n, n))
     state.Y2 = np.zeros((n, n))
     state.Q = np.zeros((n, n))
-    Z = update_Z(state, [X], [np.zeros((n, n))], 1.0)
+    Z = z_step(state, [X], [np.zeros((n, n))], 1.0)
     np.testing.assert_allclose(Z, np.eye(n) / 2, atol=1e-10)
 
 
@@ -218,7 +237,7 @@ def test_update_Z_gradient_vanishes():
         X_list, state = random_state(rng, n, v)
         L_list = random_laplacians(rng, n, v)
         lam2 = float(rng.uniform(0.1, 2.0))
-        Z = update_Z(state, X_list, L_list, lam2)
+        Z = z_step(state, X_list, L_list, lam2)
         g = fd_gradient(
             lambda Zc: z_subproblem_objective(Zc, X_list, L_list, lam2, state), Z
         )
@@ -234,7 +253,7 @@ def test_update_Z_as_printed_is_not_stationary():
         n, v = 8, 2
         X_list, state = random_state(rng, n, v)
         L_list = random_laplacians(rng, n, v)
-        Z = update_Z(state, X_list, L_list, 0.5, mode="as-printed")
+        Z = as_printed_z_step(state, X_list, L_list, 0.5)
         g = fd_gradient(
             lambda Zc: z_subproblem_objective(Zc, X_list, L_list, 0.5, state), Z
         )
@@ -259,8 +278,8 @@ def test_update_Z_matches_dense_solve(dims, n, lam2):
     rng = np.random.default_rng(12)
     X_list = [rng.standard_normal((d, n)) for d in dims]
     _, state = random_state(rng, n, len(dims))
-    state.E = [0.1 * rng.standard_normal(X.shape) for X in X_list]
-    state.Y1 = [0.1 * rng.standard_normal(X.shape) for X in X_list]
+    state.E = np.vstack([0.1 * rng.standard_normal(X.shape) for X in X_list])
+    state.Y1 = np.vstack([0.1 * rng.standard_normal(X.shape) for X in X_list])
     L_list = []
     if lam2 > 0:  # Laplacians plus an antisymmetric part: not symmetric
         skew = rng.standard_normal((len(dims), n, n))
@@ -270,20 +289,20 @@ def test_update_Z_matches_dense_solve(dims, n, lam2):
     A = mu * (np.eye(n) + gram)
     if L_list:
         A = A + lam2 * sum(L + L.T for L in L_list)
-    xty = sum(X.T @ Y1 for X, Y1 in zip(X_list, state.Y1))
-    xte = sum(X.T @ E for X, E in zip(X_list, state.E))
-    rhs = {
-        "derived": xty + mu * (gram - xte) + mu * state.Q - state.Y2,
-        "as-printed": xty + mu * gram + mu * (xte + state.Q),
-    }
-    basis = _z_basis(X_list, laplacian_sum(L_list), lam2)
-    for mode, B in rhs.items():
+    Xs = np.vstack(X_list)
+    xty = Xs.T @ state.Y1
+    xte = Xs.T @ state.E
+    derived = xty + mu * (gram - xte) + mu * state.Q - state.Y2
+    as_printed = xty + mu * gram + mu * (xte + state.Q)
+    basis = _z_basis(Xs, laplacian_sum(L_list), lam2)
+    for B, steps in (
+        (derived, [z_step(state, X_list, L_list, lam2),
+                   update_Z(state, basis, np.empty((n, n)))]),
+        (as_printed, [as_printed_z_step(state, X_list, L_list, lam2)]),
+    ):
         expected = np.linalg.solve(A, B)
         scale = np.linalg.norm(expected)
-        for got in (
-            update_Z(state, X_list, L_list, lam2, mode=mode),
-            update_Z(state, X_list, L_list, lam2, mode=mode, basis=basis),
-        ):
+        for got in steps:
             assert np.linalg.norm(got - expected) <= 1e-10 * scale
 
 
@@ -297,8 +316,8 @@ def test_z_basis_diagonalizes_the_system(dims, n, lam2):
     rng = np.random.default_rng(13)
     X_list = [rng.standard_normal((d, n)) for d in dims]
     L_list = random_laplacians(rng, n, len(dims)) if lam2 > 0 else []
-    V, lam, XV, VtS = _z_basis(X_list, laplacian_sum(L_list), lam2)
     Xs = np.vstack(X_list)
+    V, lam, XV, VtS = _z_basis(Xs, laplacian_sum(L_list), lam2)
     P = np.eye(n) + Xs.T @ Xs
     assert V.flags.f_contiguous
     np.testing.assert_allclose(V.T @ P @ V, np.eye(n), atol=1e-10)
@@ -326,39 +345,37 @@ def test_congruence_has_the_bits_of_its_expression(n, d):
 
 @pytest.mark.parametrize("carried", [False, True], ids=["dense", "carried"])
 def test_in_place_steps_keep_the_bits_of_the_allocating_ones(carried):
-    # the fit passes update_Z its state.Z as out and advances Y2 in place
+    # the fit passes update_Z its state.Z as out and advances Y1 and Y2
+    # in place
     rng = np.random.default_rng(15)
     n, lam2 = 40, 0.6
     X_list, state = random_state(rng, n, 3)
     QL = rng.standard_normal((n, 5))
     QRt = rng.standard_normal((5, n))
     state.Q = QL @ QRt
-    basis = _z_basis(X_list, laplacian_sum(random_laplacians(rng, n, 3)), lam2)
-    rows = sum(X.shape[0] for X in X_list)
+    Xs = np.vstack(X_list)
+    basis = _z_basis(Xs, laplacian_sum(random_laplacians(rng, n, 3)), lam2)
     kwargs = {}
     if carried:
-        kwargs = dict(Q_factors=(QL, QRt), XVC=np.empty((rows, n)))
+        kwargs = dict(Q_factors=(QL, QRt), XVC=np.empty_like(Xs))
         basis = (*basis[:3], None)
     J = rng.standard_normal((n, n)) if carried else None
     J_in_place = None if J is None else J.copy()
-    expected = update_Z(state, X_list, None, lam2, basis=basis, J=J, **kwargs)
+    expected = update_Z(state, basis, np.empty((n, n)), J=J, **kwargs)
     out = state.Z
-    got = update_Z(state, X_list, None, lam2, basis=basis, J=J_in_place,
-                   out=out, **kwargs)
+    got = update_Z(state, basis, out, J=J_in_place, **kwargs)
     assert got is out
     assert got.tobytes() == expected.tobytes()
     if carried:
         assert J_in_place.tobytes() == J.tobytes()
     state.Z = got
-    R_zq = state.Z - state.Q
-    residuals = ([X - X @ state.Z - E for X, E in zip(X_list, state.E)], R_zq)
-    Y1, Y2, mu = update_multipliers(state, X_list, residuals=residuals)
-    Y2_buffer = state.Y2
-    Y1_ip, Y2_ip, mu_ip = update_multipliers(
-        state, X_list, residuals=residuals, in_place=True
-    )
+    Y1, Y2, mu = references.update_multipliers(state, X_list)
+    R = np.vstack([X - X @ state.Z for X in X_list]) - state.E
+    Y1_buffer, Y2_buffer = state.Y1, state.Y2
+    Y1_ip, Y2_ip, mu_ip = update_multipliers(state, R, state.Z - state.Q)
+    assert Y1_ip is Y1_buffer and Y1_ip.tobytes() == Y1.tobytes()
     assert Y2_ip is Y2_buffer and Y2_ip.tobytes() == Y2.tobytes()
-    assert mu_ip == mu and all(a.tobytes() == b.tobytes() for a, b in zip(Y1, Y1_ip))
+    assert mu_ip == mu
 
 
 def test_update_Z_carried_products_match_dense():
@@ -371,27 +388,19 @@ def test_update_Z_carried_products_match_dense():
     QL = rng.standard_normal((n, 5))
     QRt = rng.standard_normal((5, n))
     state.Q = QL @ QRt
-    basis = _z_basis(X_list, laplacian_sum(L_list), lam2)
+    Xs = np.vstack(X_list)
+    basis = _z_basis(Xs, laplacian_sum(L_list), lam2)
     V, S = basis[0], lam2 * sum(L + L.T for L in L_list)
     J = V.T @ (state.Y2 + S)
-    expected = update_Z(state, X_list, L_list, lam2)
-    XVC = np.full((sum(X.shape[0] for X in X_list), n), np.nan)
-    got = update_Z(state, X_list, L_list, lam2, basis=basis, J=J,
-                   Q_factors=(QL, QRt), XVC=XVC)
+    expected = z_step(state, X_list, L_list, lam2)
+    XVC = np.full_like(Xs, np.nan)
+    got = update_Z(state, basis, np.empty((n, n)), J=J, Q_factors=(QL, QRt), XVC=XVC)
     assert np.linalg.norm(got - expected) <= 1e-11 * np.linalg.norm(expected)
     J_next = V.T @ (state.Y2 + state.mu * (got - state.Q) + S)
     assert np.linalg.norm(J - J_next) <= 1e-11 * np.linalg.norm(J_next)
-    # XVC comes back as Xs (Z - I), so X_k Z = X_k + its rows of XVC
-    Xs = np.vstack(X_list)
+    # XVC comes back as Xs (Z - I), so Xs Z = Xs + XVC
     XZ = Xs @ got
     assert np.linalg.norm(Xs + XVC - XZ) <= 1e-12 * np.linalg.norm(XZ)
-
-
-def test_update_Z_rejects_unknown_mode():
-    rng = np.random.default_rng(10)
-    X_list, state = random_state(rng, 4, 1)
-    with pytest.raises(ValidationError):
-        update_Z(state, X_list, [], 0.0, mode="bogus")
 
 
 # ------------------------------------------------------- multipliers, mu
@@ -401,12 +410,12 @@ def test_update_multipliers_zero_residuals():
     rng = np.random.default_rng(11)
     X_list, state = random_state(rng, 5, 1, mu=1e-4)
     X = X_list[0]
-    state.E = [X - X @ state.Z]  # residual exactly zero
+    state.E = X - X @ state.Z  # residual exactly zero
     state.Q = state.Z.copy()
-    Y1_old = [Y.copy() for Y in state.Y1]
+    Y1_old = state.Y1.copy()
     Y2_old = state.Y2.copy()
-    Y1, Y2, mu = update_multipliers(state, X_list)
-    np.testing.assert_allclose(Y1[0], Y1_old[0])
+    Y1, Y2, mu = dual_step(state, X_list)
+    np.testing.assert_allclose(Y1, Y1_old)
     np.testing.assert_allclose(Y2, Y2_old)
     assert mu == pytest.approx(1.9e-4)
 
@@ -414,17 +423,18 @@ def test_update_multipliers_zero_residuals():
 def test_mu_caps_at_mu_max():
     rng = np.random.default_rng(12)
     X_list, state = random_state(rng, 4, 1, mu=solver_module.MU_MAX)
-    _, _, mu = update_multipliers(state, X_list)
+    _, _, mu = dual_step(state, X_list)
     assert mu == solver_module.MU_MAX
 
 
 def test_update_multipliers_ascent_direction():
     rng = np.random.default_rng(13)
     X_list, state = random_state(rng, 5, 2, mu=2.0)
-    Y1, Y2, _ = update_multipliers(state, X_list)
-    for X, E, Ynew, Yold in zip(X_list, state.E, Y1, state.Y1):
-        np.testing.assert_allclose(Ynew - Yold, 2.0 * (X - X @ state.Z - E))
-    np.testing.assert_allclose(Y2 - state.Y2, 2.0 * (state.Z - state.Q))
+    Y1_old, Y2_old = state.Y1.copy(), state.Y2.copy()
+    Y1, Y2, _ = dual_step(state, X_list)
+    for X, r in zip(X_list, _view_rows(X_list)):
+        np.testing.assert_allclose(Y1[r] - Y1_old[r], 2.0 * (X - X @ state.Z - state.E[r]))
+    np.testing.assert_allclose(Y2 - Y2_old, 2.0 * (state.Z - state.Q))
 
 
 # ------------------------------------------------------------- objective
@@ -435,11 +445,12 @@ def test_objective_trivial_cases():
     X_list, state = random_state(rng, 6, 2)
     params = HyperParams(lambda1=0.7, lambda2=0.0, variant="msc-naive")
     state.Z = np.zeros((6, 6))
-    state.E = [X.copy() for X in X_list]
+    state.E = np.vstack(X_list)
+    rows = _view_rows(X_list)
     expected = 0.7 * sum(l21_norm(X) for X in X_list)
-    assert objective_value(state, X_list, None, params) == pytest.approx(expected)
-    state.E = [np.zeros_like(X) for X in X_list]
-    assert objective_value(state, X_list, None, params) == 0.0
+    assert objective_value(state, rows, None, params) == pytest.approx(expected)
+    state.E = np.zeros_like(state.E)
+    assert objective_value(state, rows, None, params) == 0.0
 
 
 def test_objective_cross_module_recomputation():
@@ -456,18 +467,19 @@ def test_objective_cross_module_recomputation():
         gs = build_graph_set(ds.views, 5, 0.01, mode=mode)
         S0 = gs.laplacian_sum
         _, state = random_state(rng, ds.n_samples, ds.n_views)
-        state.E = [0.1 * rng.standard_normal(X.shape) for X in ds.views]
+        state.E = np.vstack([0.1 * rng.standard_normal(X.shape) for X in ds.views])
+        rows = _view_rows(ds.views)
         _, fitted = fit(ds, params, laplacian_sum=S0)
         for Z in (state.Z, fitted.Z):
             state.Z = Z
-            got = objective_value(state, ds.views, S0, params)
-            rest = objective_value(state, ds.views, None, params)
+            got = objective_value(state, rows, S0, params)
+            rest = objective_value(state, rows, None, params)
             assert (got - rest) / 0.9 == pytest.approx(
                 gs.regularizer_direct(Z), rel=1e-12
             ), variant
             expected = (
                 nuclear_norm(Z)
-                + 0.4 * sum(l21_norm(E) for E in state.E)
+                + 0.4 * sum(l21_norm(state.E[r]) for r in rows)
                 + 0.9 * laplacian_quadratic(gs.laplacians, Z)
             )
             assert got == pytest.approx(expected, rel=1e-8)
@@ -570,24 +582,49 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
         )
 
 
-def _dense_update_Z(S0):
-    """The Z step with V^T D rebuilt from a dense D every iteration:
-    D = Xs^T T + mu (Q - I) - Y2 - S, S = lambda2 S0 (the fit passes
-    the basis, not the Laplacians, so S0 comes from the test). On the
-    carried path the fit keeps Q as its factors, so Q is formed here."""
+@pytest.mark.parametrize("n", [150, 300, 600])
+def test_row_views_of_the_stack_keep_the_bits_of_separate_arrays(n):
+    # what the fit takes per view on row views of its stacked arrays
+    # (the dense path's X_k Z, the l2,1 prox and norm, the inf-norm
+    # residual) has the bits of the same call on a separate array
+    rng = np.random.default_rng(n)
+    X_list = [rng.standard_normal((d, n)) for d in (20, 30, 40)]
+    Xs, rows = np.vstack(X_list), _view_rows(X_list)
+    Z = rng.standard_normal((n, n))
+    XZ = np.empty_like(Xs)
+    with blas.single_thread():
+        for X, r in zip(X_list, rows):
+            np.matmul(Xs[r], Z, out=XZ[r])
+            assert XZ[r].tobytes() == (X @ Z).tobytes()
+            assert prox_l21(Xs[r], 5.0).tobytes() == prox_l21(X, 5.0).tobytes()
+            assert l21_norm(Xs[r]) == l21_norm(X)
+            assert inf_norm(Xs[r]) == inf_norm(X)
+        # why the dense path (n <= 360 with these dims) takes one product
+        # per view: with OpenBLAS one Xs @ Z rounds some of its rows
+        # unlike the per-view products at n=300
+        if n == 300 and blas.openblas_pools():
+            stacked = Xs @ Z
+            assert any(stacked[r].tobytes() != XZ[r].tobytes() for r in rows)
 
-    def step(state, X_list, L_list, lambda2, basis=None, XVC=None,
-             Q_factors=None, **carried):
+
+def _dense_update_Z(X_list, S):
+    """The Z step with V^T D rebuilt from a dense D every iteration:
+    D = Xs^T T + mu (Q - I) - Y2 - S (the fit passes the basis, not the
+    views or the graphs, so they come from the test; S is None without a
+    graph term). On the carried path the fit keeps Q as its factors, so
+    Q is formed here."""
+    Xs = np.vstack(X_list)
+
+    def step(state, basis, out, J=None, Q_factors=None, XVC=None):
         V, lam = basis[:2]
         mu = state.mu
-        Xs = np.vstack(X_list)
-        T = np.vstack([Y1 - mu * E for Y1, E in zip(state.Y1, state.E)])
+        T = state.Y1 - mu * state.E
         Q = state.Q if state.Q is not None else Q_factors[0] @ Q_factors[1]
         D = Xs.T @ T + mu * (Q - np.eye(len(V))) - state.Y2
-        if lambda2 > 0:
-            D -= lambda2 * S0
+        if S is not None:
+            D -= S
         Z = np.eye(len(V)) + V @ ((V.T @ D) / (mu + lam)[:, None])
-        if XVC is not None:  # the carried path reads X_k Z from it
+        if J is not None:  # the carried path reads Xs Z from it
             XVC[:] = Xs @ Z - Xs
         return Z
 
@@ -617,8 +654,8 @@ def test_fit_carried_J_matches_dense_reference(variant, n, carried, monkeypatch)
     Z, state = fit(ds, params)
     assert set(seen) == {carried}
     graphs = solver_module.variant_graphs(ds, params)
-    S0 = None if graphs is None else graphs.laplacian_sum
-    monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z(S0))
+    S = None if graphs is None else params.effective_lambda2 * graphs.laplacian_sum
+    monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z(ds.views, S))
     Z_ref, state_ref = fit(ds, params)
     assert state.iteration == state_ref.iteration
     assert state.converged
@@ -655,10 +692,9 @@ def test_fit_carried_path_forms_Q_once_from_the_last_factors(monkeypatch):
     assert state.Q.tobytes() == (last[0] @ last[1]).tobytes()
 
 
-def _z_basis_from_laplacians(X_list, L_list, lambda2):
+def _z_basis_from_laplacians(Xs, L_list, lambda2):
     """The Z basis as it was built before the graph stage handed the fit
     S0: S summed from the per-view Laplacians inside the basis."""
-    Xs = np.vstack(X_list)
     _, s, Vt = linalg._svd(Xs)
     G = Vt.T * ((1.0 + s * s) ** -0.5 - 1.0)
     if lambda2 > 0 and L_list:
@@ -685,7 +721,7 @@ def test_fit_from_S0_matches_a_basis_summed_from_the_laplacians(variant, n, monk
     L_list = gs.laplacians
     monkeypatch.setattr(
         solver_module, "_z_basis",
-        lambda X_list, S0, lambda2: _z_basis_from_laplacians(X_list, L_list, lambda2),
+        lambda Xs, S0, lambda2: _z_basis_from_laplacians(Xs, L_list, lambda2),
     )
     Z_ref, state_ref = fit(ds, params, laplacian_sum=gs.laplacian_sum)
     assert state.converged and state.iteration == state_ref.iteration
@@ -696,12 +732,11 @@ def test_update_Z_from_laplacians_matches_the_basis_of_their_sum():
     rng = np.random.default_rng(17)
     X_list, state = random_state(rng, 20, 3)
     L_list = random_laplacians(rng, 20, 3)
-    for mode in ("derived", "as-printed"):
-        expected = update_Z(
-            state, X_list, None, 0.8, mode=mode,
-            basis=_z_basis_from_laplacians(X_list, L_list, 0.8),
-        )
-        assert np.array_equal(update_Z(state, X_list, L_list, 0.8, mode=mode), expected)
+    basis = _z_basis_from_laplacians(np.vstack(X_list), L_list, 0.8)
+    printed = replace(state, E=-state.E, Y2=np.zeros_like(state.Y2))
+    for step, at in ((z_step, state), (as_printed_z_step, printed)):
+        expected = update_Z(at, basis, np.empty((20, 20)))
+        assert np.array_equal(step(state, X_list, L_list, 0.8), expected)
 
 def test_fit_nuclear_norm_continuity_after_convergence():
     ds = small_dataset()
@@ -723,14 +758,14 @@ def test_block_updates_weakly_decrease_their_subproblems():
     L_list = random_laplacians(rng, 9, 2)
     lam1, lam2 = 0.6, 0.4
 
-    def e_obj(E_list):
+    def e_obj(E):
         total = 0.0
-        for X, E, Y1 in zip(X_list, E_list, state.Y1):
-            T = X - X @ state.Z + Y1 / state.mu
-            total += lam1 * l21_norm(E) + state.mu / 2 * np.sum((E - T) ** 2)
+        for X, r in zip(X_list, _view_rows(X_list)):
+            T = X - X @ state.Z + state.Y1[r] / state.mu
+            total += lam1 * l21_norm(E[r]) + state.mu / 2 * np.sum((E[r] - T) ** 2)
         return total
 
-    assert e_obj(update_E(state, X_list, lam1)) <= e_obj(state.E) + 1e-10
+    assert e_obj(e_step(state, X_list, lam1)) <= e_obj(state.E) + 1e-10
 
     M = state.Z + state.Y2 / state.mu
 
@@ -739,7 +774,7 @@ def test_block_updates_weakly_decrease_their_subproblems():
 
     assert q_obj(dense_Q(state)) <= q_obj(state.Q) + 1e-10
 
-    z_new = update_Z(state, X_list, L_list, lam2)
+    z_new = z_step(state, X_list, L_list, lam2)
     assert z_subproblem_objective(
         z_new, X_list, L_list, lam2, state
     ) <= z_subproblem_objective(state.Z, X_list, L_list, lam2, state) + 1e-10
