@@ -111,13 +111,10 @@ def test_update_E_vanishing_shrinkage_at_large_mu():
         assert np.max(np.abs(out[r] - T)) <= 0.5 / state.mu + 1e-12
 
 
-@pytest.mark.parametrize("n, dims", [(30, (5, 6)), (300, (20, 30, 40))],
-                         ids=["n30", "n300"])
-def test_fit_hands_residual_products_to_the_E_step(n, dims, monkeypatch):
+def check_residual_products_reach_the_E_step(n, dims, monkeypatch):
     # the E step takes the stacked X - X Z of the previous residuals
     # (X at the start); on the dense path it and the step's result have
-    # the bits of the per-view products X_k @ Z on separate arrays, also
-    # at n=300, where one stacked Xs @ Z would not
+    # the bits of the per-view products X_k @ Z on separate arrays
     ds = normalize_views(generate_synthetic(SyntheticSpec(
         n=n, clusters=2, dims=dims, subspace_rank=2, noise_sigma=0.05, seed=1,
     )), "unit_column")
@@ -138,6 +135,15 @@ def test_fit_hands_residual_products_to_the_E_step(n, dims, monkeypatch):
     with blas.single_thread():
         _, state = fit(ds, HyperParams(max_iter=20))
     assert calls == [[slice(e - d, e) for d, e in zip(dims, ends)]] * state.iteration
+
+
+def test_fit_hands_residual_products_to_the_E_step(monkeypatch):
+    check_residual_products_reach_the_E_step(30, (5, 6), monkeypatch)
+
+
+def test_fit_hands_residual_products_to_the_E_step_at_n300(monkeypatch):
+    # at n=300 one stacked Xs @ Z would not have the per-view bits
+    check_residual_products_reach_the_E_step(300, (20, 30, 40), monkeypatch)
 
 
 def test_update_E_is_the_l21_prox():
