@@ -14,6 +14,8 @@ The command set:
                      the reference spec, for each of the four variants
   ablate-consensus   ablate --restarts 2 --knn 30 --lambda2 10 on the
                      benchmark's ablate-consensus dataset (seed 1)
+  ablate-n600        ablate --restarts 1 at n=600, whose variants run in
+                     turn while their products split
   run-n300           run --restarts 3 --trace-residuals at n=300
   run-n600           run --restarts 1 --trace-residuals at n=600
   run-n1200          run --restarts 1 --trace-residuals at n=1200
@@ -47,6 +49,7 @@ COMMANDS = {
                                   "--dump-graphs", "--variant", v]) for v in VARIANTS},
     "ablate-consensus": ("ablate-consensus",
                          ["ablate", "--restarts", "2", "--knn", "30", "--lambda2", "10"]),
+    "ablate-n600": ("n600", ["ablate", "--restarts", "1"]),
     "run-n300": ("n300", ["run", "--restarts", "3", "--trace-residuals"]),
     "run-n600": ("n600", ["run", "--restarts", "1", "--trace-residuals"]),
     "run-n1200": ("n1200", ["run", "--restarts", "1", "--trace-residuals"]),

@@ -1,26 +1,25 @@
-"""One BLAS thread for the duration of a command.
+"""One BLAS thread for the duration of a command, and one extra thread.
 
 numpy and scipy each bundle an OpenBLAS with its own thread pool. A
 fixed count of one keeps the blocked kernels' summation order, and so
-every output byte, independent of the caller's OPENBLAS_NUM_THREADS;
-a pool of two changes the bits. Two threads are faster for a large
-product (a 1200^3 GEMM takes 59-77 ms on one, 37-42 ms on two), but
-the pool's workers spin between calls: with the pool at two, mvsc run
-at n = 1200 took 8.1 s of wall time instead of 10.2 s, and 15.5 s of
-CPU time instead of 9.4 s (2 vCPUs, medians of 3 runs). The fit's
-large products use the second CPU through linalg.matmul instead, which
-splits each into two one-thread calls by its shapes alone and runs
-them at once only inside the pin (pinned()). A one-thread OpenBLAS
-gives concurrent callers the bits it gives one.
-
-The pools are found in the process's memory map when the pin starts;
+every output byte, independent of the caller's OPENBLAS_NUM_THREADS; a
+pool of two changes the bits, and its workers spin between calls. The
+pools are found in the process's memory map when the pin starts;
 commands load only numpy's, and the one path that imports scipy pins
 again once it has. A pool's size is process-wide: threads of one
 process that run commands at once share one setting.
+
+A command uses the second CPU through pair() instead, which runs
+linalg.matmul's two parts of a large product and pipeline.in_order's
+two lanes. Its one extra thread runs one job at a time, so at most two
+threads are busy, and a one-thread OpenBLAS gives concurrent callers
+the bits it gives one.
 """
 
 import contextlib
+import contextvars
 import ctypes
+import os
 import threading
 
 # (get, set) thread-count entry points of the 64-bit-integer build numpy
@@ -55,20 +54,14 @@ def openblas_pools():
     return pools
 
 
-# single_thread() blocks open in the process, counted under the lock
-_open_pins = 0
-_pin_lock = threading.Lock()
-
-
-def _count_pin(step):
-    global _open_pins
-    with _pin_lock:
-        _open_pins += step
+# one entry per single_thread() block open in the process (a list's
+# append and pop are atomic)
+_pins = []
 
 
 def pinned():
     """Whether a single_thread() block is open in this process."""
-    return _open_pins > 0
+    return bool(_pins)
 
 
 @contextlib.contextmanager
@@ -79,10 +72,70 @@ def single_thread():
     previous = [get() for get, _ in pools]
     for _, set_ in pools:
         set_(1)
-    _count_pin(1)
+    _pins.append(None)
     try:
         yield
     finally:
-        _count_pin(-1)
+        _pins.pop()
         for (_, set_), size in zip(pools, previous):
             set_(size)
+
+
+# the extra thread, made on first use, and the lock its job holds; a
+# forked child makes both again, since it inherits neither the thread
+# nor the release of a lock held at the fork
+_worker = None
+_busy = threading.Lock()
+
+
+def _forget_worker():
+    global _worker, _busy
+    _worker, _busy = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _cpus():
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _job(context, other):
+    try:
+        context.run(other)
+    finally:
+        _busy.release()  # before the caller sees the job end
+
+
+def pair(own, other):
+    """Run other() on the extra thread, in a copy of the caller's context
+    (so its np.errstate holds there), while the caller runs own(); return
+    once both have ended, raising own's error, else other's. Outside a
+    single_thread() block, with one CPU, or while the thread runs another
+    pair's job, run other() and then own() on the caller instead."""
+    global _worker
+    if not (pinned() and _cpus() > 1 and _busy.acquire(blocking=False)):
+        try:
+            other()
+        finally:
+            own()
+        return
+    try:
+        if _worker is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="mvsc-pair")
+        job = _worker.submit(_job, contextvars.copy_context(), other)
+    except BaseException:
+        _busy.release()
+        raise
+    try:
+        own()
+    except BaseException:
+        job.exception()  # wait for other(); own's error wins
+        raise
+    job.result()

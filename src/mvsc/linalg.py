@@ -7,11 +7,9 @@ works in place, so that symmetrizing an n x n array takes no second
 n x n array.
 
 matmul is np.matmul for the fit's large products: it splits each in
-two parts by its shapes and, inside blas.single_thread(), runs the
-second on one worker thread while BLAS stays on one thread. The
-sketches and the certificate of svt_factors use it. Where in_lane is
-set (pipeline.in_order's lanes, which already keep both CPUs busy) it
-runs the two parts in turn.
+two parts by its shapes and runs them through blas.pair, on two CPUs
+when the extra thread is free, while BLAS stays on one thread. The
+sketches and the certificate of svt_factors use it.
 
 svt_factors takes one of four paths per call: the zero skip, a warm
 sketch from a start the caller passes in (the right factor of its last
@@ -20,9 +18,8 @@ the same residual certificate; a failed warm sketch falls back to the
 cold one, and a failed cold sketch to the full SVD.
 """
 
-import contextvars
 import logging
-import os
+from functools import partial
 
 import numpy as np
 
@@ -53,33 +50,6 @@ TRANSPOSE_BLOCK = 256
 # SkylakeX kernels, where plain halves of (90, 600, 600) do not.
 SPLIT_MIN_MACS = 1 << 22
 SPLIT_ALIGN = 16
-
-# True in the contexts that run pipeline.in_order's items on two lanes,
-# where matmul runs its parts in turn
-in_lane = contextvars.ContextVar("in_lane", default=False)
-
-# the worker that runs the second part of a split product, made on
-# first use (two threads making it at once leave one executor unused,
-# and an executor starts its thread at its first job); a forked child
-# makes its own
-_worker = None
-
-
-def _forget_worker():
-    global _worker
-    _worker = None
-
-
-os.register_at_fork(after_in_child=_forget_worker)
-
-
-def _cpus():
-    """Number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
-
 
 def _as_matrix(M, name="matrix"):
     M = np.asarray(M, dtype=float)
@@ -119,11 +89,9 @@ def matmul(A, B, out=None):
     middle of its rows, or of its columns when it has fewer rows than
     columns; each part is one np.matmul into its slice of out. The split
     depends on the shapes alone, so the bits do not depend on how many
-    CPUs run it. Inside blas.single_thread() with more than one CPU the
-    second part runs on the worker thread, in a copy of the caller's
-    context (so its np.errstate holds there), while the caller computes
-    the first; an error in either part reaches the caller once both
-    have ended. Inside a lane (in_lane) the parts run in turn.
+    CPUs run it. blas.pair runs the two parts, the second on the extra
+    thread when it is free (with the caller's np.errstate), and an
+    error in either reaches the caller once both have ended.
     """
     (m, k), p = A.shape, B.shape[1]
     rows = m >= p
@@ -140,22 +108,7 @@ def matmul(A, B, out=None):
         first, second = (A[:h], B, out[:h]), (A[h:], B, out[h:])
     else:
         first, second = (A, B[:, :h], out[:, :h]), (A, B[:, h:], out[:, h:])
-    if in_lane.get() or not (blas.pinned() and _cpus() > 1):
-        for a, b, part in (first, second):
-            np.matmul(a, b, out=part)
-        return out
-    global _worker
-    if _worker is None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        _worker = ThreadPoolExecutor(1, thread_name_prefix="mvsc-matmul")
-    a, b, part = second
-    job = _worker.submit(contextvars.copy_context().run, np.matmul, a, b, out=part)
-    try:
-        a, b, part = first
-        np.matmul(a, b, out=part)
-    finally:
-        job.result()
+    blas.pair(partial(np.matmul, *first), partial(np.matmul, *second))
     return out
 
 

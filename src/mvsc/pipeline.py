@@ -19,14 +19,13 @@ environment either. Inside that pin the fit's large products run in two
 parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
 so outputs do not depend on the CPU count.
 
-Below that size, where one fit's products stay whole, a command's
-independent fits use the second CPU instead: in_order maps ablate's
-variants, sweep's grid points and lrr-bsv's views over two lanes, the
-caller and one thread. Each item runs whole on one lane, so every
-output keeps its bits; results come back in item order, the error of
-the lowest failed item is raised, and the log records of each item are
-emitted after the map in item order, so stdout, stderr and the files
-are those of the plain loop.
+Below that size, where one fit's products stay whole, in_order maps
+ablate's variants, sweep's grid points and lrr-bsv's views over two
+lanes, the caller and blas.pair's extra thread. Each item runs whole on
+one lane, so every output keeps its bits; results come back in item
+order, the error of the lowest failed item is raised, and the log
+records of each item are emitted after the map in item order, so
+stdout, stderr and the files are those of the plain loop.
 """
 
 import contextvars
@@ -34,11 +33,12 @@ import csv
 import logging
 import threading
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import linalg
+from . import blas, linalg
 from .blas import single_thread
 from .data import (
     generate_synthetic, load_dataset, load_synthetic_spec, normalize_views, write_matrix,
@@ -73,7 +73,7 @@ for _name in ("data", "linalg", "spectral"):  # the package's loggers
 class _Map:
     """One in_order map over two lanes: each lane takes the next index
     under the lock until none is left or an item has failed, and runs
-    the item in a copy of the caller's context with its own record list."""
+    the item in a copy of the lane's context with its own record list."""
 
     def __init__(self, fn, items):
         self.fn, self.items = fn, items
@@ -83,19 +83,18 @@ class _Map:
         self.taken = 0
         self.lock = threading.Lock()
         self.started = threading.Event()
-        self.context = contextvars.copy_context()
 
     def run(self):
+        self.started.wait()  # see lane
         while True:
             with self.lock:
                 if self.errors or self.taken == len(self.items):
                     return
                 index = self.taken
                 self.taken += 1
-            self.context.copy().run(self._item, index)
+            contextvars.copy_context().run(self._item, index)
 
     def _item(self, index):
-        linalg.in_lane.set(True)
         _held.set(self.records[index])
         try:
             self.results[index] = self.fn(self.items[index])
@@ -106,8 +105,8 @@ class _Map:
 
 def lane(work):
     """The second lane of an in_order map: signals that it has started,
-    then runs items until none is left. in_order waits for the signal
-    before it takes an item itself, so a tracer that parents a thread's
+    then runs items until none is left. The caller's lane waits for the
+    signal before it takes an item, so a tracer that parents a thread's
     first span on the caller's open span sees this one start inside
     in_order."""
     work.started.set()
@@ -117,14 +116,13 @@ def lane(work):
 def in_order(fn, items, n_samples):
     """[fn(x) for x in items], computed on two lanes when that helps.
 
-    The lanes are the caller and one thread, and each item runs wholly
-    on one of them. They run only with two or more items, more than one
-    CPU, outside another lane, and fits of n_samples below matmul's
-    split gate (n_samples**3 < linalg.SPLIT_MIN_MACS): larger fits split
-    their own products over both CPUs, and two of their n x n working
-    sets would be live at once. Otherwise, and for a call inside a
-    lane, the items run in turn. Inside a lane matmul runs its parts in
-    turn, so no more than two threads are ever busy.
+    The lanes are the caller and blas.pair's extra thread, and each item
+    runs wholly on one of them. They run two or more items whose fits
+    are below matmul's split gate (n_samples**3 < linalg.SPLIT_MIN_MACS):
+    larger fits split their own products over both CPUs, and two of
+    their n x n working sets would be live at once. Otherwise the items
+    run in turn, as they do in a map that cannot have the thread (see
+    blas.pair), such as one inside a lane, whose lane runs inline.
 
     After a failure no new item starts; once both lanes have ended, the
     error of the lowest failed item is raised. The records an item logs
@@ -133,17 +131,10 @@ def in_order(fn, items, n_samples):
     logged them.
     """
     items = list(items)
-    if (len(items) < 2 or linalg.in_lane.get() or linalg._cpus() < 2
-            or n_samples ** 3 >= linalg.SPLIT_MIN_MACS):
+    if len(items) < 2 or n_samples ** 3 >= linalg.SPLIT_MIN_MACS:
         return [fn(x) for x in items]
     work = _Map(fn, items)
-    thread = threading.Thread(target=lane, args=(work,), name="mvsc-lane", daemon=True)
-    thread.start()
-    try:
-        work.started.wait()
-        work.run()
-    finally:
-        thread.join()
+    blas.pair(work.run, partial(lane, work))
     last = min(work.errors, default=len(items) - 1)
     for records in work.records[:last + 1]:
         for record in records:

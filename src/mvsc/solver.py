@@ -95,7 +95,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import DegenerateInputError, NumericalError, ValidationError
 from .graphs import build_graph_set, row_sq_dists
 from .linalg import (
     _svd, add_transpose, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21, svt_factors,
@@ -452,11 +452,19 @@ def fit(dataset, params, laplacian_sum=None, trace_objective=False):
     S0 builds the set here and keeps only its S0. Deterministic given
     (dataset, params). Variant lrr-bsv is plain LRR and takes one view
     at a time. Raises NumericalError when the data or the iterates
-    overflow.
+    overflow, and DegenerateInputError when every entry of the views is
+    below eps in magnitude: the absolute stopping rule would then hold
+    before any fit.
     """
     if params.variant == "lrr-bsv" and dataset.n_views != 1:
         raise ValidationError(
             f"variant lrr-bsv fits one view at a time, got {dataset.n_views} views"
+        )
+    scale = max(inf_norm(X) for X in dataset.views)
+    if scale < params.eps:
+        raise DegenerateInputError(
+            f"the views' largest entry, {scale:.3e}, is below eps = {params.eps:g}, "
+            "so the fit would stop before it starts; normalize or rescale the views"
         )
     lambda2 = params.effective_lambda2
     if lambda2 > 0 and laplacian_sum is None:

@@ -1,10 +1,13 @@
 """The one-thread BLAS pin: finds the OpenBLAS pools, sets them to one
-thread inside a command and gives each its previous size back."""
+thread inside a command and gives each its previous size back; and
+pair, which runs a second call on the one extra thread."""
 
 import json
 import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
 from mvsc import blas, pipeline
@@ -100,7 +103,7 @@ def test_commands_run_single_threaded_and_restore(two_threads, tmp_path, monkeyp
 
 
 def test_pinned_while_a_pin_is_open():
-    # linalg.matmul runs split products on two threads only inside a pin
+    # blas.pair uses the extra thread only inside a pin
     assert not blas.pinned()
     with blas.single_thread():
         assert blas.pinned()
@@ -115,7 +118,7 @@ def test_pinned_while_a_pin_is_open():
 
 
 def test_pins_opened_from_many_threads_all_close():
-    # the open-pin count is a read-modify-write shared by every thread
+    # the open pins are shared by every thread
     def pin_often():
         start.wait()
         for _ in range(50):
@@ -135,3 +138,96 @@ def test_pins_opened_from_many_threads_all_close():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not blas.pinned()
+
+
+# ------------------------------------------------------------------- pair
+def calls_on(log, name):
+    """A call that logs its name and thread."""
+    return lambda: log.append((name, threading.get_ident()))
+
+
+@pytest.mark.parametrize("case", ["unpinned", "one-cpu", "busy"])
+def test_pair_runs_other_then_own_on_the_caller(case, paired, monkeypatch):
+    log, done = [], threading.Event()
+    if case == "one-cpu":
+        monkeypatch.setattr(blas, "_cpus", lambda: 1)
+    if case == "unpinned":
+        blas.pair(calls_on(log, "own"), calls_on(log, "other"))
+    else:
+        with blas.single_thread():
+            if case == "one-cpu":
+                blas.pair(calls_on(log, "own"), calls_on(log, "other"))
+            else:
+                # the inner pair starts while the outer one's job holds the thread
+                def own():
+                    blas.pair(calls_on(log, "own"), calls_on(log, "other"))
+                    done.set()
+
+                blas.pair(own, lambda: done.wait(timeout=60))
+    me = threading.get_ident()
+    assert log == [("other", me), ("own", me)]
+    assert paired.jobs == (case == "busy")
+
+
+def test_pair_runs_other_on_the_thread_inside_a_pin(paired):
+    log = []
+    with blas.single_thread():
+        blas.pair(calls_on(log, "own"), calls_on(log, "other"))
+    threads = dict(log)
+    assert threads["own"] == threading.get_ident() != threads["other"]
+    assert paired.jobs == 1
+
+
+def failing(name, ended, delay=0.0):
+    def call():
+        time.sleep(delay)
+        ended.append(name)
+        raise ValueError(name)
+    return call
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pair_raises_owns_error_over_others_once_both_have_ended(cpus, paired,
+                                                                  monkeypatch):
+    monkeypatch.setattr(blas, "_cpus", lambda: cpus)
+    ended = []
+    with blas.single_thread():
+        with pytest.raises(ValueError, match="own"):
+            blas.pair(failing("own", ended), failing("other", ended, delay=0.2))
+        assert sorted(ended) == ["other", "own"]
+    assert paired.jobs == (cpus > 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_pair_raises_others_error_and_frees_the_thread(cpus, paired, monkeypatch):
+    monkeypatch.setattr(blas, "_cpus", lambda: cpus)
+    ended = []
+    with blas.single_thread():
+        with pytest.raises(ValueError, match="other"):
+            blas.pair(lambda: ended.append("own"), failing("other", ended))
+        assert sorted(ended) == ["other", "own"]
+        blas.pair(lambda: None, lambda: None)
+    assert paired.jobs == (2 if cpus > 1 else 0)
+
+
+def test_pair_frees_the_thread_when_the_job_cannot_be_submitted(paired):
+    submit = paired.submit
+
+    def refuse_once(*args):
+        paired.submit = submit
+        raise RuntimeError("cannot schedule new futures after shutdown")
+
+    paired.submit = refuse_once
+    with blas.single_thread():
+        with pytest.raises(RuntimeError, match="shutdown"):
+            blas.pair(lambda: None, lambda: None)
+        blas.pair(lambda: None, lambda: None)
+    assert paired.jobs == 1
+
+
+def test_pair_runs_other_under_the_callers_errstate(paired):
+    seen = []
+    with blas.single_thread(), np.errstate(over="raise", under="ignore"):
+        blas.pair(lambda: None, lambda: seen.append(np.geterr()))
+    assert paired.jobs == 1
+    assert seen[0]["over"] == "raise" and seen[0]["under"] == "ignore"

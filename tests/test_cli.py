@@ -567,6 +567,29 @@ def test_underflowing_views_exit_3_naming_the_view(variant, tmp_path, capsys):
     ]
 
 
+@pytest.mark.parametrize("variant", ["msc-naive", "lrr-bsv"])
+def test_views_below_eps_exit_2_before_the_fit(variant, tmp_path, capsys):
+    # every residual of Z = 0 would start below eps = 1e-6, and the
+    # absolute stopping rule would mark the unfitted Z converged
+    code = _run_scaled_views(tmp_path, variant, lambda k, X: 1e-8 * X)
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("mvsc: validation error: the views' largest entry")
+    assert err[0].endswith("is below eps = 1e-06, so the fit would stop before it "
+                           "starts; normalize or rescale the views")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("variant", ["grmsc", "msc-naive", "lrr-bsv"])
+def test_views_at_eps_scale_still_fit(variant, tmp_path):
+    code = _run_scaled_views(tmp_path, variant, lambda k, X: 1e-6 * X)
+    assert code == 0
+    with open(tmp_path / "out" / "report.csv") as fh:
+        row = next(csv.DictReader(fh))
+    assert row["converged"] == "1" and int(row["iterations"]) > 1
+
+
 def test_identical_columns_exit_2(tmp_path, capsys):
     code = _run_scaled_views(
         tmp_path, "grmsc", lambda k, X: np.ones_like(X) if k == 1 else X

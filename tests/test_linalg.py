@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from mvsc import linalg
+from mvsc import blas, linalg, pipeline
 from mvsc.errors import DecompositionError, ValidationError
 from mvsc.linalg import (
     add_transpose,
@@ -537,28 +537,11 @@ def test_rejects_nonfinite_input():
 SPLIT_SHAPES = [(161, 173, 157), (97, 211, 245), (450, 90, 450), (90, 600, 600)]
 
 
-class RecordingWorker:
-    """A one-thread executor that counts the jobs submitted to it."""
-
-    def __init__(self):
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.jobs = 0
-        self._pool = ThreadPoolExecutor(1)
-
-    def submit(self, *args, **kwargs):
-        self.jobs += 1
-        return self._pool.submit(*args, **kwargs)
-
-
 @pytest.fixture
-def worker(monkeypatch):
-    """Two CPUs, and a recording worker in place of matmul's."""
-    spy = RecordingWorker()
-    monkeypatch.setattr(linalg, "_worker", spy)
-    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
-    yield spy
-    spy._pool.shutdown()
+def worker(paired):
+    """Two CPUs, and a recording executor as blas.pair's extra thread,
+    which runs the second part of a split product."""
+    return paired
 
 
 def _operands(m, k, p, layout, seed=0):
@@ -582,7 +565,7 @@ def test_matmul_bits_do_not_depend_on_the_cpu_count(m, k, p, layout, with_out,
     results = []
     with linalg.single_thread():
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(linalg, "_cpus", lambda: cpus)
+            monkeypatch.setattr(blas, "_cpus", lambda: cpus)
             out = np.full((m, p), np.nan) if with_out else None
             got = linalg.matmul(A, B, out=out)
             assert got is out or out is None
@@ -649,25 +632,25 @@ def test_matmul_outside_the_pin_submits_nothing(worker):
     assert worker.jobs == 1
 
 
-def test_matmul_inside_a_lane_runs_the_split_in_turn(worker, monkeypatch):
-    # pipeline.in_order's two lanes already keep both CPUs busy: a lane's
-    # product runs its two parts one after the other, with the split's bits
-    from mvsc import pipeline
-
-    operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(SPLIT_SHAPES)]
+def test_lane_items_with_split_products_never_put_two_jobs_on_the_thread(worker,
+                                                                       monkeypatch):
+    # an in_order lane holds the extra thread while it runs, so a product
+    # on either lane runs its parts in turn until the lane has ended; the
+    # recording executor has two threads, so a second job would overlap
+    shapes = SPLIT_SHAPES * 3
+    operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(shapes)]
 
     def product(operands):
-        assert linalg.in_lane.get()
         return linalg.matmul(*operands).tobytes()
 
     with linalg.single_thread():
-        monkeypatch.setattr(linalg, "_cpus", lambda: 1)
-        expected = [linalg.matmul(A, B).tobytes() for A, B in operands]
-        monkeypatch.setattr(linalg, "_cpus", lambda: 2)
-        assert pipeline.in_order(product, operands, 150) == expected
+        monkeypatch.setattr(blas, "_cpus", lambda: 1)
+        expected = [product(ab) for ab in operands]
+        monkeypatch.setattr(blas, "_cpus", lambda: 2)
         assert worker.jobs == 0
-        linalg.matmul(*operands[0])
-    assert worker.jobs == 1
+        assert pipeline.in_order(product, operands, 150) == expected
+    assert worker.jobs >= 1
+    assert worker.most == 1
 
 
 def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatch):
@@ -675,12 +658,12 @@ def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatc
     import sys
     import threading
 
-    monkeypatch.setattr(linalg, "_cpus", lambda: 1)
+    monkeypatch.setattr(blas, "_cpus", lambda: 1)
     shapes = [(m, k, p) for m, k, p in SPLIT_SHAPES for _ in range(2)]
     operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(shapes)]
     with linalg.single_thread():
         expected = [linalg.matmul(A, B).tobytes() for A, B in operands]
-    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
+    monkeypatch.setattr(blas, "_cpus", lambda: 2)
     callers = 4
     results = [[] for _ in range(callers)]
     start = threading.Barrier(callers)
@@ -707,16 +690,24 @@ def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatc
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
 def test_matmul_in_a_forked_child_makes_its_own_worker(monkeypatch):
-    # a child forked after a split product inherits the parent's executor
-    # but not its thread; a job submitted there would never run
-    monkeypatch.setattr(linalg, "_cpus", lambda: 2)
-    A, B = _operands(*SPLIT_SHAPES[0], "C")
+    # a child forked after a two-lane map and a split product inherits
+    # the parent's executor but not its thread, and the lock that a job
+    # held; a job submitted there would never run
+    monkeypatch.setattr(blas, "_cpus", lambda: 2)
+    operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(SPLIT_SHAPES)]
+
+    def both():
+        def product(ab):
+            return linalg.matmul(*ab).tobytes()
+
+        return pipeline.in_order(product, operands, 150), product(operands[0])
+
     with linalg.single_thread():
-        expected = linalg.matmul(A, B).tobytes()
-        assert linalg._worker is not None
+        expected = both()
+        assert blas._worker is not None
         pid = os.fork()
         if pid == 0:
-            os._exit(0 if linalg.matmul(A, B).tobytes() == expected else 1)
+            os._exit(0 if both() == expected else 1)
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
             done, status = os.waitpid(pid, os.WNOHANG)
@@ -726,5 +717,5 @@ def test_matmul_in_a_forked_child_makes_its_own_worker(monkeypatch):
         else:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            pytest.fail("the forked child's split product never finished")
+            pytest.fail("the forked child's map or split product never finished")
     assert os.waitstatus_to_exitcode(status) == 0
