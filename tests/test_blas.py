@@ -2,6 +2,7 @@
 thread inside a command and gives each its previous size back; and
 pair, which runs a second call on the one extra thread."""
 
+import contextlib
 import json
 import sys
 import threading
@@ -151,19 +152,17 @@ def test_pair_runs_other_then_own_on_the_caller(case, paired, monkeypatch):
     log, done = [], threading.Event()
     if case == "one-cpu":
         monkeypatch.setattr(blas, "_cpus", lambda: 1)
-    if case == "unpinned":
-        blas.pair(calls_on(log, "own"), calls_on(log, "other"))
-    else:
-        with blas.single_thread():
-            if case == "one-cpu":
-                blas.pair(calls_on(log, "own"), calls_on(log, "other"))
-            else:
-                # the inner pair starts while the outer one's job holds the thread
-                def own():
-                    blas.pair(calls_on(log, "own"), calls_on(log, "other"))
-                    done.set()
 
-                blas.pair(own, lambda: done.wait(timeout=60))
+    def inner():
+        blas.pair(calls_on(log, "own"), calls_on(log, "other"))
+        done.set()
+
+    with contextlib.nullcontext() if case == "unpinned" else blas.single_thread():
+        if case == "busy":
+            # the inner pair starts while the outer one's job holds the thread
+            blas.pair(inner, lambda: done.wait(timeout=60))
+        else:
+            inner()
     me = threading.get_ident()
     assert log == [("other", me), ("own", me)]
     assert paired.jobs == (case == "busy")
