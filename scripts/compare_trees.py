@@ -12,6 +12,9 @@ code that differs between the checkouts and exits 1 if any does, else 0.
 The command set:
   ref-<variant>      run --restarts 10 --trace-residuals --dump-graphs on
                      the reference spec, for each of the four variants
+  ablate-ref         ablate --restarts 2 on the reference spec, whose
+                     msc-naive fit, on a lane, retries one SVD on the
+                     transpose (as ref-msc-naive does outside the lanes)
   ablate-consensus   ablate --restarts 2 --knn 30 --lambda2 10 on the
                      benchmark's ablate-consensus dataset (seed 1)
   ablate-n600        ablate --restarts 1 at n=600, whose variants run in
@@ -47,6 +50,7 @@ SPECS = {
 COMMANDS = {
     **{f"ref-{v}": ("reference", ["run", "--restarts", "10", "--trace-residuals",
                                   "--dump-graphs", "--variant", v]) for v in VARIANTS},
+    "ablate-ref": ("reference", ["ablate", "--restarts", "2"]),
     "ablate-consensus": ("ablate-consensus",
                          ["ablate", "--restarts", "2", "--knn", "30", "--lambda2", "10"]),
     "ablate-n600": ("n600", ["ablate", "--restarts", "1"]),

@@ -4,10 +4,10 @@ numpy and scipy each bundle an OpenBLAS with its own thread pool. A
 fixed count of one keeps the blocked kernels' summation order, and so
 every output byte, independent of the caller's OPENBLAS_NUM_THREADS; a
 pool of two changes the bits, and its workers spin between calls. The
-pools are found in the process's memory map when the pin starts;
-commands load only numpy's, and the one path that imports scipy pins
-again once it has. A pool's size is process-wide: threads of one
-process that run commands at once share one setting.
+pools are found in the process's memory map when the pin starts, a
+caller's scipy among them; commands import numpy alone and use only its
+pool. A pool's size is process-wide: threads of one process that run
+commands at once share one setting.
 
 A command uses the second CPU through pair() instead, which runs
 linalg.matmul's two parts of a large product and pipeline.in_order's

@@ -59,6 +59,9 @@ class MultiViewDataset:
             raise ValidationError(
                 f"cluster count must be at least 2, got {self.n_clusters}"
             )
+        for k, X in enumerate(self.views):
+            if X.ndim != 2:
+                raise ValidationError(f"view {k} is not a matrix (ndim={X.ndim})")
         n = self.views[0].shape[1]
         bad = [
             f"view {k} has {X.shape[1]} samples (expected {n})"
@@ -68,8 +71,6 @@ class MultiViewDataset:
         if bad:
             raise ValidationError("inconsistent sample counts: " + "; ".join(bad))
         for k, X in enumerate(self.views):
-            if X.ndim != 2:
-                raise ValidationError(f"view {k} is not a matrix (ndim={X.ndim})")
             if not np.all(np.isfinite(X)):
                 r, c = np.argwhere(~np.isfinite(X))[0]
                 raise ValidationError(

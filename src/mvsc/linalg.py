@@ -15,7 +15,8 @@ svt_factors takes one of four paths per call: the zero skip, a warm
 sketch from a start the caller passes in (the right factor of its last
 call), the cold seeded sketch, and the full SVD. Both sketches must pass
 the same residual certificate; a failed warm sketch falls back to the
-cold one, and a failed cold sketch to the full SVD.
+cold one, and a failed cold sketch to the full SVD. Every path runs on
+numpy alone: a gesdd that does not converge runs again on the transpose.
 """
 
 import logging
@@ -24,7 +25,6 @@ from functools import partial
 import numpy as np
 
 from . import blas
-from .blas import single_thread
 from .errors import DecompositionError, NumericalError, ValidationError
 
 logger = logging.getLogger(__name__)
@@ -113,24 +113,20 @@ def matmul(A, B, out=None):
 
 
 def _svd(M):
-    """Thin SVD with a gesvd fallback; raises NumericalError if both fail.
-
-    The fallback imports scipy only when it runs, and runs under
-    single_thread() so that the pool scipy loads is pinned too.
-    """
+    """Thin SVD by numpy's gesdd. When gesdd does not converge on M, it
+    runs on M^T, and the factors are transposed back; NumericalError,
+    naming the shape and both errors, when both fail."""
     try:
         return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as first:
         try:
-            import scipy.linalg
-
-            with single_thread():
-                return scipy.linalg.svd(M, full_matrices=False, lapack_driver="gesvd")
-        except Exception as second:
+            U, s, Vt = np.linalg.svd(M.T, full_matrices=False)
+        except np.linalg.LinAlgError as second:
             raise NumericalError(
                 f"SVD failed to converge on {M.shape} matrix "
-                f"(gesdd: {first}; gesvd: {second})"
+                f"(gesdd: {first}; gesdd on the transpose: {second})"
             ) from second
+        return Vt.T, s, U.T
 
 
 def _threshold(U, s, Vt, tau):
@@ -291,11 +287,8 @@ def solve_spd(A, B):
     1e-10 * trace(A)/n (finite arithmetic can make a PSD-by-construction
     matrix slightly indefinite); a second failure raises. The solver does
     not call it (it imports it only for perfbench/spans.py, which wraps
-    solver.solve_spd), and it imports scipy itself so that commands never
-    load it.
+    solver.solve_spd).
     """
-    import scipy.linalg
-
     A = _as_matrix(A, "A")
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
@@ -307,17 +300,17 @@ def solve_spd(A, B):
     if asym > 1e-8 * max(1.0, np.abs(A).max()):
         raise ValidationError(f"A is not symmetric (max asymmetry {asym:.3e})")
     try:
-        c, low = scipy.linalg.cho_factor(A, lower=True)
-    except scipy.linalg.LinAlgError:
+        C = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
         jitter = 1e-10 * np.trace(A) / n
         logger.warning(
             "Cholesky failed; retrying with diagonal jitter %.3e", jitter
         )
         try:
-            c, low = scipy.linalg.cho_factor(A + jitter * np.eye(n), lower=True)
-        except scipy.linalg.LinAlgError as err:
+            C = np.linalg.cholesky(A + jitter * np.eye(n))
+        except np.linalg.LinAlgError as err:
             raise DecompositionError(
                 f"matrix of size {n} is not positive definite "
                 f"(jitter {jitter:.3e} did not help)"
             ) from err
-    return scipy.linalg.cho_solve((c, low), B)
+    return np.linalg.solve(C.T, np.linalg.solve(C, B))

@@ -195,11 +195,11 @@ class EvaluationReport:
     rand_index: float
 
 
-def evaluate(pred, truth, normalization="geometric"):
+def evaluate(pred, truth):
     """All six measures at once."""
     f_score, precision, _, rand_index = pairwise_scores(pred, truth)
     return EvaluationReport(
-        nmi=nmi(pred, truth, normalization=normalization),
+        nmi=nmi(pred, truth),
         acc=accuracy(pred, truth),
         f_score=f_score,
         avgent=avgent(pred, truth),

@@ -427,12 +427,12 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
     serves the grid."""
     if not grid1 or not grid2:
         raise ValidationError("sweep grids must be non-empty")
-    dataset = resolve_dataset(config)
-    out = Path(config.out_dir)
     configs = [
         replace(config.params, lambda1=float(l1), lambda2=float(l2))
         for l1 in grid1 for l2 in grid2
     ]
+    dataset = resolve_dataset(config)
+    out = Path(config.out_dir)
     terms = _graph_terms(dataset, configs)
 
     def grid_point(params):

@@ -1,5 +1,6 @@
 """End-to-end checks of the batch CLI: artifacts, exit codes, determinism."""
 
+import ast
 import csv
 import dataclasses
 import json
@@ -320,29 +321,85 @@ def test_lane_warnings_reach_stderr_in_the_order_of_one_cpu(tmp_path):
     assert one == every
 
 
-def test_commands_load_no_scipy(spec_file, tmp_path):
-    # importing scipy cost more than half a second per process; the
-    # commands run on numpy alone
+def run_in_one_process(argvs, prelude=""):
+    """Run the mvsc commands argvs in turn in one fresh process, after the
+    Python source prelude; returns their exit codes and the scipy modules
+    loaded after `import mvsc.cli` and after each command."""
     script = (
         "import json, sys\n"
+        f"{prelude}\n"
         "import mvsc.cli\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "after_import = loaded()\n"
-        "code = mvsc.cli.main(sys.argv[1:])\n"
-        "print(json.dumps([code, after_import, loaded()]))\n"
+        "seen, codes = [loaded()], []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    codes.append(mvsc.cli.main(argv))\n"
+        "    seen.append(loaded())\n"
+        "print(json.dumps([codes, seen]))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argvs = [[str(a) for a in argv] for argv in argvs]
     done = subprocess.run(
-        [sys.executable, "-c", script, "run", "--synthetic", str(spec_file),
-         "--out", str(tmp_path / "out"), "--restarts", "2"],
-        env=env, check=True, timeout=300, capture_output=True, text=True,
+        [sys.executable, "-c", script, json.dumps(argvs)],
+        env=env, check=True, timeout=600, capture_output=True, text=True,
     )
-    code, after_import, after_run = json.loads(done.stdout.splitlines()[-1])
-    assert code == 0
-    assert after_import == []
-    assert after_run == []
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.fixture
+def reference_spec(tmp_path):
+    path = tmp_path / "reference.json"
+    path.write_text(json.dumps({"n": 150, "clusters": 3, "dims": [20, 30, 40],
+                                "subspace_rank": 3, "noise_sigma": 0.05, "seed": 7}))
+    return path
+
+
+def test_commands_load_no_scipy(spec_file, reference_spec, tmp_path):
+    # importing scipy cost more than half a second per process; the
+    # commands run on numpy alone, also where gesdd does not converge on
+    # one of msc-naive's SVT inputs at the reference spec
+    codes, seen = run_in_one_process([
+        ["run", "--synthetic", spec_file, "--out", tmp_path / "tiny", "--restarts", 2],
+        ["run", "--synthetic", reference_spec, "--out", tmp_path / "msc-naive",
+         "--restarts", 2, "--variant", "msc-naive"],
+        ["ablate", "--synthetic", reference_spec, "--out", tmp_path / "ablate",
+         "--restarts", 2],
+    ])
+    assert codes == [0, 0, 0]
+    assert seen == [[]] * 4
+
+
+def test_quick_start_runs_without_scipy(reference_spec, tmp_path):
+    # README's quick start on an install with numpy alone
+    reports = {f"report_{solver.variant_label(v)}.csv" for v in pipeline.ABLATION_ORDER}
+    commands = {
+        "run": ([], {"report.csv", "summary.csv", "labels.csv"}),
+        "ablate": (["--restarts", 10], reports | {"ablation.csv"}),
+        "sweep": (["--restarts", 5], {"sweep.csv"}),
+    }
+    codes, _ = run_in_one_process(
+        [[name, "--synthetic", reference_spec, "--out", tmp_path / name, *flags]
+         for name, (flags, _) in commands.items()],
+        prelude="sys.modules['scipy'] = None",
+    )
+    assert codes == [0, 0, 0]
+    for name, (_, files) in commands.items():
+        assert {p.name for p in (tmp_path / name).iterdir()} == files
+
+
+def test_no_module_imports_scipy():
+    imported = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "mvsc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imported += [(path.name, n) for n in names if n.split(".")[0] == "scipy"]
+    assert imported == []
 
 
 def test_trace_residuals_files(spec_file, tmp_path):
@@ -524,6 +581,16 @@ def test_non_finite_hyperparameters_exit_2(command, flag, value, spec_file,
                    "--restarts", 1, flag, value) == 2
     assert "must be finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag", [("run", "--lambda1"),
+                                           ("sweep", "--lambda1-grid")])
+def test_non_finite_lambda_exits_2_before_the_dataset_loads(command, flag,
+                                                           tmp_path, capsys):
+    # a missing manifest exits 4 once the dataset loads; lambda1 goes first
+    assert run_cli(command, "--manifest", tmp_path / "missing.json",
+                   "--out", tmp_path / "out", flag, "nan") == 2
+    assert "lambda1 must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -149,6 +149,15 @@ def test_non_integer_labels_rejected(tmp_path):
         load_dataset(manifest)
 
 
+@pytest.mark.parametrize("views, k", [
+    ([np.ones(4), np.ones((3, 4))], 0),
+    ([np.ones((3, 4)), np.ones(4)], 1),
+], ids=["first", "second"])
+def test_validate_rejects_a_1d_view(views, k):
+    with pytest.raises(ValidationError, match=f"view {k} is not a matrix \\(ndim=1\\)"):
+        MultiViewDataset(views=views, n_clusters=2).validate()
+
+
 def test_validate_rejects_cluster_count_below_two():
     ds = tiny_dataset(with_labels=False)
     ds.n_clusters = 1

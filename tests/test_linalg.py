@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from mvsc import blas, linalg, pipeline
-from mvsc.errors import DecompositionError, ValidationError
+from mvsc.errors import DecompositionError, NumericalError, ValidationError
 from mvsc.linalg import (
     add_transpose,
     inf_norm,
@@ -94,39 +94,43 @@ def _full_svt(M, tau):
     return L @ Rt
 
 
-def test_svd_fallback_runs_gesvd_on_one_thread(monkeypatch):
-    # numpy's gesdd failing once sends _svd to scipy's gesvd, which it
-    # imports then and runs with every OpenBLAS pool, scipy's too, pinned
-    import scipy.linalg
+def _failing_gesdd(monkeypatch, failures):
+    """Make np.linalg.svd raise on its first `failures` calls, recording
+    each failed input's shape."""
+    real, failed = np.linalg.svd, []
 
-    from mvsc import blas
-
-    rng = np.random.default_rng(31)
-    M = rng.standard_normal((12, 7))
-    U0, s0, Vt0 = np.linalg.svd(M, full_matrices=False)
-    real_np, real_scipy = np.linalg.svd, scipy.linalg.svd
-    failures, pool_sizes = [], []
-
-    def failing_once(*args, **kwargs):
-        if not failures:
-            failures.append(args[0].shape)
+    def svd(a, *args, **kwargs):
+        if len(failed) < failures:
+            failed.append(a.shape)
             raise np.linalg.LinAlgError("SVD did not converge")
-        return real_np(*args, **kwargs)
+        return real(a, *args, **kwargs)
 
-    def recording(*args, **kwargs):
-        pool_sizes.extend(get() for get, _ in blas.openblas_pools())
-        return real_scipy(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return failed
 
-    monkeypatch.setattr(np.linalg, "svd", failing_once)
-    monkeypatch.setattr(scipy.linalg, "svd", recording)
+
+def test_svd_retries_gesdd_on_the_transpose(monkeypatch):
+    # gesdd failing on M runs it on M^T, whose factors, transposed back,
+    # are an SVD of M
+    M = np.random.default_rng(31).standard_normal((12, 7))
+    U0, s0, Vt0 = np.linalg.svd(M, full_matrices=False)
+    failed = _failing_gesdd(monkeypatch, 1)
     U, s, Vt = linalg._svd(M)
-    assert failures == [M.shape]
-    assert pool_sizes and set(pool_sizes) == {1}
+    assert failed == [M.shape]
+    assert U.shape == U0.shape and Vt.shape == Vt0.shape
     np.testing.assert_allclose(s, s0, rtol=1e-12)
     # singular vectors agree up to the sign of each pair
     np.testing.assert_allclose(np.abs(U), np.abs(U0), atol=1e-12)
     np.testing.assert_allclose(np.abs(Vt), np.abs(Vt0), atol=1e-12)
     np.testing.assert_allclose((U * s) @ Vt, M, atol=1e-12)
+
+
+def test_svd_failing_on_both_orientations_is_a_numerical_error(monkeypatch):
+    M = np.random.default_rng(32).standard_normal((12, 7))
+    failed = _failing_gesdd(monkeypatch, 2)
+    with pytest.raises(NumericalError, match=r"\(12, 7\) matrix.*gesdd.*transpose"):
+        linalg._svd(M)
+    assert failed == [(12, 7), (7, 12)]
 
 
 def _planted(rng, shape, rank, noise):
@@ -504,6 +508,15 @@ def test_solve_spd_rejects_asymmetric():
         solve_spd(A, np.eye(2))
 
 
+def test_solve_spd_retries_a_singular_matrix_with_jitter(caplog):
+    # a PSD matrix with a zero eigenvalue fails the first factorization
+    A = np.ones((2, 2))
+    with caplog.at_level("WARNING", logger="mvsc.linalg"):
+        X = solve_spd(A, np.array([[2.0], [2.0]]))
+    assert caplog.messages == ["Cholesky failed; retrying with diagonal jitter 1.000e-10"]
+    np.testing.assert_allclose(X, np.ones((2, 1)), rtol=1e-9)
+
+
 def test_solve_spd_indefinite_fails():
     A = np.diag([1.0, -1.0])
     with pytest.raises(DecompositionError):
@@ -563,7 +576,7 @@ def test_matmul_bits_do_not_depend_on_the_cpu_count(m, k, p, layout, with_out,
     assert m * k * p >= linalg.SPLIT_MIN_MACS
     A, B = _operands(m, k, p, layout)
     results = []
-    with linalg.single_thread():
+    with blas.single_thread():
         for cpus in (1, 2, 3):
             monkeypatch.setattr(blas, "_cpus", lambda: cpus)
             out = np.full((m, p), np.nan) if with_out else None
@@ -581,7 +594,7 @@ def test_matmul_below_the_gate_is_np_matmul(m, k, p, worker):
     # n = 150's largest products, and ones with an output side too short
     # to split, run whole
     A, B = _operands(m, k, p, "C")
-    with linalg.single_thread():
+    with blas.single_thread():
         assert linalg.matmul(A, B).tobytes() == np.matmul(A, B).tobytes()
     assert worker.jobs == 0
 
@@ -591,7 +604,7 @@ def test_matmul_gram_and_overlapping_products_take_numpy_path(worker):
     # split would change; an output that overlaps an input needs numpy's
     # copy
     X = np.random.default_rng(1).standard_normal((300, 200))
-    with linalg.single_thread():
+    with blas.single_thread():
         gram = linalg.matmul(X.T, X)
         assert gram.tobytes() == np.matmul(X.T, X).tobytes()
         A, B = _operands(200, 200, 200, "C", seed=2)
@@ -609,7 +622,7 @@ def test_matmul_error_in_the_worker_reaches_the_caller(worker):
     A, B = _operands(m, k, p, "C")
     A[m // 2 + linalg.SPLIT_ALIGN:] = 1e308
     B = np.abs(B) + 1.0
-    with linalg.single_thread():
+    with blas.single_thread():
         with np.errstate(over="raise"):
             with pytest.raises(FloatingPointError, match="overflow"):
                 linalg.matmul(A, B)
@@ -627,7 +640,7 @@ def test_matmul_outside_the_pin_submits_nothing(worker):
     A, B = _operands(*SPLIT_SHAPES[0], "C")
     np.testing.assert_allclose(linalg.matmul(A, B), A @ B, rtol=1e-12, atol=1e-12)
     assert worker.jobs == 0
-    with linalg.single_thread():
+    with blas.single_thread():
         linalg.matmul(A, B)
     assert worker.jobs == 1
 
@@ -643,7 +656,7 @@ def test_lane_items_with_split_products_never_put_two_jobs_on_the_thread(worker,
     def product(operands):
         return linalg.matmul(*operands).tobytes()
 
-    with linalg.single_thread():
+    with blas.single_thread():
         monkeypatch.setattr(blas, "_cpus", lambda: 1)
         expected = [product(ab) for ab in operands]
         monkeypatch.setattr(blas, "_cpus", lambda: 2)
@@ -661,7 +674,7 @@ def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatc
     monkeypatch.setattr(blas, "_cpus", lambda: 1)
     shapes = [(m, k, p) for m, k, p in SPLIT_SHAPES for _ in range(2)]
     operands = [_operands(*shape, "C", seed=i) for i, shape in enumerate(shapes)]
-    with linalg.single_thread():
+    with blas.single_thread():
         expected = [linalg.matmul(A, B).tobytes() for A, B in operands]
     monkeypatch.setattr(blas, "_cpus", lambda: 2)
     callers = 4
@@ -676,7 +689,7 @@ def test_matmul_from_many_threads_at_once_matches_sequential_products(monkeypatc
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with linalg.single_thread():
+        with blas.single_thread():
             threads = [threading.Thread(target=run, args=(i,)) for i in range(callers)]
             for t in threads:
                 t.start()
@@ -702,7 +715,7 @@ def test_matmul_in_a_forked_child_makes_its_own_worker(monkeypatch):
 
         return pipeline.in_order(product, operands, 150), product(operands[0])
 
-    with linalg.single_thread():
+    with blas.single_thread():
         expected = both()
         assert blas._worker is not None
         pid = os.fork()
