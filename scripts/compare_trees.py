@@ -22,6 +22,11 @@ The command set:
   run-n300           run --restarts 3 --trace-residuals at n=300
   run-n600           run --restarts 1 --trace-residuals at n=600
   run-n1200          run --restarts 1 --trace-residuals at n=1200
+  run-n1200-msc-naive
+                     run --restarts 1 --variant msc-naive at n=1200, whose
+                     embedding has the smallest spectral gap (0.023) of
+                     the n=1200 fits surveyed, so the Krylov solver works
+                     hardest there
   sweep              sweep --restarts 1 on the default grid
 """
 
@@ -57,6 +62,7 @@ COMMANDS = {
     "run-n300": ("n300", ["run", "--restarts", "3", "--trace-residuals"]),
     "run-n600": ("n600", ["run", "--restarts", "1", "--trace-residuals"]),
     "run-n1200": ("n1200", ["run", "--restarts", "1", "--trace-residuals"]),
+    "run-n1200-msc-naive": ("n1200", ["run", "--restarts", "1", "--variant", "msc-naive"]),
     "sweep": ("reference", ["sweep", "--restarts", "1"]),
 }
 

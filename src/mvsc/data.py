@@ -82,7 +82,8 @@ class MultiViewDataset:
                 raise ValidationError(
                     f"labels length {labels.shape[0]} does not match n={n}"
                 )
-            distinct = len(np.unique(labels))
+            # return_inverse keeps np.unique off its numpy.ma import
+            distinct = len(np.unique(labels, return_inverse=True)[0])
             if distinct != self.n_clusters:
                 raise ValidationError(
                     f"labels have {distinct} distinct values but clusters={self.n_clusters}"

@@ -60,11 +60,20 @@ def gaussian_kernel(X):
     return _kernel_from_sq_dists(d2, X)
 
 
+def _median(values):
+    """np.median of a 1-D array, bit for bit, without its numpy.ma
+    import: values is partitioned in place, and the mean of its middle
+    pair taken (one entry twice when the count is odd)."""
+    mid = [(values.size - 1) // 2, values.size // 2]
+    values.partition(mid)
+    return float((values[mid[0]] + values[mid[1]]) / 2)
+
+
 def _kernel_from_sq_dists(d2, X):
     """gaussian_kernel from the squared distances d2 between the columns
     of X (n >= 2)."""
     iu = np.triu_indices(d2.shape[0], k=1)
-    sigma = float(np.median(np.sqrt(d2[iu])))
+    sigma = _median(np.sqrt(d2[iu]))
     if not (np.isfinite(sigma) and np.isfinite(d2).all()):
         raise NumericalError(
             "pairwise distances overflow; rescale the view or normalize it"

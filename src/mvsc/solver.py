@@ -76,7 +76,12 @@ certificate's residual.
 The large products, V C and Q's on either path, the carried path's thin
 ones and the basis's, go through linalg.matmul, which splits each in
 two parts by its shape and runs them on two CPUs, with the bits of a
-run on one.
+run on one. The n x n elementwise passes go through linalg.by_rows,
+which splits them by rows the same way: the Q step's Z + Y2 / mu, the Z
+step's mu Q - Y2 and its updates of C and J, Z - Q, the dual step's Y2
+update and the inf-norm residual's extremes. A split pass has the bits
+of the whole one. The Frobenius norms of the SVT stay whole, since a
+split sum would round differently.
 
 The penalty mu follows a fixed schedule: it starts at MU0 and grows by
 RHO per iteration up to MU_MAX.
@@ -98,7 +103,8 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ValidationError
 from .graphs import build_graph_set, row_sq_dists
 from .linalg import (
-    _svd, add_transpose, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21, svt_factors,
+    _svd, add_transpose, by_rows, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21,
+    svt_factors,
 )
 # unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
 # (SOLVER_KERNELS), and tests/test_benchmark_hooks.py pins them
@@ -223,8 +229,13 @@ def update_Q(state, rank_hint=None, start=None, out=None):
     lets the SVT sketch instead of running a full SVD; start, the Rt of
     the previous Q, lets the sketch start warm (see svt_factors). out,
     an n x n array, takes Z + Y2 / mu in place of a new one."""
-    M = np.divide(state.Y2, state.mu, out=out)
-    M += state.Z
+    M = np.empty_like(state.Z) if out is None else out
+
+    def step(r):
+        np.divide(state.Y2[r], state.mu, out=M[r])
+        M[r] += state.Z[r]
+
+    by_rows(step, M)
     return svt_factors(M, 1.0 / state.mu, rank_hint=rank_hint, start=start)
 
 
@@ -246,7 +257,8 @@ def _z_basis(Xs, S0, lambda2):
     module docstring), XV = Xs V and VtS = V^T S (None without a graph
     term: lambda2 = 0 or S0 None). V is in Fortran order, so V.T is
     C-contiguous. eigh's W is dropped as soon as V exists. Raises
-    NumericalError when sum_k X_k^T X_k overflows."""
+    NumericalError when sum_k X_k^T X_k or the graph term lambda2 * S0
+    overflows, or when eigh does not converge on the graph term."""
     _, s, Vt = _svd(Xs)
     with np.errstate(over="ignore"):
         s2 = s * s
@@ -258,7 +270,18 @@ def _z_basis(Xs, S0, lambda2):
     G = Vt.T * ((1.0 + s2) ** -0.5 - 1.0)
     if lambda2 > 0 and S0 is not None:
         S = lambda2 * S0
-        lam, W = np.linalg.eigh(_congruence(S, G, Vt))
+        if not np.isfinite(inf_norm(S)):
+            raise NumericalError(
+                f"the graph term lambda2 * S0 overflows (lambda2 = {lambda2:g}); "
+                "lower lambda2"
+            )
+        try:
+            lam, W = np.linalg.eigh(_congruence(S, G, Vt))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigendecomposition of the graph term lambda2 * S0 failed "
+                f"(lambda2 = {lambda2:g}): {exc}"
+            ) from exc
         V = np.asfortranarray(W)
         V += G @ (Vt @ W)  # V = R W
         del W  # before V^T S allocates
@@ -290,20 +313,30 @@ def update_Z(state, basis, out, J=None, Q_factors=None, XVC=None):
     T = state.Y1 - mu * state.E
     # C = V^T D / (mu + lam) with D = B - mu P - S
     #   = Xs^T T + mu (Q - I) - Y2 - S
+    scale = (mu + lam)[:, None]
     if J is None:
-        work = np.multiply(state.Q, mu, out=out)
-        work -= state.Y2
+        work = out
+
+        def q_term(r):  # mu Q - Y2
+            np.multiply(state.Q[r], mu, out=work[r])
+            work[r] -= state.Y2[r]
+
+        by_rows(q_term, work)
         C = XV.T @ T
         C += matmul(Vt, work)
-        C -= np.multiply(Vt, mu, out=out)
-        if VtS is not None:
-            C -= VtS
+        carried = VtS
     else:
         L, Rt = Q_factors
         C = matmul(np.hstack([XV.T, mu * matmul(Vt, L)]), np.vstack([T, Rt]))
-        C -= np.multiply(Vt, mu, out=out)
-        C -= J
-    C /= (mu + lam)[:, None]
+        carried = J
+
+    def finish(r):  # less mu V^T and V^T S or J, over mu + lam
+        C[r] -= np.multiply(Vt[r], mu, out=out[r])
+        if carried is not None:
+            C[r] -= carried[r]
+        C[r] /= scale[r]
+
+    by_rows(finish, C)
     Z = matmul(V, C, out=out)
     Z[np.diag_indices_from(Z)] += 1.0
     if J is not None:
@@ -312,8 +345,12 @@ def update_Z(state, basis, out, J=None, Q_factors=None, XVC=None):
         # and V^T S V = diag(lam)
         XVC = matmul(XV, C, out=XVC)
         matmul(XV.T, T - mu * XVC, out=J)
-        C *= lam[:, None]
-        J -= C
+
+        def advance(r):
+            C[r] *= lam[r, None]
+            J[r] -= C[r]
+
+        by_rows(advance, C)
     return Z
 
 
@@ -324,8 +361,12 @@ def update_multipliers(state, R, R_zq):
     mu on the way, so the step allocates nothing. Returns (Y1, Y2, mu)."""
     R *= state.mu
     state.Y1 += R
-    R_zq *= state.mu
-    state.Y2 += R_zq
+
+    def step(r):
+        R_zq[r] *= state.mu
+        state.Y2[r] += R_zq[r]
+
+    by_rows(step, R_zq)
     return state.Y1, state.Y2, min(RHO * state.mu, MU_MAX)
 
 
@@ -388,11 +429,12 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
             # one product per view: one Xs @ Z can round differently
             for r in rows:
                 np.matmul(Xs[r], state.Z, out=gap[r])
-            R_zq = np.subtract(state.Z, state.Q, out=work)
+            R_zq = work
+            by_rows(lambda r: np.subtract(state.Z[r], state.Q[r], out=R_zq[r]), R_zq)
         else:
             gap += Xs
             R_zq = matmul(L, Rt, out=work)
-            np.subtract(state.Z, R_zq, out=R_zq)
+            by_rows(lambda r: np.subtract(state.Z[r], R_zq[r], out=R_zq[r]), R_zq)
         np.subtract(Xs, gap, out=gap)
         R = gap - state.E
         view_resids = [inf_norm(R[r]) for r in rows]

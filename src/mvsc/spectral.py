@@ -7,8 +7,42 @@ k-means++ starts, each refined by Lloyd's iterations, best inertia wins.
 
 The affinity and the Laplacian take one n x n array each: they are
 scaled and symmetrized in place (linalg.add_transpose), with the bits
-of the plain expressions, so an embedding holds the affinity, the
-Laplacian and eigh's eigenvectors beside the caller's arrays.
+of the plain expressions.
+
+The embedding needs only the c = n_clusters bottom eigenvectors of the
+Laplacian L. From n = 2 * KRYLOV_COLUMNS on (and for c + 1 at most a
+quarter of KRYLOV_COLUMNS) they come from a block Krylov space of
+2I - L, whose top eigenvalues are L's bottom ones (Golub & Underwood
+1977): a seeded start block of c + 1 orthonormal columns, each new
+block orthogonalized twice against the whole basis, and a
+Rayleigh-Ritz step after every block. The result is accepted once the
+certificate holds:
+
+- every one of the c Ritz pairs (theta, x) has ||L x - theta x|| at
+  most KRYLOV_TOL, so each theta is within KRYLOV_TOL of an eigenvalue;
+- the gap after them, theta_{c+1} - r_{c+1} - theta_c with r_{c+1} the
+  (c+1)-th pair's residual, is at least KRYLOV_GAP, so the c-dimensional
+  subspace is well defined, and the Ritz vectors span it to within a
+  sin(angle) of sqrt(c) KRYLOV_TOL / KRYLOV_GAP (Davis & Kahan 1970).
+
+Otherwise, when the gap has converged below KRYLOV_GAP, the basis
+reaches KRYLOV_COLUMNS columns or stops growing (a space invariant
+under L), or n is small, numpy's eigh of L gives the vectors, as it did
+for every n before; an eigh that does not converge is a NumericalError.
+More than c zero eigenvalues (a graph with more than c components,
+vertices whose only edge is a self-loop among them) leave no gap, so
+such a graph takes eigh. So does a graph with a vertex of degree zero:
+its row of the bottom vectors is zero but for rounding, which the row
+normalization blows up, so only eigh's own rounding reproduces its
+labels.
+
+The two embeddings give the same labels: they span the same subspace to
+rounding, in different orthonormal bases, and k-means++ and Lloyd's
+iterations read only distances between the row-normalized rows, which
+an orthogonal change of basis keeps. Starts that reach the same
+partition have inertias of the same bits, so the earliest still wins.
+The Krylov path's products go through linalg.matmul, whose split does
+not depend on the CPU count, so neither does the embedding.
 
 One k-means call advances all its starts together as (starts, n)
 arrays: only the k-means++ draws run start by start, and distances are
@@ -21,8 +55,8 @@ import logging
 
 import numpy as np
 
-from .errors import ValidationError
-from .linalg import _as_matrix, add_transpose
+from .errors import NumericalError, ValidationError
+from .linalg import _as_matrix, add_transpose, matmul
 
 logger = logging.getLogger(__name__)
 
@@ -31,6 +65,15 @@ logger = logging.getLogger(__name__)
 KMEANS_STARTS = 20
 LLOYD_MAX_ITER = 300
 LLOYD_TOL = 1e-12
+
+# the embedding's block Krylov solver (see the module docstring): the
+# basis's column cap, which also sets the size rule (eigh runs below
+# n = 2 * KRYLOV_COLUMNS), each kept Ritz pair's residual tolerance, the
+# smallest certified gap after them, and the start block's seed
+KRYLOV_COLUMNS = 160
+KRYLOV_TOL = 1e-10
+KRYLOV_GAP = 1e-3
+KRYLOV_SEED = 0
 
 
 def affinity_from_representation(Z):
@@ -72,17 +115,64 @@ def normalized_laplacian(A):
     return L
 
 
+def _krylov_bottom(L, c):
+    """The c bottom eigenvectors of the symmetric L, n x c, from the
+    certified block Krylov solver of the module docstring; None when
+    the certificate does not hold."""
+    n, b = L.shape[0], c + 1
+    Q = np.empty((n, KRYLOV_COLUMNS), order="F")  # orthonormal basis
+    W = np.empty_like(Q)  # (2I - L) Q
+    T = np.empty((KRYLOV_COLUMNS, KRYLOV_COLUMNS))  # Q^T W
+    X, _ = np.linalg.qr(np.random.default_rng(KRYLOV_SEED).standard_normal((n, b)))
+    for k in range(b, KRYLOV_COLUMNS + 1, b):
+        Q[:, k - b:k] = X
+        W[:, k - b:k] = 2.0 * X - matmul(L, X)
+        Qk, Wk = Q[:, :k], W[:, :k]
+        H = Qk.T @ Wk[:, -b:]
+        T[:k, k - b:k] = H
+        T[k - b:k, :k] = H.T
+        theta, S = np.linalg.eigh(T[:k, :k])
+        # the top b Ritz pairs of 2I - L, largest first
+        theta, S = theta[::-1][:b], S[:, ::-1][:, :b]
+        res = np.linalg.norm(Wk @ S - (Qk @ S) * theta, axis=0)
+        if res[:c].max() <= KRYLOV_TOL:
+            if theta[c - 1] - theta[c] - res[c] >= KRYLOV_GAP:
+                return Qk @ S[:, :c]
+            if res[c] <= KRYLOV_TOL:
+                return None  # the gap has converged, below KRYLOV_GAP
+        Y = Wk[:, -b:] - Qk @ H
+        Y -= Qk @ (Qk.T @ Y)
+        X, R = np.linalg.qr(Y)
+        if np.abs(np.diagonal(R)).min() < KRYLOV_TOL:
+            return None  # no new direction: the space is invariant
+    return None
+
+
 def spectral_embedding(A, n_clusters):
     """Rows of the n_clusters bottom eigenvectors of the normalized
     Laplacian, row-normalized to unit length (all-zero rows are kept).
-    n_clusters is checked before the Laplacian is built."""
+    n_clusters is checked before the Laplacian is built. The vectors
+    come from the certified Krylov solver where its size rule admits it
+    and its certificate holds, else from eigh (see the module
+    docstring)."""
     n = len(A)
     if not 1 <= n_clusters <= n:
         raise ValidationError(
             f"n_clusters must lie in [1, {n}], got {n_clusters}"
         )
     L = normalized_laplacian(A)
-    vecs = np.linalg.eigh(L)[1][:, :n_clusters]
+    vecs = None
+    # a row of A without a nonzero entry is a vertex of degree zero
+    if (n >= 2 * KRYLOV_COLUMNS and 4 * (n_clusters + 1) <= KRYLOV_COLUMNS
+            and np.asarray(A).any(axis=1).all()):
+        vecs = _krylov_bottom(L, n_clusters)
+    if vecs is None:
+        try:
+            vecs = np.linalg.eigh(L)[1][:, :n_clusters]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigendecomposition of the {n} x {n} normalized Laplacian failed: {exc}"
+            ) from exc
     norms = np.linalg.norm(vecs, axis=1)
     return vecs / np.where(norms > 0, norms, 1.0)[:, None]
 
@@ -200,7 +290,7 @@ def cluster_embedding(U, n_clusters, seed):
     """Seeded k-means on a spectral embedding; returns integer labels in
     [0, n_clusters) and warns when fewer clusters come out nonempty."""
     labels, _ = kmeans(U, n_clusters, seed)
-    found = len(np.unique(labels))
+    found = np.count_nonzero(np.bincount(labels, minlength=n_clusters))
     if found < n_clusters:
         logger.warning(
             "spectral clustering produced %d nonempty clusters (asked for %d)",

@@ -36,6 +36,15 @@ def normalized_laplacian(A):
     return (L + L.T) / 2.0
 
 
+def eigh_embedding(A, n_clusters):
+    """spectral.spectral_embedding as it was before its Krylov solver:
+    eigh's n_clusters bottom eigenvectors of the normalized Laplacian,
+    rows normalized."""
+    vecs = np.linalg.eigh(normalized_laplacian(A))[1][:, :n_clusters]
+    norms = np.linalg.norm(vecs, axis=1)
+    return vecs / np.where(norms > 0, norms, 1.0)[:, None]
+
+
 def congruence(S, G, Vt):
     """R S R for R = I + G Vt as solver._congruence first wrote it, with
     numpy's RSR += RSR.T copying RSR^T."""

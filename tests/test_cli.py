@@ -321,15 +321,17 @@ def test_lane_warnings_reach_stderr_in_the_order_of_one_cpu(tmp_path):
     assert one == every
 
 
-def run_in_one_process(argvs, prelude=""):
+def run_in_one_process(argvs, prelude="", package="scipy"):
     """Run the mvsc commands argvs in turn in one fresh process, after the
-    Python source prelude; returns their exit codes and the scipy modules
-    loaded after `import mvsc.cli` and after each command."""
+    Python source prelude; returns their exit codes and the modules of
+    package (a dotted name) loaded after `import mvsc.cli` and after each
+    command."""
     script = (
         "import json, sys\n"
         f"{prelude}\n"
         "import mvsc.cli\n"
-        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        f"loaded = lambda: sorted(m for m in sys.modules if (m + '.').startswith("
+        f"{package + '.'!r}))\n"
         "seen, codes = [loaded()], []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    codes.append(mvsc.cli.main(argv))\n"
@@ -386,6 +388,17 @@ def test_quick_start_runs_without_scipy(reference_spec, tmp_path):
     assert codes == [0, 0, 0]
     for name, (_, files) in commands.items():
         assert {p.name for p in (tmp_path / name).iterdir()} == files
+
+
+def test_commands_load_no_numpy_ma(reference_spec, tmp_path):
+    # a plain np.unique or np.median imports numpy.ma, about 20 ms of
+    # every command's start; the label counts and the kernel's median
+    # do without
+    codes, seen = run_in_one_process([
+        ["run", "--synthetic", reference_spec, "--out", tmp_path / "run", "--restarts", 2],
+    ], package="numpy.ma")
+    assert codes == [0]
+    assert seen == [[], []]
 
 
 def test_no_module_imports_scipy():
@@ -655,6 +668,26 @@ def test_views_at_eps_scale_still_fit(variant, tmp_path):
     with open(tmp_path / "out" / "report.csv") as fh:
         row = next(csv.DictReader(fh))
     assert row["converged"] == "1" and int(row["iterations"]) > 1
+
+
+@pytest.mark.parametrize("spec", [
+    {"n": 12, "clusters": 3, "dims": [4, 5], "subspace_rank": 2, "noise_sigma": 0.05,
+     "seed": 1},
+    {"n": 150, "clusters": 3, "dims": [20, 30, 40], "subspace_rank": 3,
+     "noise_sigma": 0.05, "seed": 7},
+], ids=["n12", "reference"])
+def test_overflowing_graph_term_exits_3_naming_it(spec, tmp_path, capsys):
+    # lambda2 * S0 overflows; at n=12 eigh then raised LinAlgError, a
+    # traceback and exit 1, where the reference spec exited 3
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code = run_cli("run", "--synthetic", path, "--out", tmp_path / "out",
+                   "--restarts", 1, "--lambda2", "1e308")
+    assert code == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "mvsc: numerical failure: the graph term lambda2 * S0 overflows "
+        "(lambda2 = 1e+308); lower lambda2"
+    ]
 
 
 def test_identical_columns_exit_2(tmp_path, capsys):

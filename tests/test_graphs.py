@@ -82,6 +82,20 @@ def test_first_order_line_oracle():
     assert g.sigma == pytest.approx(8.5)  # median of the 10 pairwise distances
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6], ids=lambda n: f"{n * (n - 1) // 2}-pairs")
+@pytest.mark.parametrize("ties", [False, True])
+def test_kernel_bandwidth_is_np_median_bit_for_bit(n, ties):
+    # sigma is taken by partitioning, without np.median's numpy.ma
+    # import; odd and even pair counts, with tied distances or none
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((3, n)) * 10.0 ** rng.integers(-3, 3, (3, n))
+    if ties:
+        X = np.repeat(rng.standard_normal((3, 2)), (n + 1) // 2, axis=1)[:, :n]
+    d2 = pairwise_sq_dists(X)
+    expected = float(np.median(np.sqrt(d2[np.triu_indices(n, k=1)])))
+    assert gaussian_kernel(X)[1].hex() == expected.hex()
+
+
 def test_first_order_non_reciprocated_neighbor_dropped():
     # 2's nearest neighbors are 0 and 1; 10 prefers 11 and 2, but 2 does
     # not reciprocate, so no 2-10 edge survives

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -841,3 +842,52 @@ def test_algorithm_defaults():
     assert p.eps == 1e-6
     assert p.max_iter == 300
     assert p.alpha == 0.001
+
+
+# ------------------------------------------------- passes split by rows
+# linalg.by_rows splits the fit's n x n elementwise passes from
+# PASS_MIN_ENTRIES entries; a split pass has the bits of the whole one
+
+
+@pytest.mark.parametrize("variant, n", [("grmsc", 45), ("grmsc", 120), ("msc-naive", 120)],
+                         ids=["dense-n45", "carried", "carried-msc-naive"])
+def test_fit_with_every_pass_split_has_the_bits_of_one_pass(variant, n, paired,
+                                                            monkeypatch):
+    ds = small_dataset(seed=3, n=n)
+    params = HyperParams(variant=variant)
+    with blas.single_thread():
+        Z, state = fit(ds, params)
+        monkeypatch.setattr(linalg, "PASS_MIN_ENTRIES", 2)
+        Z_split, state_split = fit(ds, params)
+    assert paired.jobs > 0
+    assert Z_split.tobytes() == Z.tobytes()
+    assert state_split.residual_history == state.residual_history
+    assert state_split.view_residual_history == state.view_residual_history
+
+
+def test_fit_overflowing_in_split_passes_is_a_numerical_error(paired):
+    # n = 520 splits the n x n passes; views at 1e20 overflow the
+    # iterates, which ends the fit with NumericalError and no warning
+    ds = generate_synthetic(SyntheticSpec(n=520, clusters=3, dims=(20, 30, 40),
+                                          subspace_rank=3, noise_sigma=0.05, seed=7))
+    ds.views = [1e20 * X for X in ds.views]
+    assert 520 * 520 >= linalg.PASS_MIN_ENTRIES
+    with blas.single_thread(), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError):
+            fit(ds, HyperParams(variant="msc-naive"))
+    assert paired.jobs > 0
+
+
+def test_overflowing_graph_term_is_a_numerical_error(monkeypatch):
+    ds = small_dataset(seed=3, n=45)
+    params = HyperParams(lambda2=1e308)
+    with pytest.raises(NumericalError, match=r"graph term lambda2 \* S0 overflows"):
+        fit(ds, params)
+
+    def fails(A):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericalError, match=r"eigendecomposition of the graph term"):
+        fit(ds, replace(params, lambda2=1.0))

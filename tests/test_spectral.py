@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from mvsc import spectral
+from mvsc import blas, linalg, spectral
 from mvsc.blas import single_thread
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
-from mvsc.errors import ValidationError
+from mvsc.errors import NumericalError, ValidationError
 from mvsc.linalg import _as_matrix
 from mvsc.metrics import accuracy
 from mvsc.solver import VARIANTS, HyperParams, fit
@@ -431,3 +431,126 @@ def test_kmeans_distances_built_one_center_column_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < KMEANS_STARTS * n * k * dim * 8 / 4
+
+
+# ------------------------------------------------ the embedding's Krylov solver
+# From n = 2 * KRYLOV_COLUMNS the embedding takes the certified block
+# Krylov solver, else eigh; references.eigh_embedding is the embedding
+# as eigh alone gave it.
+
+KRYLOV_N = 2 * spectral.KRYLOV_COLUMNS
+BLOCKS = [KRYLOV_N // 3, KRYLOV_N // 3 + 7, KRYLOV_N - 2 * (KRYLOV_N // 3) - 7]
+
+
+@pytest.fixture
+def krylov_calls(monkeypatch):
+    """The (n, c) of every call of the Krylov solver, and its result:
+    None when it fell back."""
+    calls = []
+    real = spectral._krylov_bottom
+
+    def recording(L, c):
+        vecs = real(L, c)
+        calls.append((L.shape[0], c, vecs is not None))
+        return vecs
+
+    monkeypatch.setattr(spectral, "_krylov_bottom", recording)
+    return calls
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.4])
+def test_krylov_subspace_matches_eigh(noise):
+    A = _block_affinity(np.random.default_rng(12), BLOCKS, noise=noise)
+    L = normalized_laplacian(A)
+    X = spectral._krylov_bottom(L, 3)
+    assert X is not None
+    V = np.linalg.eigh(L)[1][:, :3]
+    # the cosines of the principal angles between the two subspaces
+    cosines = np.linalg.svd(V.T @ X, compute_uv=False)
+    np.testing.assert_allclose(cosines, 1.0, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("noise", [0.05, 0.4, 0.9])
+def test_krylov_embedding_gives_the_labels_of_eigh(noise, krylov_calls):
+    A = _block_affinity(np.random.default_rng(13), BLOCKS, noise=noise)
+    U = spectral_embedding(A, 3)
+    assert krylov_calls == [(KRYLOV_N, 3, True)]
+    reference = references.eigh_embedding(A, 3)
+    for seed in range(5):
+        np.testing.assert_array_equal(
+            spectral.cluster_embedding(U, 3, seed),
+            spectral.cluster_embedding(reference, 3, seed),
+        )
+
+
+def test_krylov_embedding_repeats_bit_for_bit_on_any_cpu_count(paired, monkeypatch):
+    # n = 1040 is the size from which L X, n x n x 4, reaches matmul's gate
+    A = _block_affinity(np.random.default_rng(14), [340, 350, 350], noise=0.3)
+    assert 1040 * 1040 * 4 >= linalg.SPLIT_MIN_MACS
+    results = []
+    with single_thread():
+        for cpus in (1, 2, 2):
+            monkeypatch.setattr(blas, "_cpus", lambda: cpus)
+            results.append(spectral_embedding(A, 3).tobytes())
+    assert paired.jobs > 0  # the Krylov products split on two CPUs
+    assert results[0] == results[1] == results[2]
+
+
+def test_more_components_than_clusters_fall_back_to_eigh(krylov_calls, monkeypatch):
+    # c + 1 components: c + 1 zero eigenvalues leave no gap after the c-th
+    sizes = [KRYLOV_N // 4 + 1] * 4
+    A = _block_affinity(np.random.default_rng(15), sizes)
+    products = []
+    real = spectral.matmul
+    monkeypatch.setattr(spectral, "matmul", lambda L, X: products.append(1) or real(L, X))
+    assert spectral_embedding(A, 3).tobytes() == references.eigh_embedding(A, 3).tobytes()
+    assert krylov_calls == [(sum(sizes), 3, False)]
+    # the zero gap converges within a few blocks, and the solver stops
+    # there, not at its column cap of KRYLOV_COLUMNS / 4 blocks
+    assert len(products) < spectral.KRYLOV_COLUMNS // 4
+
+
+def test_isolated_vertices_fall_back_to_eigh(krylov_calls):
+    A = _block_affinity(np.random.default_rng(16), BLOCKS)
+    # vertices whose only edge is a self-loop are components of their own,
+    # here two more than the three blocks
+    A[:2] = A[:, :2] = 0.0
+    A[0, 0] = A[1, 1] = 1.0
+    assert spectral_embedding(A, 3).tobytes() == references.eigh_embedding(A, 3).tobytes()
+    assert krylov_calls == [(KRYLOV_N, 3, False)]
+    # a vertex without any edge: its rows are rounding, which only eigh
+    # reproduces, so the solver is not tried
+    A[0, 0] = 0.0
+    assert spectral_embedding(A, 3).tobytes() == references.eigh_embedding(A, 3).tobytes()
+    assert len(krylov_calls) == 1
+
+
+def test_unconverged_krylov_basis_falls_back_to_eigh(krylov_calls, monkeypatch):
+    A = _block_affinity(np.random.default_rng(17), BLOCKS, noise=0.4)
+    monkeypatch.setattr(spectral, "KRYLOV_TOL", 0.0)
+    assert spectral_embedding(A, 3).tobytes() == references.eigh_embedding(A, 3).tobytes()
+    assert krylov_calls == [(KRYLOV_N, 3, False)]
+
+
+def test_krylov_size_rule(krylov_calls):
+    # the solver runs from n = 2 * KRYLOV_COLUMNS while 4 (c + 1) columns
+    # fit the basis; smaller problems take eigh, as before
+    rng = np.random.default_rng(18)
+    small = _block_affinity(rng, [KRYLOV_N // 2, KRYLOV_N // 2 - 1], noise=0.05)
+    assert spectral_embedding(small, 2).tobytes() == references.eigh_embedding(small, 2).tobytes()
+    assert krylov_calls == []
+    A = _block_affinity(rng, BLOCKS, noise=0.05)
+    widest = spectral.KRYLOV_COLUMNS // 4 - 1
+    for c in (2, widest, widest + 1):
+        spectral_embedding(A, c)
+    assert [call[:2] for call in krylov_calls] == [(KRYLOV_N, 2), (KRYLOV_N, widest)]
+
+
+def test_eigh_failure_is_a_numerical_error(monkeypatch):
+    def fails(L):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fails)
+    with pytest.raises(NumericalError, match="normalized Laplacian failed"):
+        spectral_embedding(_block_affinity(np.random.default_rng(19), [5, 6]), 2)
+
