@@ -20,6 +20,9 @@ The command set:
   ablate-n600        ablate --restarts 1 at n=600, whose variants run in
                      turn while their products split
   run-n300           run --restarts 3 --trace-residuals at n=300
+  run-n400           run --restarts 1 --trace-residuals at n=400, where
+                     4 (sum d + 10) = n: the smallest fit whose SVT
+                     sketches, each from a start narrower than the hint
   run-n600           run --restarts 1 --trace-residuals at n=600
   run-n1200          run --restarts 1 --trace-residuals at n=1200
   run-n1200-msc-naive
@@ -27,6 +30,10 @@ The command set:
                      embedding has the smallest spectral gap (0.023) of
                      the n=1200 fits surveyed, so the Krylov solver works
                      hardest there
+  run-n1200-grmsc-naive
+                     run --restarts 1 --variant grmsc-naive at n=1200,
+                     whose SVT sketches fail the certificate from
+                     iteration 20 and end in the full SVD
   sweep              sweep --restarts 1 on the default grid
 """
 
@@ -47,6 +54,7 @@ SPECS = {
     "reference": REFERENCE,
     "ablate-consensus": dict(REFERENCE, noise_sigma=0.15, consensus_fraction=0.6, seed=1),
     "n300": dict(REFERENCE, n=300),
+    "n400": dict(REFERENCE, n=400),
     "n600": dict(REFERENCE, n=600),
     "n1200": dict(REFERENCE, n=1200),
 }
@@ -60,9 +68,12 @@ COMMANDS = {
                          ["ablate", "--restarts", "2", "--knn", "30", "--lambda2", "10"]),
     "ablate-n600": ("n600", ["ablate", "--restarts", "1"]),
     "run-n300": ("n300", ["run", "--restarts", "3", "--trace-residuals"]),
+    "run-n400": ("n400", ["run", "--restarts", "1", "--trace-residuals"]),
     "run-n600": ("n600", ["run", "--restarts", "1", "--trace-residuals"]),
     "run-n1200": ("n1200", ["run", "--restarts", "1", "--trace-residuals"]),
     "run-n1200-msc-naive": ("n1200", ["run", "--restarts", "1", "--variant", "msc-naive"]),
+    "run-n1200-grmsc-naive": ("n1200",
+                              ["run", "--restarts", "1", "--variant", "grmsc-naive"]),
     "sweep": ("reference", ["sweep", "--restarts", "1"]),
 }
 

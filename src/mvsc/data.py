@@ -194,13 +194,29 @@ def write_dataset(ds, out_dir):
     return path
 
 
+def _binary_rescaled(A, stat, axis):
+    """stat(A, axis=axis) per column (axis 0) or row (axis 1) of A. A line
+    whose value is 0 or inf while its entries are finite and not all zero
+    is scaled in place by the power of two that brings its largest entry
+    into [0.5, 1), which is exact, and its value is taken again."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        value = stat(A, axis=axis)
+        bad = ((value == 0) | np.isinf(value)) & np.isfinite(A).all(axis) & A.any(axis)
+        if bad.any():
+            exponent = np.frexp(np.abs(A).max(axis=axis))[1]
+            A[...] = np.ldexp(A, np.expand_dims(np.where(bad, -exponent, 0), axis))
+            value = stat(A, axis=axis)
+    return value
+
+
 def normalize_views(ds, mode):
     """Return a dataset with per-view normalization applied.
 
     unit_column scales every sample column to unit Euclidean norm (zero
     columns pass through with a warning); zscore_feature centers each
     feature row and divides by its standard deviation (constant rows are
-    only centered).
+    only centered). A norm or std that overflows or underflows is taken
+    again on its line rescaled by a power of two (_binary_rescaled).
     """
     if mode not in NORMALIZE_MODES:
         raise ValidationError(f"unknown normalize mode {mode!r}; one of {NORMALIZE_MODES}")
@@ -208,9 +224,9 @@ def normalize_views(ds, mode):
         return ds
     views = []
     for k, X in enumerate(ds.views):
-        X = X.copy()
         if mode == "unit_column":
-            norms = np.linalg.norm(X, axis=0)
+            X = X.copy()
+            norms = _binary_rescaled(X, np.linalg.norm, 0)
             zero = norms == 0
             if zero.any():
                 logger.warning(
@@ -219,7 +235,7 @@ def normalize_views(ds, mode):
             X = X / np.where(zero, 1.0, norms)[None, :]
         else:  # zscore_feature
             X = X - X.mean(axis=1, keepdims=True)
-            sd = X.std(axis=1)
+            sd = _binary_rescaled(X, np.std, 1)
             X = X / np.where(sd > 0, sd, 1.0)[:, None]
         views.append(X)
     return replace(ds, views=views)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .data import write_matrix
 from .errors import DegenerateInputError, NumericalError, ValidationError
+from .linalg import inf_norm
 
 # Consensus entries at or below this are treated as zero when forming the
 # support: products of several kernels underflow easily.
@@ -296,7 +297,8 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None,
     Laplacian (and in mode "fused" its second-order graph) are folded
     into S0 and dropped before the next view's are formed. dump_dir
     receives the graphs as CSV, each second-order one while the build
-    holds it; a build that fails partway leaves what it has written.
+    holds it; a build that fails partway leaves what it has written, and
+    one whose S0 overflows raises NumericalError naming the view and alpha.
     """
     if mode not in ("fused", "first_order"):
         raise ValidationError(f"unknown graph mode {mode!r}")
@@ -330,9 +332,13 @@ def build_graph_set(views, knn, alpha, mode="fused", first_order=None,
     for W, ups in _view_weights(first, cons, alpha):
         if dump_dir is not None and ups is not None:
             write_matrix(out / f"second_order_view{k}.csv", ups.similarity)
-        L = laplacian_from_weights(W)
-        S0 += L + L.T
+        with np.errstate(over="ignore", invalid="ignore"):
+            L = laplacian_from_weights(W)
+            S0 += L + L.T
         del W, ups, L
+        if not np.isfinite(inf_norm(S0)):
+            raise NumericalError(f"view {k}: the graph term S0 overflows "
+                                 f"(alpha = {alpha:g}); lower alpha")
         k += 1
     return GraphSet(
         first_order=first, laplacian_sum=S0, alpha=alpha, mode=mode, consensus=cons

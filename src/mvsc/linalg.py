@@ -9,17 +9,17 @@ no second n x n array.
 matmul is np.matmul for the fit's large products: it splits each in
 two parts by its shapes and runs them through blas.pair, on two CPUs
 when the extra thread is free, while BLAS stays on one thread. The
-sketches and the certificate of svt_factors use it. by_rows does the
+sketch and the certificate of svt_factors use it. by_rows does the
 same for the fit's n x n elementwise passes and inf_norm's extremes:
 each element's arithmetic does not depend on which row half it is in,
 so a split pass has the bits of the whole one.
 
-svt_factors takes one of four paths per call: the zero skip, a warm
-sketch from a start the caller passes in (the right factor of its last
-call), the cold seeded sketch, and the full SVD. Both sketches must pass
-the same residual certificate; a failed warm sketch falls back to the
-cold one, and a failed cold sketch to the full SVD. Every path runs on
-numpy alone: a gesdd that does not converge runs again on the transpose.
+svt_factors takes one of three paths per call: the zero skip, one
+sketch from the start the caller passes in (the right factor of its last
+call), padded with seeded Gaussian directions, and the full SVD. The
+sketch must pass a residual certificate; when it fails, the full SVD
+runs. Every path runs on numpy alone: a gesdd that does not converge
+runs again on the transpose.
 """
 
 import logging
@@ -33,12 +33,11 @@ from .errors import DecompositionError, NumericalError, ValidationError
 logger = logging.getLogger(__name__)
 
 # Rank-aware svt: the zero skip's relative margin, the sketch's
-# oversampling beyond the rank hint, the cold sketch's power iterations,
-# its size gate SKETCH_RATIO * (hint + SKETCH_OVERSAMPLE) <= min(M.shape)
-# (below it a full SVD costs about as much) and its fixed seed.
+# oversampling beyond the rank hint, its size gate
+# SKETCH_RATIO * (hint + SKETCH_OVERSAMPLE) <= min(M.shape) (below it a
+# full SVD costs about as much) and the seed of its padding.
 SKIP_MARGIN = 1e-12
 SKETCH_OVERSAMPLE = 10
-SKETCH_POWER_ITERS = 2
 SKETCH_RATIO = 4
 SKETCH_SEED = 0
 
@@ -167,44 +166,17 @@ def _threshold(U, s, Vt, tau):
     return U[:, keep] * s[keep], Vt[keep, :]
 
 
-def _sketch_range(M, k):
-    """Orthonormal p x k basis approximating the range of M: a seeded
-    Gaussian range finder with QR-re-orthonormalized power iterations
-    (Halko, Martinsson & Tropp 2011, Algorithm 4.4)."""
-    omega = np.random.default_rng(SKETCH_SEED).standard_normal((M.shape[1], k))
-    U, _ = np.linalg.qr(matmul(M, omega))
-    for _ in range(SKETCH_POWER_ITERS):
-        W, _ = np.linalg.qr(matmul(M.T, U))
-        U, _ = np.linalg.qr(matmul(M, W))
-    return U
-
-
-def _warm_range(M, start, k):
-    """Orthonormal p x k basis from one power step on a start: the first
-    k rows of start, transposed, as the test matrix (padded with seeded
-    Gaussian columns when start has fewer rows), and one QR of M M^T M
-    times it (Halko, Martinsson & Tropp 2011, Algorithm 4.3)."""
-    omega = start[:k].T
+def _sketch_range(M, start, k):
+    """Orthonormal p x k basis from one power step and one QR, qr(M M^T M
+    Omega) (Halko, Martinsson & Tropp 2011, Algorithm 4.3): Omega is the
+    first k rows of start (none when it is None), transposed and padded
+    with seeded Gaussian columns to k."""
+    omega = (M[:0] if start is None else start)[:k].T
     if omega.shape[1] < k:
-        pad = np.random.default_rng(SKETCH_SEED).standard_normal(
-            (M.shape[1], k - omega.shape[1])
-        )
-        omega = np.hstack([omega, pad])
+        rng = np.random.default_rng(SKETCH_SEED)
+        omega = np.hstack([omega, rng.standard_normal((M.shape[1], k - omega.shape[1]))])
     U, _ = np.linalg.qr(matmul(M, matmul(M.T, matmul(M, omega))))
     return U
-
-
-def _certified(M, U, tau):
-    """svt of M through the basis U, or None when U fails the
-    certificate ||M - U U^T M||_F <= tau."""
-    B = matmul(U.T, M)
-    R = matmul(U, B)
-    by_rows(lambda r: np.subtract(M[r], R[r], out=R[r]), R)
-    if np.linalg.norm(R) > tau:
-        return None
-    del R
-    Ub, s, Vt = _svd(B)
-    return _threshold(U @ Ub, s, Vt, tau)
 
 
 def svt_factors(M, tau, rank_hint=None, start=None):
@@ -213,30 +185,29 @@ def svt_factors(M, tau, rank_hint=None, start=None):
 
     Q = U diag(max(s - tau, 0)) Vt is the unique minimizer of
     tau*||Q||_* + 0.5*||Q - M||_F^2; L = U diag(max(s - tau, 0)) and
-    Rt = Vt keep only the surviving triplets. Four paths, chosen per call:
+    Rt = Vt keep only the surviving triplets. Three paths, chosen per
+    call:
 
     - zero skip: ||M||_F <= tau (less a 1e-12 relative margin) bounds
       sigma_1 by tau, so Q = 0 exactly (factors of width 0) and no SVD
       runs;
-    - warm: given rank_hint h with 4 (h + 10) <= min(M.shape) and a start
-      of at least h rows (the Rt of the previous call on a nearby
-      matrix), one power step from start's first h + 10 rows and one QR
-      give the basis U; it is accepted by the certificate below;
-    - cold sketch: under the same size gate, when there is no warm path
-      or its basis fails the certificate, an orthonormal basis U of
-      h + 10 seeded Gaussian directions with 2 power iterations;
-    - full SVD otherwise, including when the cold sketch fails.
+    - sketch: given rank_hint h with 4 (h + 10) <= min(M.shape), one power
+      step and one QR from the first h + 10 rows of start (the Rt of the
+      previous call on a nearby matrix; fewer rows, or none, are padded
+      with seeded Gaussian ones) give a basis U, accepted by the
+      certificate below;
+    - full SVD otherwise, including when the sketch fails.
 
     A sketched basis U is accepted when ||M - U U^T M||_F <= tau, which
     proves sigma_{h+11}(M) <= tau; Q is then thresholded from the SVD of
     the small matrix U^T M. That is the exact svt of U U^T M, so (svt
     being nonexpansive) it is within tau of the full result in Frobenius
     norm, and to rounding when the spectrum has a gap after rank h; it
-    is not bit for bit the full SVD's. A direction the warm step loses to
+    is not bit for bit the full SVD's. A direction the sketch loses to
     rounding carries its sigma > tau into the residual, so the
-    certificate rejects that basis.
+    certificate rejects that basis and the full SVD runs.
 
-    Deterministic: both sketches use a fixed seed, and start is only read.
+    Deterministic: the padding uses a fixed seed, and start is only read.
     """
     M = _as_matrix(M)
     if tau <= 0:
@@ -252,13 +223,15 @@ def svt_factors(M, tau, rank_hint=None, start=None):
     if rank_hint is not None:
         k = rank_hint + SKETCH_OVERSAMPLE
         if SKETCH_RATIO * k <= min(M.shape):
-            if start is not None and start.shape[0] >= rank_hint:
-                factors = _certified(M, _warm_range(M, start, k), tau)
-                if factors is not None:
-                    return factors
-            factors = _certified(M, _sketch_range(M, k), tau)
-            if factors is not None:
-                return factors
+            U = _sketch_range(M, start, k)
+            B = matmul(U.T, M)
+            R = matmul(U, B)
+            by_rows(lambda r: np.subtract(M[r], R[r], out=R[r]), R)
+            residual = np.linalg.norm(R)
+            del R  # before a full SVD allocates
+            if residual <= tau:
+                Ub, s, Vt = _svd(B)
+                return _threshold(U @ Ub, s, Vt, tau)
     return _threshold(*_svd(M), tau)
 
 

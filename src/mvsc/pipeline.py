@@ -118,11 +118,12 @@ def in_order(fn, items, n_samples):
 
     The lanes are the caller and blas.pair's extra thread, and each item
     runs wholly on one of them. They run two or more items whose fits
-    are below matmul's split gate (n_samples**3 < linalg.SPLIT_MIN_MACS):
-    larger fits split their own products over both CPUs, and two of
-    their n x n working sets would be live at once. Otherwise the items
-    run in turn, as they do in a map that cannot have the thread (see
-    blas.pair), such as one inside a lane, whose lane runs inline.
+    are below matmul's split gate (n_samples**3 < linalg.SPLIT_MIN_MACS),
+    which keeps two fits' n x n working sets from being live at once
+    (larger fits would finish sooner on two lanes, with more memory).
+    Otherwise the items run in turn, as they do in a map that cannot
+    have the thread (see blas.pair), such as one inside a lane, whose
+    lane runs inline.
 
     After a failure no new item starts; once both lanes have ended, the
     error of the lowest failed item is raised. The records an item logs

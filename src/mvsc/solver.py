@@ -58,11 +58,11 @@ takes one dense product, and X_k Z is formed from Z.
 
 The Q step thresholds Z + Y2 / mu with a rank hint of d = sum_k d_k
 rows, and the loop carries Q's right factor Rt from one iteration to
-the next. Consecutive iterates are close, so once Rt has d rows the
-SVT starts its sketch from it, with one power step and one QR, and
-checks the result with the same certificate as the cold sketch (see
-linalg.svt_factors); a failed check falls back to the cold sketch,
-then to the full SVD.
+the next. Consecutive iterates are close, so the SVT starts its sketch
+from Rt, padded with seeded Gaussian directions while Rt is narrower
+than d + 10, with one power step and one QR, and checks the result with
+a residual certificate (see linalg.svt_factors); a failed check falls
+back to the full SVD.
 
 The loop works in place, with the bits of the allocating expressions.
 Z, Y2 and (on the dense path) Q keep their buffers: the Z step writes
@@ -227,7 +227,7 @@ def update_Q(state, rank_hint=None, start=None, out=None):
     Z + Y2 / mu at level 1 / mu, returned as factors (L, Rt) with
     Q = L @ Rt. rank_hint, an expected bound on the rank of the result,
     lets the SVT sketch instead of running a full SVD; start, the Rt of
-    the previous Q, lets the sketch start warm (see svt_factors). out,
+    the previous Q, is where the sketch starts (see svt_factors). out,
     an n x n array, takes Z + Y2 / mu in place of a new one."""
     M = np.empty_like(state.Z) if out is None else out
 
@@ -418,7 +418,7 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
     # X - X Z for the residuals and the next E step, X while Z = 0; on
     # the carried path update_Z first fills it with Xs V C = Xs (Z - I)
     gap = Xs.copy()
-    Rt = None  # Q's right factor, the next SVT's warm start
+    Rt = None  # Q's right factor, where the next SVT's sketch starts
     for _ in range(params.max_iter):
         state.E = update_E(state, gap, rows, params.lambda1)
         L, Rt = update_Q(state, rank_hint=rank_hint, start=Rt, out=work)

@@ -670,6 +670,50 @@ def test_views_at_eps_scale_still_fit(variant, tmp_path):
     assert row["converged"] == "1" and int(row["iterations"]) > 1
 
 
+@pytest.mark.parametrize("mode", ["unit_column", "zscore_feature"])
+def test_views_scaled_by_powers_of_two_give_the_unscaled_bytes(mode, tmp_path, capsys):
+    # scaling by 2^k is exact, so every k here must give the unscaled
+    # bytes; at 2^515 the plain column norms and stds overflow, and at
+    # 2^-560 they underflow
+    base = generate_synthetic(SyntheticSpec(n=60, clusters=3, dims=(8, 10, 12),
+                                            subspace_rank=2, seed=3))
+    written = {}
+    for k in (None, -560, -530, -480, 400, 500, 515):
+        ds = dataclasses.replace(
+            base, views=base.views if k is None else [X * 2.0 ** k for X in base.views])
+        out = tmp_path / f"out{k}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("run", "--manifest", write_dataset(ds, tmp_path / f"data{k}"),
+                           "--out", out, "--restarts", 2, "--normalize", mode)
+        assert (k, code, caught) == (k, 0, [])
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err and "zero columns" not in err
+        written[k] = [(out / f).read_bytes()
+                      for f in ("report.csv", "summary.csv", "labels.csv")]
+        assert written[k] == written[None], k
+
+
+def test_overflowing_alpha_exits_3_naming_alpha(tmp_path, capsys):
+    # alpha * the second-order graph overflows S0 in the graph build,
+    # before lambda2 scales it
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"n": 60, "clusters": 3, "dims": [8, 10, 12],
+                                "subspace_rank": 2, "noise_sigma": 0.05, "seed": 3}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--synthetic", path, "--out", tmp_path / "out",
+                       "--restarts", 1, "--alpha", "1e308")
+    assert code == 3
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "RuntimeWarning" not in err
+    assert err.splitlines() == [
+        "mvsc: numerical failure: view 0: the graph term S0 overflows "
+        "(alpha = 1e+308); lower alpha"
+    ]
+
+
 @pytest.mark.parametrize("spec", [
     {"n": 12, "clusters": 3, "dims": [4, 5], "subspace_rank": 2, "noise_sigma": 0.05,
      "seed": 1},

@@ -250,17 +250,16 @@ def test_svt_factors_multiply_to_svt(path, monkeypatch):
 
 
 def _count_ranges(monkeypatch):
-    """Record which range finders svt_factors runs, in call order."""
-    calls = []
-    for name in ("_warm_range", "_sketch_range"):
-        real = getattr(linalg, name)
+    """Record the start of each sketch svt_factors runs, in call order."""
+    starts = []
+    real = linalg._sketch_range
 
-        def counting(*args, _real=real, _name=name):
-            calls.append(_name)
-            return _real(*args)
+    def counting(M, start, k):
+        starts.append(start)
+        return real(M, start, k)
 
-        monkeypatch.setattr(linalg, name, counting)
-    return calls
+    monkeypatch.setattr(linalg, "_sketch_range", counting)
+    return starts
 
 
 def _warm_start(rng, M, tau, rank):
@@ -283,7 +282,7 @@ def test_svt_warm_start_matches_full_svd(extra_rows, monkeypatch):
     calls = _count_ranges(monkeypatch)
     shapes = _count_svds(monkeypatch)
     L, Rt = linalg.svt_factors(M, tau, rank_hint=rank, start=start)
-    assert calls == ["_warm_range"]
+    assert len(calls) == 1 and calls[0] is start
     assert shapes == [(rank + linalg.SKETCH_OVERSAMPLE, 240)]
     assert L.shape == (240, rank) and Rt.shape == (rank, 240)
     assert np.abs(L @ Rt - expected).max() <= 1e-10
@@ -291,7 +290,8 @@ def test_svt_warm_start_matches_full_svd(extra_rows, monkeypatch):
 
 def test_svt_warm_start_orthogonal_to_the_top_space_falls_back(monkeypatch):
     # the start sees none of M's top singular directions, so its basis
-    # leaves them in the residual and the certificate rejects it
+    # leaves them in the residual, the certificate rejects it, and the
+    # full SVD runs after that one sketch
     rng = np.random.default_rng(26)
     rank, tau = 8, 1e-3
     M = _planted(rng, (200, 200), rank, noise=1e-7)
@@ -300,38 +300,45 @@ def test_svt_warm_start_orthogonal_to_the_top_space_falls_back(monkeypatch):
     expected = _full_svt(M, tau)
     calls = _count_ranges(monkeypatch)
     shapes = _count_svds(monkeypatch)
-    out = linalg.svt_factors(M, tau, rank_hint=rank, start=start)
-    assert calls == ["_warm_range", "_sketch_range"]
-    assert shapes == [(rank + linalg.SKETCH_OVERSAMPLE, 200)]
-    cold = linalg.svt_factors(M, tau, rank_hint=rank)
-    assert all(np.array_equal(a, b) for a, b in zip(out, cold))
-    assert np.abs(out[0] @ out[1] - expected).max() <= 1e-10
+    L, Rt = linalg.svt_factors(M, tau, rank_hint=rank, start=start)
+    assert len(calls) == 1 and calls[0] is start
+    assert shapes == [(200, 200)]
+    assert np.array_equal(L @ Rt, expected)
 
 
-def test_svt_failed_warm_and_cold_sketches_end_in_the_full_svd(monkeypatch):
+def test_svt_failed_sketch_ends_in_the_full_svd(monkeypatch):
     rng = np.random.default_rng(27)
     M = _planted(rng, (240, 240), 30, noise=1e-7)
     tau = 1e-3
     start = _warm_start(rng, M, tau, 30)
     calls = _count_ranges(monkeypatch)
     shapes = _count_svds(monkeypatch)
-    # 15 sketched directions < rank 30: both bases fail the certificate
+    # 15 sketched directions < rank 30: the basis fails the certificate
     L, Rt = linalg.svt_factors(M, tau, rank_hint=5, start=start)
-    assert calls == ["_warm_range", "_sketch_range"]
+    assert len(calls) == 1 and calls[0] is start
     assert shapes == [(240, 240)]
     assert np.array_equal(L @ Rt, _full_svt(M, tau))
 
 
 @pytest.mark.parametrize("rows", [0, 5, 11])
-def test_svt_start_narrower_than_the_hint_goes_cold(rows, monkeypatch):
+def test_svt_start_narrower_than_the_hint_is_padded(rows, monkeypatch):
+    # a start with fewer rows than the hint, or none, is padded with the
+    # seeded Gaussian directions in the one sketch, which certifies
     rng = np.random.default_rng(28)
-    M = _planted(rng, (200, 200), 12, noise=1e-7)
+    rank, tau = 12, 1e-3
+    M = _planted(rng, (200, 200), rank, noise=1e-7)
     start = rng.standard_normal((rows, 200))
+    expected = _full_svt(M, tau)
     calls = _count_ranges(monkeypatch)
-    out = linalg.svt_factors(M, 1e-3, rank_hint=12, start=start)
-    assert calls == ["_sketch_range"]
-    cold = linalg.svt_factors(M, 1e-3, rank_hint=12)
-    assert all(np.array_equal(a, b) for a, b in zip(out, cold))
+    shapes = _count_svds(monkeypatch)
+    L, Rt = linalg.svt_factors(M, tau, rank_hint=rank, start=start)
+    assert len(calls) == 1 and calls[0] is start
+    assert shapes == [(rank + linalg.SKETCH_OVERSAMPLE, 200)]
+    assert np.abs(L @ Rt - expected).max() <= 1e-10
+    # with no start at all the padding is the whole test matrix
+    if rows == 0:
+        no_start = linalg.svt_factors(M, tau, rank_hint=rank)
+        assert all(np.array_equal(a, b) for a, b in zip((L, Rt), no_start))
 
 
 def test_svt_start_is_only_read_and_the_warm_path_is_deterministic():

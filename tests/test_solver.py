@@ -556,30 +556,24 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
     spec = SyntheticSpec(n=160, clusters=2, dims=(6, 8), subspace_rank=2,
                          noise_sigma=0.05, seed=0)
     ds = normalize_views(generate_synthetic(spec), "unit_column")
-    sketches, warm = [], []
-    real_sketch, real_warm = linalg._sketch_range, linalg._warm_range
+    sketches = []
+    real_sketch = linalg._sketch_range
 
-    def counting_sketch(M, k):
+    def counting_sketch(M, start, k):
         sketches.append(k)
-        return real_sketch(M, k)
-
-    def counting_warm(M, start, k):
-        warm.append(k)
-        return real_warm(M, start, k)
+        return real_sketch(M, start, k)
 
     monkeypatch.setattr(linalg, "_sketch_range", counting_sketch)
-    monkeypatch.setattr(linalg, "_warm_range", counting_warm)
     Z, state = fit(ds, HyperParams())
     assert sketches and set(sketches) == {14 + linalg.SKETCH_OVERSAMPLE}
-    assert warm and set(warm) == {14 + linalg.SKETCH_OVERSAMPLE}
-    sketched, warmed = len(sketches), len(warm)
+    sketched = len(sketches)
     monkeypatch.setattr(
         solver_module, "svt_factors",
         lambda M, tau, rank_hint=None, start=None: linalg.svt_factors(M, tau),
     )
     Z_full, state_full = fit(ds, HyperParams())
     # no hint, no sketch
-    assert (len(sketches), len(warm)) == (sketched, warmed)
+    assert len(sketches) == sketched
     assert state.iteration == state_full.iteration
     assert np.abs(Z - Z_full).max() <= 1e-8
     for seed in range(3):
@@ -587,6 +581,33 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
             spectral_cluster(affinity_from_representation(Z), 2, seed),
             spectral_cluster(affinity_from_representation(Z_full), 2, seed),
         )
+
+
+def test_fit_at_the_sketch_gate_certifies_every_sketch(monkeypatch):
+    # n=400 with the reference dims: 4 (90 + 10) = n, the smallest fit
+    # that sketches; Q's rank stays below the hint, so every start is
+    # padded, and the one sketch certifies at every nonzero SVT call
+    ds = normalize_views(generate_synthetic(SyntheticSpec(
+        n=400, clusters=3, dims=(20, 30, 40), subspace_rank=3, noise_sigma=0.05,
+        seed=7)), "unit_column")
+    starts, svds = [], []
+    real_sketch, real_svd = linalg._sketch_range, linalg._svd
+
+    def sketch(M, start, k):
+        starts.append(0 if start is None else start.shape[0])
+        return real_sketch(M, start, k)
+
+    def svd(M):
+        svds.append(M.shape)
+        return real_svd(M)
+
+    monkeypatch.setattr(linalg, "_sketch_range", sketch)
+    monkeypatch.setattr(linalg, "_svd", svd)
+    _, state = fit(ds, HyperParams())
+    assert state.converged
+    assert starts and max(starts) < 90
+    # one small SVD per certified sketch, and none of an n x n M
+    assert svds == [(100, 400)] * len(starts)
 
 
 @pytest.mark.parametrize("n", [150, 300, 600])
