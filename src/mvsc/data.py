@@ -194,19 +194,17 @@ def write_dataset(ds, out_dir):
     return path
 
 
-def _binary_rescaled(A, stat, axis):
-    """stat(A, axis=axis) per column (axis 0) or row (axis 1) of A. A line
-    whose value is 0 or inf while its entries are finite and not all zero
-    is scaled in place by the power of two that brings its largest entry
-    into [0.5, 1), which is exact, and its value is taken again."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        value = stat(A, axis=axis)
-        bad = ((value == 0) | np.isinf(value)) & np.isfinite(A).all(axis) & A.any(axis)
-        if bad.any():
-            exponent = np.frexp(np.abs(A).max(axis=axis))[1]
-            A[...] = np.ldexp(A, np.expand_dims(np.where(bad, -exponent, 0), axis))
-            value = stat(A, axis=axis)
-    return value
+def _binary_scaled(X, axis):
+    """X with each column (axis 0) or row (axis 1) whose largest |entry|
+    lies outside [2^-501, 2^500), where its squares and sums can over- or
+    underflow, scaled exactly by the power of two that brings it into
+    [0.5, 1), so that it normalizes to the unscaled line's bits; a new
+    array, or X itself when no line is scaled."""
+    exponent = np.frexp(np.abs(X).max(axis=axis))[1]
+    shift = np.where(np.abs(exponent) > 500, -exponent, 0)
+    if not shift.any():
+        return X
+    return np.ldexp(X, np.expand_dims(shift, axis))
 
 
 def normalize_views(ds, mode):
@@ -215,8 +213,7 @@ def normalize_views(ds, mode):
     unit_column scales every sample column to unit Euclidean norm (zero
     columns pass through with a warning); zscore_feature centers each
     feature row and divides by its standard deviation (constant rows are
-    only centered). A norm or std that overflows or underflows is taken
-    again on its line rescaled by a power of two (_binary_rescaled).
+    only centered), each line first scaled by _binary_scaled.
     """
     if mode not in NORMALIZE_MODES:
         raise ValidationError(f"unknown normalize mode {mode!r}; one of {NORMALIZE_MODES}")
@@ -225,8 +222,8 @@ def normalize_views(ds, mode):
     views = []
     for k, X in enumerate(ds.views):
         if mode == "unit_column":
-            X = X.copy()
-            norms = _binary_rescaled(X, np.linalg.norm, 0)
+            X = _binary_scaled(X, 0)
+            norms = np.linalg.norm(X, axis=0)
             zero = norms == 0
             if zero.any():
                 logger.warning(
@@ -234,8 +231,9 @@ def normalize_views(ds, mode):
                 )
             X = X / np.where(zero, 1.0, norms)[None, :]
         else:  # zscore_feature
+            X = _binary_scaled(X, 1)
             X = X - X.mean(axis=1, keepdims=True)
-            sd = _binary_rescaled(X, np.std, 1)
+            sd = X.std(axis=1)
             X = X / np.where(sd > 0, sd, 1.0)[:, None]
         views.append(X)
     return replace(ds, views=views)

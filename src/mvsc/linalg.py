@@ -167,15 +167,21 @@ def _threshold(U, s, Vt, tau):
 
 
 def _sketch_range(M, start, k):
-    """Orthonormal p x k basis from one power step and one QR, qr(M M^T M
-    Omega) (Halko, Martinsson & Tropp 2011, Algorithm 4.3): Omega is the
-    first k rows of start (none when it is None), transposed and padded
-    with seeded Gaussian columns to k."""
+    """Orthonormal p x k basis qr((M M^T)^q M Omega), with a QR between
+    the power steps (Halko, Martinsson & Tropp 2011, Algorithms 4.3 and
+    4.4): Omega is the first k rows of start (none when it is None),
+    transposed and padded with seeded Gaussian columns to k. q is 1 when
+    start gives the hint's k - SKETCH_OVERSAMPLE rows, else 2: from a
+    narrower start one step put the n = 400 fit's Z 1.3e-8 from the
+    full-SVD fit's, and two put it 7e-12."""
     omega = (M[:0] if start is None else start)[:k].T
+    steps = 1 if omega.shape[1] >= k - SKETCH_OVERSAMPLE else 2
     if omega.shape[1] < k:
         rng = np.random.default_rng(SKETCH_SEED)
         omega = np.hstack([omega, rng.standard_normal((M.shape[1], k - omega.shape[1]))])
-    U, _ = np.linalg.qr(matmul(M, matmul(M.T, matmul(M, omega))))
+    U = matmul(M, omega)
+    for _ in range(steps):
+        U, _ = np.linalg.qr(matmul(M, matmul(M.T, U)))
     return U
 
 
@@ -185,17 +191,16 @@ def svt_factors(M, tau, rank_hint=None, start=None):
 
     Q = U diag(max(s - tau, 0)) Vt is the unique minimizer of
     tau*||Q||_* + 0.5*||Q - M||_F^2; L = U diag(max(s - tau, 0)) and
-    Rt = Vt keep only the surviving triplets. Three paths, chosen per
-    call:
+    Rt = Vt keep only the surviving triplets. Three paths, per call:
 
     - zero skip: ||M||_F <= tau (less a 1e-12 relative margin) bounds
       sigma_1 by tau, so Q = 0 exactly (factors of width 0) and no SVD
       runs;
-    - sketch: given rank_hint h with 4 (h + 10) <= min(M.shape), one power
-      step and one QR from the first h + 10 rows of start (the Rt of the
-      previous call on a nearby matrix; fewer rows, or none, are padded
-      with seeded Gaussian ones) give a basis U, accepted by the
-      certificate below;
+    - sketch: given rank_hint h with 4 (h + 10) <= min(M.shape), power
+      steps from the first h + 10 rows of start (the Rt of the previous
+      call on a nearby matrix; fewer rows, or none, are padded with
+      seeded Gaussian ones; _sketch_range) give a basis U, accepted by
+      the certificate below;
     - full SVD otherwise, including when the sketch fails.
 
     A sketched basis U is accepted when ||M - U U^T M||_F <= tau, which

@@ -60,9 +60,9 @@ The Q step thresholds Z + Y2 / mu with a rank hint of d = sum_k d_k
 rows, and the loop carries Q's right factor Rt from one iteration to
 the next. Consecutive iterates are close, so the SVT starts its sketch
 from Rt, padded with seeded Gaussian directions while Rt is narrower
-than d + 10, with one power step and one QR, and checks the result with
-a residual certificate (see linalg.svt_factors); a failed check falls
-back to the full SVD.
+than d + 10, with one power step and a QR (two steps while Rt is
+narrower than d), and checks the result with a residual certificate
+(see linalg.svt_factors); a failed check falls back to the full SVD.
 
 The loop works in place, with the bits of the allocating expressions.
 Z, Y2 and (on the dense path) Q keep their buffers: the Z step writes

@@ -15,7 +15,7 @@ import pytest
 
 from mvsc import linalg, pipeline, solver
 from mvsc.cli import build_parser, config_from_args, main
-from mvsc.data import SyntheticSpec, generate_synthetic, write_dataset
+from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views, write_dataset
 from mvsc.errors import NumericalError
 from mvsc.metrics import METRIC_FIELDS
 from mvsc.solver import HyperParams
@@ -673,20 +673,24 @@ def test_views_at_eps_scale_still_fit(variant, tmp_path):
 @pytest.mark.parametrize("mode", ["unit_column", "zscore_feature"])
 def test_views_scaled_by_powers_of_two_give_the_unscaled_bytes(mode, tmp_path, capsys):
     # scaling by 2^k is exact, so every k here must give the unscaled
-    # bytes; at 2^515 the plain column norms and stds overflow, and at
-    # 2^-560 they underflow
+    # views and bytes; at 2^515 the plain column norms and stds
+    # overflow, at 2^1020 the row means too, at 2^-560 the norms
+    # underflow, and at 2^-540 and 2^-530 the squares are subnormal
     base = generate_synthetic(SyntheticSpec(n=60, clusters=3, dims=(8, 10, 12),
                                             subspace_rank=2, seed=3))
+    unscaled = normalize_views(base, mode).views
     written = {}
-    for k in (None, -560, -530, -480, 400, 500, 515):
+    for k in (None, -560, -540, -530, -480, 400, 500, 515, 1020):
         ds = dataclasses.replace(
             base, views=base.views if k is None else [X * 2.0 ** k for X in base.views])
         out = tmp_path / f"out{k}"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
+            views = normalize_views(ds, mode).views
             code = run_cli("run", "--manifest", write_dataset(ds, tmp_path / f"data{k}"),
                            "--out", out, "--restarts", 2, "--normalize", mode)
         assert (k, code, caught) == (k, 0, [])
+        assert all(np.array_equal(X, Y) for X, Y in zip(views, unscaled)), k
         err = capsys.readouterr().err
         assert "RuntimeWarning" not in err and "zero columns" not in err
         written[k] = [(out / f).read_bytes()

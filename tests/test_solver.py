@@ -586,7 +586,8 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
 def test_fit_at_the_sketch_gate_certifies_every_sketch(monkeypatch):
     # n=400 with the reference dims: 4 (90 + 10) = n, the smallest fit
     # that sketches; Q's rank stays below the hint, so every start is
-    # padded, and the one sketch certifies at every nonzero SVT call
+    # padded, and the sketch certifies at every nonzero SVT call and
+    # keeps Z as close to the full-SVD fit's as at n=160
     ds = normalize_views(generate_synthetic(SyntheticSpec(
         n=400, clusters=3, dims=(20, 30, 40), subspace_rank=3, noise_sigma=0.05,
         seed=7)), "unit_column")
@@ -603,11 +604,18 @@ def test_fit_at_the_sketch_gate_certifies_every_sketch(monkeypatch):
 
     monkeypatch.setattr(linalg, "_sketch_range", sketch)
     monkeypatch.setattr(linalg, "_svd", svd)
-    _, state = fit(ds, HyperParams())
+    Z, state = fit(ds, HyperParams())
     assert state.converged
     assert starts and max(starts) < 90
     # one small SVD per certified sketch, and none of an n x n M
     assert svds == [(100, 400)] * len(starts)
+    monkeypatch.setattr(
+        solver_module, "svt_factors",
+        lambda M, tau, rank_hint=None, start=None: linalg.svt_factors(M, tau),
+    )
+    Z_full, state_full = fit(ds, HyperParams())
+    assert state.iteration == state_full.iteration
+    assert np.abs(Z - Z_full).max() <= 1e-8
 
 
 @pytest.mark.parametrize("n", [150, 300, 600])
