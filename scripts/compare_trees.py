@@ -35,6 +35,13 @@ The command set:
                      whose SVT sketches fail the certificate from
                      iteration 20 and end in the full SVD
   sweep              sweep --restarts 1 on the default grid
+  ablate-wide        ablate --restarts 2 at n=150 on two views of 1000
+                     and 1200 rows (sum d >> n), whose variants run on
+                     two lanes; per-entry noise 0.02, so that the
+                     variants' NMI ranges from 0.68 to 1
+  run-wide-n520      run --restarts 1 --trace-residuals at n=520, four
+                     clusters, on views of 1200 and 1400 rows with
+                     per-entry noise 0.045 (NMI 0.98)
 """
 
 import argparse
@@ -57,6 +64,10 @@ SPECS = {
     "n400": dict(REFERENCE, n=400),
     "n600": dict(REFERENCE, n=600),
     "n1200": dict(REFERENCE, n=1200),
+    # wide views: the per-entry noise adds up over d rows, so it is
+    # smaller than the reference's 0.05
+    "wide-n150": dict(REFERENCE, dims=[1000, 1200], noise_sigma=0.02),
+    "wide-n520": dict(REFERENCE, n=520, clusters=4, dims=[1200, 1400], noise_sigma=0.045),
 }
 
 # name -> (spec, mvsc arguments after the spec and --out)
@@ -75,6 +86,8 @@ COMMANDS = {
     "run-n1200-grmsc-naive": ("n1200",
                               ["run", "--restarts", "1", "--variant", "grmsc-naive"]),
     "sweep": ("reference", ["sweep", "--restarts", "1"]),
+    "ablate-wide": ("wide-n150", ["ablate", "--restarts", "2"]),
+    "run-wide-n520": ("wide-n520", ["run", "--restarts", "1", "--trace-residuals"]),
 }
 
 

@@ -1,18 +1,16 @@
 """Dense matrix primitives used by the solver.
 
-All functions but add_transpose, matmul and by_rows are pure: they
-never mutate their arguments and hold no state, so concurrent calls are
-safe. Matrices are float64 ndarrays; callers own the layout.
-add_transpose works in place, so that symmetrizing an n x n array takes
-no second n x n array.
+All functions but add_transpose and matmul are pure: they never mutate
+their arguments and hold no state, so concurrent calls are safe.
+Matrices are float64 ndarrays; callers own the layout. add_transpose
+works in place, so that symmetrizing an n x n array takes no second
+n x n array.
 
 matmul is np.matmul for the fit's large products: it splits each in
 two parts by its shapes and runs them through blas.pair, on two CPUs
 when the extra thread is free, while BLAS stays on one thread. The
-sketch and the certificate of svt_factors use it. by_rows does the
-same for the fit's n x n elementwise passes and inf_norm's extremes:
-each element's arithmetic does not depend on which row half it is in,
-so a split pass has the bits of the whole one.
+sketch and the certificate of svt_factors use it. Elementwise passes
+run whole.
 
 svt_factors takes one of three paths per call: the zero skip, one
 sketch from the start the caller passes in (the right factor of its last
@@ -52,11 +50,6 @@ TRANSPOSE_BLOCK = 256
 # SkylakeX kernels, where plain halves of (90, 600, 600) do not.
 SPLIT_MIN_MACS = 1 << 22
 SPLIT_ALIGN = 16
-
-# by_rows's size gate in entries (an n x n pass splits from n = 512):
-# below it, handing half a pass to the extra thread (20-80 us on a
-# 2-vCPU Xeon) costs about what the half saves
-PASS_MIN_ENTRIES = 1 << 18
 
 
 def _as_matrix(M, name="matrix"):
@@ -118,27 +111,6 @@ def matmul(A, B, out=None):
         first, second = (A, B[:, :h], out[:, :h]), (A, B[:, h:], out[:, h:])
     blas.pair(partial(np.matmul, *first), partial(np.matmul, *second))
     return out
-
-
-def by_rows(fn, A):
-    """Run fn(rows) over slices of A's first axis and return its results
-    in order: one call over all rows or, when A has at least
-    PASS_MIN_ENTRIES entries and two rows, one call per half (split at
-    len(A) // 2), run through blas.pair as matmul's parts are. fn does an
-    elementwise pass, or takes a max or min, over those rows of A and of
-    the arrays aligned with it, so a split changes no bit. An error in
-    either half reaches the caller once both have ended."""
-    m = len(A)
-    if A.size < PASS_MIN_ENTRIES or m < 2:
-        return [fn(slice(0, m))]
-    h = m // 2
-    results = [None, None]
-
-    def half(i, rows):
-        results[i] = fn(rows)
-
-    blas.pair(partial(half, 0, slice(0, h)), partial(half, 1, slice(h, m)))
-    return results
 
 
 def _svd(M):
@@ -231,7 +203,7 @@ def svt_factors(M, tau, rank_hint=None, start=None):
             U = _sketch_range(M, start, k)
             B = matmul(U.T, M)
             R = matmul(U, B)
-            by_rows(lambda r: np.subtract(M[r], R[r], out=R[r]), R)
+            np.subtract(M, R, out=R)
             residual = np.linalg.norm(R)
             del R  # before a full SVD allocates
             if residual <= tau:
@@ -281,15 +253,13 @@ def l21_norm(M):
 
 def inf_norm(M):
     """Max absolute entry (the stopping-criterion norm), read from the
-    extremes without an abs copy, by row halves (by_rows); NaN anywhere
-    gives NaN, and the outer abs turns an all -0.0 matrix's -0.0 into
+    extremes without an abs copy; NaN anywhere gives NaN (both extremes
+    are NaN), and the outer abs turns an all -0.0 matrix's -0.0 into
     0.0."""
     M = np.atleast_1d(np.asarray(M))
     if not M.size:
         return 0.0
-    # np.max, unlike Python's max, keeps a NaN from either half
-    hi, lo = np.max(by_rows(lambda r: (M[r].max(), -M[r].min()), M), axis=0)
-    return float(abs(max(hi, lo)))
+    return float(abs(max(M.max(), -M.min())))
 
 
 def solve_spd(A, B):

@@ -52,6 +52,8 @@ LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 
 ABLATION_ORDER = ("lrr-bsv", "msc-naive", "grmsc-naive", "grmsc")
 
+logger = logging.getLogger(__name__)
+
 # the log records of the in_order item this context runs on a lane
 _held = contextvars.ContextVar("held", default=None)
 
@@ -66,7 +68,7 @@ def _hold(record):
     return False
 
 
-for _name in ("data", "linalg", "spectral"):  # the package's loggers
+for _name in ("data", "linalg", "pipeline", "spectral"):  # the package's loggers
     logging.getLogger(f"{__package__}.{_name}").addFilter(_hold)
 
 
@@ -173,13 +175,18 @@ class RunConfig:
 
 def resolve_dataset(config):
     """The command's normalized dataset; raises ValidationError when it
-    has no labels to evaluate against, before any graph is built."""
+    has no labels to evaluate against, before any graph is built. Warns
+    once, before any lane starts, when --knn is clamped to n - 1."""
     if config.manifest is not None:
         ds = load_dataset(config.manifest)
     else:
         ds = generate_synthetic(load_synthetic_spec(config.synthetic))
     ds = normalize_views(ds, config.normalize)
     _require_labels(ds)
+    knn, n = config.params.knn, ds.n_samples
+    if knn is not None and knn >= n:
+        logger.warning("knn = %d is not below n = %d; the graphs use knn = %d",
+                       knn, n, config.params.resolve_knn(n, ds.n_clusters))
     return ds
 
 

@@ -76,12 +76,8 @@ certificate's residual.
 The large products, V C and Q's on either path, the carried path's thin
 ones and the basis's, go through linalg.matmul, which splits each in
 two parts by its shape and runs them on two CPUs, with the bits of a
-run on one. The n x n elementwise passes go through linalg.by_rows,
-which splits them by rows the same way: the Q step's Z + Y2 / mu, the Z
-step's mu Q - Y2 and its updates of C and J, Z - Q, the dual step's Y2
-update and the inf-norm residual's extremes. A split pass has the bits
-of the whole one. The Frobenius norms of the SVT stay whole, since a
-split sum would round differently.
+run on one. The n x n elementwise passes run whole, each into an array
+the loop already holds.
 
 The penalty mu follows a fixed schedule: it starts at MU0 and grows by
 RHO per iteration up to MU_MAX.
@@ -103,8 +99,7 @@ import numpy as np
 from .errors import DegenerateInputError, NumericalError, ValidationError
 from .graphs import build_graph_set, row_sq_dists
 from .linalg import (
-    _svd, add_transpose, by_rows, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21,
-    svt_factors,
+    _svd, add_transpose, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21, svt_factors,
 )
 # unused here; perfbench/spans.py wraps solver.svt and solver.solve_spd
 # (SOLVER_KERNELS), and tests/test_benchmark_hooks.py pins them
@@ -229,13 +224,8 @@ def update_Q(state, rank_hint=None, start=None, out=None):
     lets the SVT sketch instead of running a full SVD; start, the Rt of
     the previous Q, is where the sketch starts (see svt_factors). out,
     an n x n array, takes Z + Y2 / mu in place of a new one."""
-    M = np.empty_like(state.Z) if out is None else out
-
-    def step(r):
-        np.divide(state.Y2[r], state.mu, out=M[r])
-        M[r] += state.Z[r]
-
-    by_rows(step, M)
+    M = np.divide(state.Y2, state.mu, out=out)
+    M += state.Z
     return svt_factors(M, 1.0 / state.mu, rank_hint=rank_hint, start=start)
 
 
@@ -315,13 +305,8 @@ def update_Z(state, basis, out, J=None, Q_factors=None, XVC=None):
     #   = Xs^T T + mu (Q - I) - Y2 - S
     scale = (mu + lam)[:, None]
     if J is None:
-        work = out
-
-        def q_term(r):  # mu Q - Y2
-            np.multiply(state.Q[r], mu, out=work[r])
-            work[r] -= state.Y2[r]
-
-        by_rows(q_term, work)
+        work = np.multiply(state.Q, mu, out=out)
+        work -= state.Y2
         C = XV.T @ T
         C += matmul(Vt, work)
         carried = VtS
@@ -329,14 +314,11 @@ def update_Z(state, basis, out, J=None, Q_factors=None, XVC=None):
         L, Rt = Q_factors
         C = matmul(np.hstack([XV.T, mu * matmul(Vt, L)]), np.vstack([T, Rt]))
         carried = J
-
-    def finish(r):  # less mu V^T and V^T S or J, over mu + lam
-        C[r] -= np.multiply(Vt[r], mu, out=out[r])
-        if carried is not None:
-            C[r] -= carried[r]
-        C[r] /= scale[r]
-
-    by_rows(finish, C)
+    # less mu V^T and V^T S or J, over mu + lam
+    C -= np.multiply(Vt, mu, out=out)
+    if carried is not None:
+        C -= carried
+    C /= scale
     Z = matmul(V, C, out=out)
     Z[np.diag_indices_from(Z)] += 1.0
     if J is not None:
@@ -345,12 +327,8 @@ def update_Z(state, basis, out, J=None, Q_factors=None, XVC=None):
         # and V^T S V = diag(lam)
         XVC = matmul(XV, C, out=XVC)
         matmul(XV.T, T - mu * XVC, out=J)
-
-        def advance(r):
-            C[r] *= lam[r, None]
-            J[r] -= C[r]
-
-        by_rows(advance, C)
+        C *= lam[:, None]
+        J -= C
     return Z
 
 
@@ -361,12 +339,8 @@ def update_multipliers(state, R, R_zq):
     mu on the way, so the step allocates nothing. Returns (Y1, Y2, mu)."""
     R *= state.mu
     state.Y1 += R
-
-    def step(r):
-        R_zq[r] *= state.mu
-        state.Y2[r] += R_zq[r]
-
-    by_rows(step, R_zq)
+    R_zq *= state.mu
+    state.Y2 += R_zq
     return state.Y1, state.Y2, min(RHO * state.mu, MU_MAX)
 
 
@@ -429,12 +403,11 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
             # one product per view: one Xs @ Z can round differently
             for r in rows:
                 np.matmul(Xs[r], state.Z, out=gap[r])
-            R_zq = work
-            by_rows(lambda r: np.subtract(state.Z[r], state.Q[r], out=R_zq[r]), R_zq)
+            R_zq = np.subtract(state.Z, state.Q, out=work)
         else:
             gap += Xs
             R_zq = matmul(L, Rt, out=work)
-            by_rows(lambda r: np.subtract(state.Z[r], R_zq[r], out=R_zq[r]), R_zq)
+            np.subtract(state.Z, R_zq, out=R_zq)
         np.subtract(Xs, gap, out=gap)
         R = gap - state.E
         view_resids = [inf_norm(R[r]) for r in rows]

@@ -103,6 +103,23 @@ def test_knn_flag_lands_in_report(spec_file, tmp_path):
     assert read_rows(out / "report.csv")[0]["knn"] == "4"
 
 
+@pytest.mark.parametrize("command", ["run", "ablate"])
+def test_oversized_knn_warns_once_and_writes_the_clamped_run(command, spec_file, tmp_path):
+    # knn >= n is clamped to n - 1; the command says so once, before
+    # ablate's lanes start, and writes what --knn 23 writes
+    one, every = run_on_one_cpu_and_all(
+        tmp_path, [command, "--synthetic", str(spec_file), "--restarts", "2", "--knn", "500"])
+    assert one == every
+    files, stdout, stderr = one
+    assert stderr.decode() == "knn = 500 is not below n = 24; the graphs use knn = 23\n"
+    assert stdout == b""
+    out = tmp_path / "clamped"
+    assert run_cli(command, "--synthetic", spec_file, "--out", out,
+                   "--restarts", 2, "--knn", 23) == 0
+    assert files == {str(p.relative_to(out)): p.read_bytes()
+                     for p in sorted(out.rglob("*")) if p.is_file()}
+
+
 # a non-default value for every HyperParams field, keyed by field name;
 # the flag is the name with dashes
 HYPERPARAM_FLAGS = {

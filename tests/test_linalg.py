@@ -1,7 +1,6 @@
 import os
 import signal
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +452,20 @@ def test_inf_norm_propagates_nan_and_reads_zero_as_positive():
         assert str(inf_norm(np.full((2, 2), zero))) == "0.0"
 
 
+@pytest.mark.parametrize("where", [(0, 0), (256, 256), (512, 512)],
+                         ids=["first", "middle", "last"])
+def test_inf_norm_of_a_large_matrix_reads_nan_at_any_entry(where):
+    # the fit's divergence check on an n x n residual: a NaN anywhere
+    # reads NaN, also where numpy reduces in vector blocks, as it does
+    # not for a 2 x 2; the extremes give the largest magnitude
+    M = np.random.default_rng(20).standard_normal((513, 513))
+    assert inf_norm(M) == np.abs(M).max()
+    M[where] = np.nan
+    assert np.isnan(inf_norm(M))
+    M[where] = -1e300
+    assert inf_norm(M) == 1e300
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -740,97 +753,3 @@ def test_matmul_in_a_forked_child_makes_its_own_worker(monkeypatch):
             os.waitpid(pid, 0)
             pytest.fail("the forked child's map or split product never finished")
     assert os.waitstatus_to_exitcode(status) == 0
-
-
-# ---------------------------------------------------------------- by_rows
-# the fit's n x n elementwise passes and inf_norm's extremes, split by
-# rows over blas.pair from PASS_MIN_ENTRIES entries
-
-
-def _pass(A, col, out):
-    """An elementwise pass of the fit's kind: a scalar, a column vector
-    broadcast along the rows and an aligned array, into out by rows."""
-    def step(r):
-        np.multiply(A[r], 1.9, out=out[r])
-        out[r] -= A[r] ** 2
-        out[r] /= col[r]
-    return step
-
-
-@pytest.mark.parametrize("m, p", [(3, 2), (7, 5), (101, 3), (513, 513), (2, 131072)])
-def test_by_rows_has_the_bits_of_one_pass(m, p, worker, monkeypatch):
-    # odd row counts split unevenly; (513, 513) and (2, 131072) reach the
-    # real gate, the others a lowered one
-    if m * p < linalg.PASS_MIN_ENTRIES:
-        monkeypatch.setattr(linalg, "PASS_MIN_ENTRIES", m * p)
-    rng = np.random.default_rng(m)
-    A = rng.standard_normal((m, p)) * 10.0 ** rng.integers(-5, 5, (m, p))
-    col = rng.standard_normal((m, 1))
-    whole = np.empty_like(A)
-    _pass(A, col, whole)(slice(None))
-    split = np.full_like(A, np.nan)
-    with blas.single_thread():
-        assert linalg.by_rows(_pass(A, col, split), split) == [None, None]
-    assert worker.jobs == 1
-    assert split.tobytes() == whole.tobytes()
-
-
-def test_by_rows_below_the_gate_is_one_pass(worker):
-    A = np.zeros((511, 511))
-    seen = []
-    with blas.single_thread():
-        assert linalg.by_rows(lambda r: seen.append(r) or 1, A) == [1]
-        assert linalg.by_rows(lambda r: seen.append(r) or 2, np.zeros((1, 1 << 20))) == [2]
-    assert seen == [slice(0, 511), slice(0, 1)]
-    assert worker.jobs == 0
-
-
-def test_by_rows_on_one_cpu_runs_both_halves_inline(worker, monkeypatch):
-    import threading
-
-    monkeypatch.setattr(blas, "_cpus", lambda: 1)
-    A = np.zeros((513, 513))
-    seen = []
-    with blas.single_thread():
-        got = linalg.by_rows(
-            lambda r: seen.append((r, threading.get_ident())) or r.start, A
-        )
-    assert got == [0, 256]
-    # inline, pair runs the second half (the extra thread's) first
-    assert seen == [(slice(256, 513), threading.get_ident()),
-                    (slice(0, 256), threading.get_ident())]
-    assert worker.jobs == 0
-
-
-@pytest.mark.parametrize("where", [(0, 0), (255, 512), (256, 0), (512, 512)],
-                         ids=["first", "end-of-first", "start-of-second", "last"])
-def test_inf_norm_of_split_halves_propagates_nan(where, worker):
-    # Python's max(x, nan) is x: the halves' extremes are combined by
-    # np.max, which keeps a NaN from either half
-    M = np.random.default_rng(20).standard_normal((513, 513))
-    with blas.single_thread():
-        assert inf_norm(M) == np.abs(M).max()
-        M[where] = np.nan
-        assert np.isnan(inf_norm(M))
-        M[where] = -1e300
-        assert inf_norm(M) == 1e300
-    assert worker.jobs == 3
-
-
-def test_by_rows_overflow_in_the_worker_half_keeps_the_callers_errstate(worker):
-    A = np.ones((513, 513))
-    A[300:] = 1e308
-    out = np.empty_like(A)
-
-    def step(r):
-        np.multiply(A[r], 10.0, out=out[r])
-
-    with blas.single_thread(), warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(over="raise"):
-            with pytest.raises(FloatingPointError, match="overflow"):
-                linalg.by_rows(step, out)
-        with np.errstate(over="ignore"):
-            linalg.by_rows(step, out)
-    assert worker.jobs == 2
-    assert np.isinf(out[300:]).all() and (out[:300] == 10.0).all()

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -618,6 +619,45 @@ def test_fit_at_the_sketch_gate_certifies_every_sketch(monkeypatch):
     assert np.abs(Z - Z_full).max() <= 1e-8
 
 
+def test_carried_steps_allocate_at_most_one_nxn_array(monkeypatch):
+    # n=600 with the reference dims takes the carried path and certifies
+    # every sketch. update_Q writes Z + Y2 / mu into the loop's array and
+    # the SVT certificate takes one n x n residual; update_Z takes C.
+    # Everything else either step allocates is thin: at most three
+    # (sum d + rank hint) x n arrays (update_Z's thin part peaks at 2.5).
+    # At n=400 a second n x n array would fit in that slack.
+    n, d = 600, 90
+    ds = normalize_views(generate_synthetic(SyntheticSpec(
+        n=n, clusters=3, dims=(20, 30, 40), subspace_rank=3, noise_sigma=0.05,
+        seed=7)), "unit_column")
+    peaks = {"update_Q": [], "update_Z": []}
+
+    def traced(name):
+        step = getattr(solver_module, name)
+
+        def run(*args, **kwargs):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            out = step(*args, **kwargs)
+            peaks[name].append(tracemalloc.get_traced_memory()[1] - before)
+            return out
+
+        monkeypatch.setattr(solver_module, name, run)
+
+    traced("update_Q")
+    traced("update_Z")
+    tracemalloc.start()
+    try:
+        _, state = fit(ds, HyperParams())
+    finally:
+        tracemalloc.stop()
+    assert state.converged
+    nxn, thin = n * n * 8, 3 * (d + d) * n * 8
+    for name, seen in peaks.items():
+        assert len(seen) == state.iteration, name
+        assert max(seen) <= nxn + thin, (name, max(seen) / nxn)
+
+
 @pytest.mark.parametrize("n", [150, 300, 600])
 def test_row_views_of_the_stack_keep_the_bits_of_separate_arrays(n):
     # what the fit takes per view on row views of its stacked arrays
@@ -873,34 +913,12 @@ def test_algorithm_defaults():
     assert p.alpha == 0.001
 
 
-# ------------------------------------------------- passes split by rows
-# linalg.by_rows splits the fit's n x n elementwise passes from
-# PASS_MIN_ENTRIES entries; a split pass has the bits of the whole one
-
-
-@pytest.mark.parametrize("variant, n", [("grmsc", 45), ("grmsc", 120), ("msc-naive", 120)],
-                         ids=["dense-n45", "carried", "carried-msc-naive"])
-def test_fit_with_every_pass_split_has_the_bits_of_one_pass(variant, n, paired,
-                                                            monkeypatch):
-    ds = small_dataset(seed=3, n=n)
-    params = HyperParams(variant=variant)
-    with blas.single_thread():
-        Z, state = fit(ds, params)
-        monkeypatch.setattr(linalg, "PASS_MIN_ENTRIES", 2)
-        Z_split, state_split = fit(ds, params)
-    assert paired.jobs > 0
-    assert Z_split.tobytes() == Z.tobytes()
-    assert state_split.residual_history == state.residual_history
-    assert state_split.view_residual_history == state.view_residual_history
-
-
-def test_fit_overflowing_in_split_passes_is_a_numerical_error(paired):
-    # n = 520 splits the n x n passes; views at 1e20 overflow the
-    # iterates, which ends the fit with NumericalError and no warning
+def test_fit_overflowing_at_n520_is_a_numerical_error(paired):
+    # views at 1e20 overflow the iterates of a fit whose products split,
+    # which ends the fit with NumericalError and no warning
     ds = generate_synthetic(SyntheticSpec(n=520, clusters=3, dims=(20, 30, 40),
                                           subspace_rank=3, noise_sigma=0.05, seed=7))
     ds.views = [1e20 * X for X in ds.views]
-    assert 520 * 520 >= linalg.PASS_MIN_ENTRIES
     with blas.single_thread(), warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericalError):
