@@ -452,8 +452,8 @@ def test_inf_norm_propagates_nan_and_reads_zero_as_positive():
         assert str(inf_norm(np.full((2, 2), zero))) == "0.0"
 
 
-@pytest.mark.parametrize("where", [(0, 0), (256, 256), (512, 512)],
-                         ids=["first", "middle", "last"])
+@pytest.mark.parametrize("where", [(0, 0), (255, 512), (256, 0), (512, 512)],
+                         ids=["first", "end-of-a-row", "start-of-a-row", "last"])
 def test_inf_norm_of_a_large_matrix_reads_nan_at_any_entry(where):
     # the fit's divergence check on an n x n residual: a NaN anywhere
     # reads NaN, also where numpy reduces in vector blocks, as it does
