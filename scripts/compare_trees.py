@@ -15,6 +15,10 @@ The command set:
   ablate-ref         ablate --restarts 2 on the reference spec, whose
                      msc-naive fit, on a lane, retries one SVD on the
                      transpose (as ref-msc-naive does outside the lanes)
+  ablate-fails       ablate --restarts 2 --lambda2 1e308 on the reference
+                     spec, whose grmsc-naive fit fails on a lane (its
+                     graph term overflows): exit 3, with the reports of
+                     lrr-bsv and msc-naive and no ablation.csv
   ablate-consensus   ablate --restarts 2 --knn 30 --lambda2 10 on the
                      benchmark's ablate-consensus dataset (seed 1)
   ablate-n600        ablate --restarts 1 at n=600, whose variants run in
@@ -75,6 +79,7 @@ COMMANDS = {
     **{f"ref-{v}": ("reference", ["run", "--restarts", "10", "--trace-residuals",
                                   "--dump-graphs", "--variant", v]) for v in VARIANTS},
     "ablate-ref": ("reference", ["ablate", "--restarts", "2"]),
+    "ablate-fails": ("reference", ["ablate", "--restarts", "2", "--lambda2", "1e308"]),
     "ablate-consensus": ("ablate-consensus",
                          ["ablate", "--restarts", "2", "--knn", "30", "--lambda2", "10"]),
     "ablate-n600": ("n600", ["ablate", "--restarts", "1"]),

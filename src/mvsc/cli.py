@@ -18,7 +18,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .data import NORMALIZE_MODES
-from .errors import DataIOError, NumericalError, ValidationError
+from .errors import NumericalError, ValidationError
 from .pipeline import LAMBDA_GRID, RunConfig, cmd_ablate, cmd_run, cmd_sweep
 from .solver import VARIANTS, HyperParams
 
@@ -131,7 +131,7 @@ def main(argv=None):
     except NumericalError as exc:
         print(f"mvsc: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except DataIOError as exc:
+    except OSError as exc:  # an unreadable input (DataIOError) or an unwritable output
         print(f"mvsc: i/o error: {exc}", file=sys.stderr)
         return 4
 

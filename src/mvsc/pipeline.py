@@ -19,16 +19,14 @@ environment either. Inside that pin the fit's large products run in two
 parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
 so outputs do not depend on the CPU count.
 
-Below that size, where one fit's products stay whole, in_order maps
-ablate's variants, sweep's grid points and lrr-bsv's views over two
-lanes, the caller and blas.pair's extra thread. Each item runs whole on
-one lane, so every output keeps its bits; results come back in item
-order, the error of the lowest failed item is raised, and the log
-records of each item are emitted after the map in item order, so
-stdout, stderr and the files are those of the plain loop.
+Below that size, where one fit's products stay whole, in_order maps the
+fit stage (fit_and_embed) of ablate's variants, sweep's grid points and
+lrr-bsv's views over two lanes, the caller and blas.pair's extra
+thread. Each fit runs whole on one lane, so every output keeps its
+bits. The caller then clusters, scores, logs and writes each item in
+item order, so stdout, stderr and the files are those of the plain loop.
 """
 
-import contextvars
 import csv
 import logging
 import threading
@@ -54,33 +52,14 @@ ABLATION_ORDER = ("lrr-bsv", "msc-naive", "grmsc-naive", "grmsc")
 
 logger = logging.getLogger(__name__)
 
-# the log records of the in_order item this context runs on a lane
-_held = contextvars.ContextVar("held", default=None)
-
-
-def _hold(record):
-    """Logger filter: a record logged inside a lane's item waits in the
-    item's list, for in_order to emit after the map."""
-    held = _held.get()
-    if held is None:
-        return True
-    held.append(record)
-    return False
-
-
-for _name in ("data", "linalg", "pipeline", "spectral"):  # the package's loggers
-    logging.getLogger(f"{__package__}.{_name}").addFilter(_hold)
-
 
 class _Map:
     """One in_order map over two lanes: each lane takes the next index
-    under the lock until none is left or an item has failed, and runs
-    the item in a copy of the lane's context with its own record list."""
+    under the lock until none is left or an item has failed."""
 
     def __init__(self, fn, items):
         self.fn, self.items = fn, items
         self.results = [None] * len(items)
-        self.records = [[] for _ in items]
         self.errors = {}
         self.taken = 0
         self.lock = threading.Lock()
@@ -94,15 +73,18 @@ class _Map:
                     return
                 index = self.taken
                 self.taken += 1
-            contextvars.copy_context().run(self._item, index)
+            try:
+                self.results[index] = self.fn(self.items[index])
+            except BaseException as err:  # raised by handed
+                with self.lock:
+                    self.errors[index] = err
 
-    def _item(self, index):
-        _held.set(self.records[index])
-        try:
-            self.results[index] = self.fn(self.items[index])
-        except BaseException as err:  # re-raised by in_order
-            with self.lock:
-                self.errors[index] = err
+    def handed(self):
+        """The results before the lowest failed item, then its error."""
+        last = min(self.errors, default=len(self.items))
+        yield from self.results[:last]
+        if self.errors:
+            raise self.errors[last]
 
 
 def lane(work):
@@ -116,35 +98,27 @@ def lane(work):
 
 
 def in_order(fn, items, n_samples):
-    """[fn(x) for x in items], computed on two lanes when that helps.
+    """An iterator over fn(x) for x in items, in item order, computed on
+    two lanes when that helps.
 
     The lanes are the caller and blas.pair's extra thread, and each item
     runs wholly on one of them. They run two or more items whose fits
     are below matmul's split gate (n_samples**3 < linalg.SPLIT_MIN_MACS),
     which keeps two fits' n x n working sets from being live at once
     (larger fits would finish sooner on two lanes, with more memory).
-    Otherwise the items run in turn, as they do in a map that cannot
-    have the thread (see blas.pair), such as one inside a lane, whose
-    lane runs inline.
-
-    After a failure no new item starts; once both lanes have ended, the
-    error of the lowest failed item is raised. The records an item logs
-    through the package's loggers are held and emitted after the map in
-    item order, up to that failed item, as the plain loop would have
-    logged them.
+    A map that cannot have the thread (see blas.pair), such as one
+    inside a lane, runs its lane inline. Either way the map ends before
+    in_order returns: after a failure no new item starts, and the
+    iterator hands back the results before the lowest failed item, then
+    raises its error. With fewer items or larger fits, the iterator runs
+    each item when it is asked for, as a plain loop does.
     """
     items = list(items)
     if len(items) < 2 or n_samples ** 3 >= linalg.SPLIT_MIN_MACS:
-        return [fn(x) for x in items]
+        return map(fn, items)
     work = _Map(fn, items)
     blas.pair(work.run, partial(lane, work))
-    last = min(work.errors, default=len(items) - 1)
-    for records in work.records[:last + 1]:
-        for record in records:
-            logging.getLogger(record.name).handle(record)
-    if work.errors:
-        raise work.errors[last]
-    return work.results
+    return work.handed()
 
 
 @dataclass
@@ -203,57 +177,83 @@ class RestartResult:
     seed: int
     report: object
     labels: np.ndarray
-    state: object  # the fit clustered, less Q and Y2; converged and iteration live here
+    state: object  # the fit clustered, without its matrices (see fit_and_embed)
     view: int  # index of the fit kept: for lrr-bsv, the view
 
 
-def _restart(dataset, states, embeddings, index, seed):
-    """Cluster every fit's embedding with one k-means seed, keep the best
-    by NMI (ties go to the lowest index), and score it."""
-    labels = [cluster_embedding(U, dataset.n_clusters, seed) for U in embeddings]
-    best = 0
-    if len(states) > 1:
-        best = max(range(len(states)), key=lambda k: nmi(labels[k], dataset.labels))
-    return RestartResult(
-        index=index,
-        seed=seed,
-        report=evaluate(labels[best], dataset.labels),
-        labels=labels[best],
-        state=states[best],
-        view=best,
-    )
+def fit_and_embed(dataset, params, laplacian_sum=None, trace=False):
+    """The fit stage of one configuration: [(state, embedding)], one fit
+    for a variant over all views, or one per view for lrr-bsv, which
+    fits each view as its own one-view dataset through in_order.
 
-
-@single_thread()
-def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
-                 seed=0):
-    """One fit of the configuration and its spectral embedding, then one
-    seeded k-means per restart.
-
-    laplacian_sum goes to the fit as it is (see solver.fit).
-    lrr-bsv fits each view as its own one-view dataset and, per restart,
-    keeps the view whose clustering scores the best NMI. Each fit is
-    embedded as soon as it returns, after its state drops Q and Y2
-    (nothing downstream reads them), so of the fit's n x n arrays only
-    Z stays live through the embedding. lrr-bsv's views are fitted and
-    embedded through in_order. Any failure, of a fit, an embedding or a
-    clustering, raises.
+    laplacian_sum goes to each fit as it is (see solver.fit). A fit is
+    embedded as soon as it returns; its state drops Z, Q, E, Y1 and Y2
+    (nothing downstream reads them) and keeps its histories, converged
+    and iteration, so of the fit's n x n arrays only Z stays live through
+    the embedding. A failed fit or embedding raises. BLAS runs on the
+    caller's threads: the commands and run_restarts call it pinned.
     """
-    _require_labels(dataset)
     if params.variant == "lrr-bsv":
         datasets = [replace(dataset, views=[X]) for X in dataset.views]
     else:
         datasets = [dataset]
 
-    def fit_and_embed(data):
+    def fit_one(data):
         Z, state = fit(data, params, laplacian_sum=laplacian_sum, trace_objective=trace)
-        state.Q = state.Y2 = None
+        state.Z = state.Q = state.E = state.Y1 = state.Y2 = None
         return state, spectral_embedding(
             affinity_from_representation(Z), dataset.n_clusters
         )
 
-    states, embeddings = zip(*in_order(fit_and_embed, datasets, dataset.n_samples))
-    return [_restart(dataset, states, embeddings, r, seed + r) for r in range(restarts)]
+    return list(in_order(fit_one, datasets, dataset.n_samples))
+
+
+def _restarts(dataset, fits, restarts, seed):
+    """The clustering stage: restart r clusters every fit's embedding
+    with k-means seed seed + r, keeps the best by NMI (ties go to the
+    lowest index), and scores it. A failed clustering raises."""
+    results = []
+    for r in range(restarts):
+        labels = [cluster_embedding(U, dataset.n_clusters, seed + r) for _, U in fits]
+        best = 0
+        if len(fits) > 1:
+            best = max(range(len(fits)), key=lambda k: nmi(labels[k], dataset.labels))
+        results.append(RestartResult(
+            index=r,
+            seed=seed + r,
+            report=evaluate(labels[best], dataset.labels),
+            labels=labels[best],
+            state=fits[best][0],
+            view=best,
+        ))
+    return results
+
+
+@single_thread()
+def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
+                 seed=0):
+    """One configuration's fit stage (fit_and_embed), then its clustering
+    stage: one seeded k-means per restart of each fit's embedding, where
+    lrr-bsv keeps, per restart, the view whose clustering scores the best
+    NMI. Any failure raises."""
+    _require_labels(dataset)
+    fits = fit_and_embed(dataset, params, laplacian_sum, trace)
+    return _restarts(dataset, fits, restarts, seed)
+
+
+def _each_clustered(dataset, configs, config):
+    """(params, restart results) of each configuration in turn. The fit
+    stages run through in_order, after the graph stage; the caller
+    clusters each configuration's fits when its turn comes, and the
+    error of the lowest failed fit is raised in that configuration's
+    turn."""
+    terms = _graph_terms(dataset, configs)
+
+    def fit_config(params):
+        return fit_and_embed(dataset, params, terms.get(GRAPH_MODES.get(params.variant)))
+
+    for params, fits in zip(configs, in_order(fit_config, configs, dataset.n_samples)):
+        yield params, _restarts(dataset, fits, config.restarts, config.seed)
 
 
 def summarize(results):
@@ -399,40 +399,24 @@ def cmd_run(config):
 def cmd_ablate(config):
     """All four variants under identical restart seeds; one combined table.
     Both graph sets are built, sharing their first-order graphs, before
-    the first fit. The variants run through in_order; when one fails,
-    the reports of the variants before it are written, as a loop that
-    wrote each report after its fit would have left them."""
+    the first fit. A variant's report is written once it is clustered,
+    so a failure leaves the reports of the variants before it."""
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
     configs = [replace(config.params, variant=v) for v in ABLATION_ORDER]
-    terms = _graph_terms(dataset, configs)
-    rows = {}
-
-    def fit_variant(params):
-        results = run_restarts(
-            dataset, params, config.restarts,
-            laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)), seed=config.seed,
-        )
-        rows[params.variant] = (report_rows(dataset, params, results),
-                                summary_row(dataset, params, results))
-
-    try:
-        in_order(fit_variant, configs, dataset.n_samples)
-    finally:
-        for params in configs:
-            if params.variant not in rows:
-                break
-            write_csv(out / f"report_{variant_label(params.variant)}.csv",
-                      rows[params.variant][0])
-    write_csv(out / "ablation.csv", [rows[p.variant][1] for p in configs])
+    summaries = []
+    for params, results in _each_clustered(dataset, configs, config):
+        write_csv(out / f"report_{variant_label(params.variant)}.csv",
+                  report_rows(dataset, params, results))
+        summaries.append(summary_row(dataset, params, results))
+    write_csv(out / "ablation.csv", summaries)
     return 0
 
 
 @single_thread()
 def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
-    """Full pipeline per (lambda1, lambda2) grid point, through in_order;
-    one sweep.csv row each, suitable for a heatmap. One graph build
-    serves the grid."""
+    """Full pipeline per (lambda1, lambda2) grid point; one sweep.csv row
+    each, suitable for a heatmap. One graph build serves the grid."""
     if not grid1 or not grid2:
         raise ValidationError("sweep grids must be non-empty")
     configs = [
@@ -440,16 +424,10 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
         for l1 in grid1 for l2 in grid2
     ]
     dataset = resolve_dataset(config)
-    out = Path(config.out_dir)
-    terms = _graph_terms(dataset, configs)
-
-    def grid_point(params):
-        mean, std, n_runs = summarize(run_restarts(
-            dataset, params, config.restarts,
-            laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)), seed=config.seed,
-        ))
-        return {"lambda1": _fmt(params.lambda1), "lambda2": _fmt(params.lambda2),
-                "n_runs": n_runs, **_stat_cells(mean, std)}
-
-    write_csv(out / "sweep.csv", in_order(grid_point, configs, dataset.n_samples))
+    rows = []
+    for params, results in _each_clustered(dataset, configs, config):
+        mean, std, n_runs = summarize(results)
+        rows.append({"lambda1": _fmt(params.lambda1), "lambda2": _fmt(params.lambda2),
+                     "n_runs": n_runs, **_stat_cells(mean, std)})
+    write_csv(Path(config.out_dir) / "sweep.csv", rows)
     return 0

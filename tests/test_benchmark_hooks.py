@@ -188,6 +188,6 @@ def test_traced_ablate_nests_lane_spans_inside_their_parents(tmp_path):
         assert code == 0
         assert cpus == 1 or preexec is None
         assert problems == []
-        assert calls["pipeline.run_restarts"] == 4
+        assert calls["pipeline.fit_and_embed"] == 4
         assert calls["pipeline.in_order"] == 1 + 4  # variants, then each one's fits
         assert calls["pipeline.lane"] == 2

@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -291,24 +292,26 @@ def test_lanes_do_not_change_outputs(argv, tmp_path):
 
 
 # ablate with msc-naive's and grmsc's clusterings collapsed to one and two
-# clusters; msc-naive waits first, so on two lanes grmsc warns before it
+# clusters; msc-naive's fit waits first, so on two lanes grmsc's ends
+# before it
 WARNING_SCRIPT = """
-import contextvars, logging, sys, time
+import logging, sys, time
 import numpy as np
 from mvsc import cli, pipeline, spectral
 
-variant = contextvars.ContextVar("variant", default=None)
-real_restarts, real_kmeans = pipeline.run_restarts, spectral.kmeans
+variants = {}  # id of an embedding -> its variant
+real_fit_and_embed, real_kmeans = pipeline.fit_and_embed, spectral.kmeans
 
 def tagged(dataset, params, *args, **kwargs):
-    variant.set(params.variant)
     if params.variant == "msc-naive":
         time.sleep(0.5)
-    return real_restarts(dataset, params, *args, **kwargs)
+    fits = real_fit_and_embed(dataset, params, *args, **kwargs)
+    variants.update({id(U): params.variant for _, U in fits})
+    return fits
 
 def collapsing(X, k, seed):
     labels, inertia = real_kmeans(X, k, seed)
-    keep = {"msc-naive": 0, "grmsc": 1}.get(variant.get())
+    keep = {"msc-naive": 0, "grmsc": 1}.get(variants[id(X)])
     return (labels if keep is None else np.minimum(labels, keep)), inertia
 
 class Counter(logging.Handler):
@@ -319,7 +322,7 @@ class Counter(logging.Handler):
 
 logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
 logging.getLogger("mvsc.spectral").addHandler(Counter(logging.WARNING))
-pipeline.run_restarts, spectral.kmeans = tagged, collapsing
+pipeline.fit_and_embed, spectral.kmeans = tagged, collapsing
 print(cli.main(sys.argv[1:]), Counter.count)
 """
 
@@ -544,6 +547,32 @@ def test_missing_manifest_exits_4(tmp_path, capsys):
                    "--out", tmp_path / "out")
     assert code == 4
     assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+@pytest.mark.parametrize("command, flag, grid", [
+    ("run", "--out", []),
+    ("ablate", "--out", []),
+    ("sweep", "--out", ["--lambda1-grid", "1", "--lambda2-grid", "0,1"]),
+    ("run", "--dump-graphs", []),
+], ids=["run", "ablate", "sweep", "run-dump-graphs"])
+def test_output_path_at_a_file_exits_4(command, flag, grid, below, spec_file, tmp_path,
+                                       capsys):
+    # an output directory named by an existing file, or below one, is an
+    # i/o error that names the path, not a traceback
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept\n")
+    target = blocker / "sub" if below else blocker
+    out = target if flag == "--out" else tmp_path / "out"
+    dump = [] if flag == "--out" else [flag, target]
+    code = run_cli(command, "--synthetic", spec_file, "--restarts", 1, "--out", out,
+                   *grid, *dump)
+    assert code == 4
+    number = errno.ENOTDIR if below else errno.EEXIST
+    assert capsys.readouterr().err == \
+        f"mvsc: i/o error: [Errno {number}] {os.strerror(number)}: {str(target)!r}\n"
+    assert blocker.read_text() == "kept\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_malformed_manifest_exits_2(tmp_path, capsys):

@@ -682,7 +682,7 @@ def test_lane_items_with_split_products_never_put_two_jobs_on_the_thread(worker,
         expected = [product(ab) for ab in operands]
         monkeypatch.setattr(blas, "_cpus", lambda: 2)
         assert worker.jobs == 0
-        assert pipeline.in_order(product, operands, 150) == expected
+        assert list(pipeline.in_order(product, operands, 150)) == expected
     assert worker.jobs >= 1
     assert worker.most == 1
 
@@ -734,7 +734,7 @@ def test_matmul_in_a_forked_child_makes_its_own_worker(monkeypatch):
         def product(ab):
             return linalg.matmul(*ab).tobytes()
 
-        return pipeline.in_order(product, operands, 150), product(operands[0])
+        return list(pipeline.in_order(product, operands, 150)), product(operands[0])
 
     with blas.single_thread():
         expected = both()

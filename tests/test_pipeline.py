@@ -1,7 +1,6 @@
 """Restart protocol: one fit per configuration, one clustering per seed."""
 
 import csv
-import importlib
 import json
 import logging
 import sys
@@ -13,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from mvsc import blas, graphs, linalg, pipeline, solver
+from mvsc import blas, graphs, linalg, pipeline, solver, spectral
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.solver import HyperParams
@@ -55,7 +54,8 @@ def test_run_restarts_fits_once_per_configuration(variant, monkeypatch):
 def test_run_restarts_matches_spectral_cluster_per_restart():
     ds = small_dataset()
     results = pipeline.run_restarts(ds, HyperParams(max_iter=150), 3, seed=5)
-    A = affinity_from_representation(results[0].state.Z)
+    Z, _ = solver.fit(ds, HyperParams(max_iter=150))
+    A = affinity_from_representation(Z)
     for r in results:
         np.testing.assert_array_equal(r.labels, spectral_cluster(A, ds.n_clusters, r.seed))
 
@@ -114,20 +114,54 @@ def test_run_restarts_lrr_bsv_records_selected_view():
         assert r.report is not None
 
 
-def test_run_restarts_single_view_lrr_bsv_matches_msc_naive():
+def test_run_restarts_single_view_lrr_bsv_matches_msc_naive(monkeypatch):
     # with one view and no graph term, the full model IS plain LRR; the
     # best-single-view variant must therefore return the identical Z
     ds = small_dataset(dims=(9,))
+    fitted = []
+    real_fit = pipeline.fit
+
+    def recording_fit(*args, **kwargs):
+        Z, state = real_fit(*args, **kwargs)
+        fitted.append(Z)
+        return Z, state
+
+    monkeypatch.setattr(pipeline, "fit", recording_fit)
     naive = pipeline.run_restarts(
         ds, HyperParams(lambda2=0.0, variant="msc-naive", max_iter=150), 2, seed=3
     )
     bsv = pipeline.run_restarts(
         ds, HyperParams(variant="lrr-bsv", max_iter=150), 2, seed=3
     )
+    assert len(fitted) == 2
+    np.testing.assert_array_equal(*fitted)
     for a, b in zip(naive, bsv):
         assert b.view == 0
-        np.testing.assert_array_equal(a.state.Z, b.state.Z)
         np.testing.assert_array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("variant", ["grmsc", "lrr-bsv"])
+def test_fit_and_embed_hands_back_no_matrices(variant, lanes):
+    # in_order holds every item's fits until its map ends, so a fit
+    # handed back keeps its histories and its n x c embedding alone: at
+    # n=150 lrr-bsv's three fits retain 0.15 n x n arrays, where keeping
+    # E and Y1 (90 x n each) would add 1.2 and keeping Z 1.0 per fit
+    n = 150
+    spec = SyntheticSpec(n=n, clusters=3, dims=(20, 30, 40), subspace_rank=3,
+                         noise_sigma=0.05, seed=7)
+    ds = normalize_views(generate_synthetic(spec), "unit_column")
+    tracemalloc.start()
+    try:
+        fits = pipeline.fit_and_embed(ds, HyperParams(variant=variant))
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(fits) == (ds.n_views if variant == "lrr-bsv" else 1)
+    for state, U in fits:
+        assert [getattr(state, m) for m in ("Z", "Q", "E", "Y1", "Y2")] == [None] * 5
+        assert state.converged and len(state.mu_history) == state.iteration > 0
+        assert U.shape == (n, 3)
+    assert retained <= 0.5 * n * n * 8, f"{retained / (n * n * 8):.2f} n x n arrays"
 
 
 def test_ablate_shares_first_order_graphs(tmp_path, monkeypatch):
@@ -333,7 +367,7 @@ def test_in_order_returns_results_in_item_order_from_two_lanes(lanes):
         time.sleep(0.01)
         return x * x
 
-    assert pipeline.in_order(square, range(10), 161) == [x * x for x in range(10)]
+    assert list(pipeline.in_order(square, range(10), 161)) == [x * x for x in range(10)]
     assert lanes.jobs == 1
     assert len(set(threads)) == 2
 
@@ -352,7 +386,7 @@ def test_in_order_starts_no_thread_where_lanes_do_not_help(items, cpus, n, lanes
         threads.add(threading.get_ident())
         return 2 * x
 
-    assert pipeline.in_order(double, items, n) == [2 * x for x in items]
+    assert list(pipeline.in_order(double, items, n)) == [2 * x for x in items]
     assert lanes.jobs == 0
     assert threads <= {threading.get_ident()}
 
@@ -364,11 +398,11 @@ def test_in_order_inside_a_lane_runs_in_turn(lanes):
         return threading.get_ident()
 
     def outer(x):
-        threads = pipeline.in_order(inner, range(4), 150)
+        threads = list(pipeline.in_order(inner, range(4), 150))
         assert threads == [threading.get_ident()] * 4
         return x
 
-    assert pipeline.in_order(outer, range(4), 150) == list(range(4))
+    assert list(pipeline.in_order(outer, range(4), 150)) == list(range(4))
     assert lanes.jobs == 1
 
 
@@ -384,9 +418,13 @@ def test_in_order_raises_the_lowest_failed_item_and_starts_no_item_after(lanes):
             raise ValueError(f"item {x}")
         return x
 
+    handed = []
+    results = pipeline.in_order(slow_two_fast_three, range(10), 150)
+    assert sorted(started) == [0, 1, 2, 3]  # the map has ended
     with pytest.raises(ValueError, match="item 2"):
-        pipeline.in_order(slow_two_fast_three, range(10), 150)
-    assert sorted(started) == [0, 1, 2, 3]
+        for x in results:
+            handed.append(x)
+    assert handed == [0, 1]
     assert lanes.jobs == 1
 
 
@@ -402,72 +440,89 @@ def test_in_order_takes_no_item_before_the_lane_has_started(lanes, monkeypatch):
         real_lane(work)
 
     monkeypatch.setattr(pipeline, "lane", slow_lane)
-    assert pipeline.in_order(lambda x: x, range(4), 150) == list(range(4))
+    assert list(pipeline.in_order(lambda x: x, range(4), 150)) == list(range(4))
     assert seen == [0]
 
 
-def test_in_order_emits_held_records_in_item_order_up_to_the_failed_item(lanes):
-    # item 2 logs last, while the other lane runs the items after it
-    logger = logging.getLogger("mvsc.spectral")
-    emitted = []
+@pytest.mark.parametrize("command", ["ablate", "sweep"])
+def test_lane_items_log_on_the_caller_in_item_then_restart_order(command, tmp_path,
+                                                                 lanes, monkeypatch):
+    # every clustering collapses to one cluster and warns; the first
+    # item's fit is slow, so the other lane fits the items after it first
+    if command == "ablate":
+        items = [(v, 0.5, 1.0) for v in pipeline.ABLATION_ORDER]
+    else:
+        items = [("grmsc", l1, l2) for l1 in (0.5, 1.0) for l2 in (0.0, 1.0)]
+    fitted, clustered, emitted = {}, [], []
+    real_fit_and_embed, real_kmeans = pipeline.fit_and_embed, spectral.kmeans
+    caller = threading.get_ident()
+
+    def slow_first(dataset, params, *args, **kwargs):
+        item = (params.variant, params.lambda1, params.lambda2)
+        if item == items[0]:
+            time.sleep(0.3)
+        fits = real_fit_and_embed(dataset, params, *args, **kwargs)
+        fitted.update({id(U): (item, k) for k, (_, U) in enumerate(fits)})
+        return fits
+
+    def collapsing(X, k, seed):
+        clustered.append((*fitted[id(X)], seed))
+        labels, inertia = real_kmeans(X, k, seed)
+        return np.zeros_like(labels), inertia
 
     class Recording(logging.Handler):
         def emit(self, record):
-            emitted.append(record.getMessage())
+            emitted.append((record.thread, record.name, len(clustered)))
 
-    def logging_item(x, fail):
-        if x == 2:
-            time.sleep(0.2)
-        logger.warning("item %d", x)
-        if x == 2 and fail:
-            raise ValueError("item 2")
-        return x
-
-    handler = Recording(level=logging.WARNING)
-    logger.addHandler(handler)
+    monkeypatch.setattr(pipeline, "fit_and_embed", slow_first)
+    monkeypatch.setattr(spectral, "kmeans", collapsing)
+    handler = Recording(level=logging.DEBUG)
+    package = logging.getLogger("mvsc")
+    package.addHandler(handler)
+    config = pipeline.RunConfig(
+        params=HyperParams(max_iter=50), out_dir=tmp_path / "out",
+        synthetic=write_spec(tmp_path / "spec.json", 45), restarts=2,
+    )
     try:
-        assert pipeline.in_order(lambda x: logging_item(x, False), range(6), 150) == \
-            list(range(6))
-        assert emitted == [f"item {x}" for x in range(6)]
-        emitted.clear()
-        with pytest.raises(ValueError, match="item 2"):
-            pipeline.in_order(lambda x: logging_item(x, True), range(6), 150)
-        assert emitted == ["item 0", "item 1", "item 2"]
+        if command == "ablate":
+            assert pipeline.cmd_ablate(config) == 0
+        else:
+            assert pipeline.cmd_sweep(config, (0.5, 1.0), (0.0, 1.0)) == 0
     finally:
-        logger.removeHandler(handler)
-    assert lanes.jobs == 2
-
-
-def test_every_package_logger_holds_lane_records():
-    # a module that logs from inside a lane's item, through a logger
-    # without the filter, would print in the order the lanes ran
-    for name in ("data", "graphs", "linalg", "metrics", "solver", "spectral", "pipeline"):
-        module = importlib.import_module(f"mvsc.{name}")
-        logger = getattr(module, "logger", None)
-        if logger is not None:
-            assert pipeline._hold in logger.filters, name
+        package.removeHandler(handler)
+    assert lanes.jobs == 1  # lrr-bsv's views run their lane inline
+    fits = {item: 3 if item[0] == "lrr-bsv" else 1 for item in items}
+    assert clustered == [(item, k, seed) for item in items
+                         for seed in (0, 1) for k in range(fits[item])]
+    # each record follows its clustering, on the caller's thread
+    assert emitted == [(caller, "mvsc.spectral", i + 1) for i in range(len(clustered))]
 
 
 def test_lrr_bsv_views_run_on_two_lanes_with_the_bits_of_one(lanes, monkeypatch):
     ds = small_dataset(dims=(8, 10, 12))
     params = HyperParams(variant="lrr-bsv", max_iter=150)
-    threads = []
+    threads, fitted = [], {}  # view rows -> Z's bytes; lanes end out of order
     real_fit = pipeline.fit
 
-    def recording_fit(*args, **kwargs):
+    def recording_fit(data, *args, **kwargs):
         threads.append(threading.get_ident())
-        return real_fit(*args, **kwargs)
+        Z, state = real_fit(data, *args, **kwargs)
+        fitted[data.views[0].shape[0]] = Z.tobytes()
+        return Z, state
 
     monkeypatch.setattr(pipeline, "fit", recording_fit)
     two = pipeline.run_restarts(ds, params, 3)
     assert lanes.jobs == 1
+    two_Z = fitted.copy()
+    fitted.clear()
     monkeypatch.setattr(blas, "_cpus", lambda: 1)
     one = pipeline.run_restarts(ds, params, 3)
     assert lanes.jobs == 1
     assert len(set(threads[3:])) == 1
+    assert sorted(two_Z) == [8, 10, 12]
+    assert fitted == two_Z
     for a, b in zip(one, two):
         assert (a.view, a.seed) == (b.view, b.seed)
-        assert a.state.Z.tobytes() == b.state.Z.tobytes()
         np.testing.assert_array_equal(a.labels, b.labels)
 
 
@@ -494,7 +549,7 @@ def test_failed_ablate_writes_the_reports_before_the_failed_variant(tmp_path, la
                                                                    monkeypatch):
     # grmsc-naive fails while grmsc, on the other lane, may finish: the
     # files are those of a loop that stopped at the failure
-    real = pipeline.run_restarts
+    real = pipeline.fit_and_embed
 
     def naive_fails(dataset, params, *args, **kwargs):
         if params.variant == "grmsc-naive":
@@ -502,7 +557,7 @@ def test_failed_ablate_writes_the_reports_before_the_failed_variant(tmp_path, la
             raise NumericalError("grmsc-naive diverged")
         return real(dataset, params, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "run_restarts", naive_fails)
+    monkeypatch.setattr(pipeline, "fit_and_embed", naive_fails)
     config = pipeline.RunConfig(
         params=HyperParams(max_iter=50), out_dir=tmp_path / "out",
         synthetic=write_spec(tmp_path / "spec.json", 45), restarts=1,
@@ -530,7 +585,7 @@ def test_in_order_maps_from_many_threads_at_once_run_each_item_once(lanes):
 
     def run(slot):
         start.wait()
-        results[slot] = pipeline.in_order(count(slot), range(items), 150)
+        results[slot] = list(pipeline.in_order(count(slot), range(items), 150))
 
     start = threading.Barrier(callers)
     interval = sys.getswitchinterval()
