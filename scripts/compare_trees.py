@@ -39,6 +39,10 @@ The command set:
                      whose SVT sketches fail the certificate from
                      iteration 20 and end in the full SVD
   sweep              sweep --restarts 1 on the default grid
+  sweep-lrr-bsv      sweep --variant lrr-bsv --restarts 1 on a 2 x 1 grid
+                     of the reference spec, whose two grid points' six
+                     view fits share one map: each point must get back
+                     its own three views
   ablate-wide        ablate --restarts 2 at n=150 on two views of 1000
                      and 1200 rows (sum d >> n), whose variants run on
                      two lanes; per-entry noise 0.02, so that the
@@ -91,6 +95,8 @@ COMMANDS = {
     "run-n1200-grmsc-naive": ("n1200",
                               ["run", "--restarts", "1", "--variant", "grmsc-naive"]),
     "sweep": ("reference", ["sweep", "--restarts", "1"]),
+    "sweep-lrr-bsv": ("reference", ["sweep", "--variant", "lrr-bsv", "--restarts", "1",
+                                    "--lambda1-grid", "0.1,1", "--lambda2-grid", "1"]),
     "ablate-wide": ("wide-n150", ["ablate", "--restarts", "2"]),
     "run-wide-n520": ("wide-n520", ["run", "--restarts", "1", "--trace-residuals"]),
 }

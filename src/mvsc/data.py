@@ -15,6 +15,7 @@ exploit and the complementary per-view information are really present.
 import json
 import logging
 import numbers
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -93,11 +94,16 @@ class MultiViewDataset:
 
 def _load_matrix(path):
     try:
-        M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
+        with warnings.catch_warnings():
+            # a file with no data warns; it is rejected below instead
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            M = np.loadtxt(path, delimiter=",", ndmin=2, dtype=float)
     except OSError as exc:
         raise DataIOError(f"cannot read matrix file {path}: {exc}") from exc
     except ValueError as exc:
         raise ValidationError(f"malformed matrix file {path}: {exc}") from exc
+    if M.size == 0:
+        raise ValidationError(f"matrix file {path} is empty")
     return M
 
 

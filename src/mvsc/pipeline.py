@@ -19,16 +19,18 @@ environment either. Inside that pin the fit's large products run in two
 parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
 so outputs do not depend on the CPU count.
 
-Below that size, where one fit's products stay whole, in_order maps the
-fit stage (fit_and_embed) of ablate's variants, sweep's grid points and
-lrr-bsv's views over two lanes, the caller and blas.pair's extra
-thread. Each fit runs whole on one lane, so every output keeps its
-bits. The caller then clusters, scores, logs and writes each item in
-item order, so stdout, stderr and the files are those of the plain loop.
+Every fit of a command, one per configuration or per view for lrr-bsv,
+is an item of one in_order map (_clustered). Below matmul's split size
+it runs over two lanes, the caller and blas.pair's extra thread. Each
+fit runs whole on one lane, so every output keeps its bits. The caller
+then clusters, scores, logs and writes each configuration in turn, so
+stdout, stderr and the files are those of the plain loop.
 """
 
 import csv
+import errno
 import logging
+import os
 import threading
 from dataclasses import dataclass, replace
 from functools import partial
@@ -106,8 +108,8 @@ def in_order(fn, items, n_samples):
     are below matmul's split gate (n_samples**3 < linalg.SPLIT_MIN_MACS),
     which keeps two fits' n x n working sets from being live at once
     (larger fits would finish sooner on two lanes, with more memory).
-    A map that cannot have the thread (see blas.pair), such as one
-    inside a lane, runs its lane inline. Either way the map ends before
+    A map that cannot have the thread (see blas.pair), such as one on
+    one CPU, runs its lane inline. Either way the map ends before
     in_order returns: after a failure no new item starts, and the
     iterator hands back the results before the lowest failed item, then
     raises its error. With fewer items or larger fits, the iterator runs
@@ -150,7 +152,11 @@ class RunConfig:
 def resolve_dataset(config):
     """The command's normalized dataset; raises ValidationError when it
     has no labels to evaluate against, before any graph is built. Warns
-    once, before any lane starts, when --knn is clamped to n - 1."""
+    once, before any lane starts, when --knn is clamped to n - 1. Checks
+    the output directories before anything loads (_require_directory)."""
+    for path in (config.out_dir, _dump_dir(config)):
+        if path is not None:
+            _require_directory(path)
     if config.manifest is not None:
         ds = load_dataset(config.manifest)
     else:
@@ -162,6 +168,27 @@ def resolve_dataset(config):
         logger.warning("knn = %d is not below n = %d; the graphs use knn = %d",
                        knn, n, config.params.resolve_knn(n, ds.n_clusters))
     return ds
+
+
+def _dump_dir(config):
+    """Where cmd_run dumps the graphs: out_dir/graphs for True, else the
+    path given, or None."""
+    if config.dump_graphs is True:
+        return Path(config.out_dir) / "graphs"
+    return config.dump_graphs or None
+
+
+def _require_directory(path):
+    """Raises the OSError that making directory path would raise where
+    path, or its nearest existing ancestor, is not a directory. Creates
+    nothing, so a failed command leaves no output directory."""
+    path = Path(path)
+    for ancestor in (path, *path.parents):
+        if ancestor.exists():
+            if not ancestor.is_dir():
+                code = errno.EEXIST if ancestor == path else errno.ENOTDIR
+                raise OSError(code, os.strerror(code), str(path))
+            return
 
 
 def _require_labels(dataset):
@@ -182,30 +209,33 @@ class RestartResult:
 
 
 def fit_and_embed(dataset, params, laplacian_sum=None, trace=False):
-    """The fit stage of one configuration: [(state, embedding)], one fit
-    for a variant over all views, or one per view for lrr-bsv, which
-    fits each view as its own one-view dataset through in_order.
+    """(state, embedding) of one fit of dataset's views.
 
-    laplacian_sum goes to each fit as it is (see solver.fit). A fit is
+    laplacian_sum goes to the fit as it is (see solver.fit). The fit is
     embedded as soon as it returns; its state drops Z, Q, E, Y1 and Y2
     (nothing downstream reads them) and keeps its histories, converged
     and iteration, so of the fit's n x n arrays only Z stays live through
     the embedding. A failed fit or embedding raises. BLAS runs on the
     caller's threads: the commands and run_restarts call it pinned.
     """
-    if params.variant == "lrr-bsv":
-        datasets = [replace(dataset, views=[X]) for X in dataset.views]
-    else:
-        datasets = [dataset]
+    Z, state = fit(dataset, params, laplacian_sum=laplacian_sum, trace_objective=trace)
+    state.Z = state.Q = state.E = state.Y1 = state.Y2 = None
+    return state, spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
 
-    def fit_one(data):
-        Z, state = fit(data, params, laplacian_sum=laplacian_sum, trace_objective=trace)
-        state.Z = state.Q = state.E = state.Y1 = state.Y2 = None
-        return state, spectral_embedding(
-            affinity_from_representation(Z), dataset.n_clusters
-        )
 
-    return list(in_order(fit_one, datasets, dataset.n_samples))
+def _clustered(dataset, configs, restarts, seed, trace=False):
+    """The restart results of each (params, laplacian_sum) in configs, in
+    turn. Every fit of every configuration (one over all views, or for
+    lrr-bsv one per view) is an item of one in_order map; the caller
+    clusters a configuration's fits in its turn (_restarts), where the
+    error of the lowest failed fit is raised."""
+    datasets = [[replace(dataset, views=[X]) for X in dataset.views]
+                if params.variant == "lrr-bsv" else [dataset] for params, _ in configs]
+    items = [(data, params, S0) for (params, S0), each in zip(configs, datasets)
+             for data in each]
+    fits = in_order(lambda item: fit_and_embed(*item, trace), items, dataset.n_samples)
+    for each in datasets:
+        yield _restarts(dataset, [next(fits) for _ in each], restarts, seed)
 
 
 def _restarts(dataset, fits, restarts, seed):
@@ -232,28 +262,20 @@ def _restarts(dataset, fits, restarts, seed):
 @single_thread()
 def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
                  seed=0):
-    """One configuration's fit stage (fit_and_embed), then its clustering
-    stage: one seeded k-means per restart of each fit's embedding, where
-    lrr-bsv keeps, per restart, the view whose clustering scores the best
-    NMI. Any failure raises."""
+    """One configuration's fit stage, then its clustering stage
+    (_clustered): one seeded k-means per restart of each fit's embedding,
+    where lrr-bsv keeps, per restart, the view whose clustering scores
+    the best NMI. Any failure raises."""
     _require_labels(dataset)
-    fits = fit_and_embed(dataset, params, laplacian_sum, trace)
-    return _restarts(dataset, fits, restarts, seed)
+    return next(_clustered(dataset, [(params, laplacian_sum)], restarts, seed, trace))
 
 
-def _each_clustered(dataset, configs, config):
-    """(params, restart results) of each configuration in turn. The fit
-    stages run through in_order, after the graph stage; the caller
-    clusters each configuration's fits when its turn comes, and the
-    error of the lowest failed fit is raised in that configuration's
-    turn."""
-    terms = _graph_terms(dataset, configs)
-
-    def fit_config(params):
-        return fit_and_embed(dataset, params, terms.get(GRAPH_MODES.get(params.variant)))
-
-    for params, fits in zip(configs, in_order(fit_config, configs, dataset.n_samples)):
-        yield params, _restarts(dataset, fits, config.restarts, config.seed)
+def _each_clustered(dataset, configs, config, dump_dir=None, trace=False):
+    """(params, restart results) of each configuration in turn, after
+    the graph stage (dump_dir goes to _graph_terms)."""
+    terms = _graph_terms(dataset, configs, dump_dir)
+    pairs = [(p, terms.get(GRAPH_MODES.get(p.variant))) for p in configs]
+    return zip(configs, _clustered(dataset, pairs, config.restarts, config.seed, trace))
 
 
 def summarize(results):
@@ -378,15 +400,9 @@ def cmd_run(config):
     summary.csv, labels.csv, and optional graph dumps and traces. The
     graphs are dumped before the fit."""
     dataset = resolve_dataset(config)
-    params = config.params
     out = Path(config.out_dir)
-    dump = out / "graphs" if config.dump_graphs is True else config.dump_graphs
-    terms = _graph_terms(dataset, [params], dump_dir=dump or None)
-    results = run_restarts(
-        dataset, params, config.restarts,
-        laplacian_sum=terms.get(GRAPH_MODES.get(params.variant)),
-        trace=config.trace_residuals, seed=config.seed,
-    )
+    [(params, results)] = _each_clustered(dataset, [config.params], config,
+                                          _dump_dir(config), config.trace_residuals)
     write_csv(out / "report.csv", report_rows(dataset, params, results))
     write_csv(out / "summary.csv", [summary_row(dataset, params, results)])
     write_labels(out / "labels.csv", results[0].labels)

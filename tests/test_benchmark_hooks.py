@@ -161,8 +161,9 @@ print(json.dumps([code, len(os.sched_getaffinity(0)), problems, calls]))
 def test_traced_ablate_nests_lane_spans_inside_their_parents(tmp_path):
     # the tracer parents a thread's first span on the innermost span open
     # in the main thread: in_order's, once the lane has signalled its start.
-    # The variants' map and lrr-bsv's views each run one lane, on the extra
-    # thread or inline, whatever the CPU count
+    # One map runs every fit (lrr-bsv's three views and the other three
+    # variants) and one lane, on the extra thread or inline, whatever the
+    # CPU count
     data = tmp_path / "spec.json"
     data.write_text(json.dumps({
         "n": 150, "clusters": 3, "dims": [20, 30, 40], "subspace_rank": 3,
@@ -188,6 +189,6 @@ def test_traced_ablate_nests_lane_spans_inside_their_parents(tmp_path):
         assert code == 0
         assert cpus == 1 or preexec is None
         assert problems == []
-        assert calls["pipeline.fit_and_embed"] == 4
-        assert calls["pipeline.in_order"] == 1 + 4  # variants, then each one's fits
-        assert calls["pipeline.lane"] == 2
+        assert calls["pipeline.fit_and_embed"] == 6
+        assert calls["pipeline.in_order"] == 1
+        assert calls["pipeline.lane"] == 1

@@ -305,9 +305,9 @@ real_fit_and_embed, real_kmeans = pipeline.fit_and_embed, spectral.kmeans
 def tagged(dataset, params, *args, **kwargs):
     if params.variant == "msc-naive":
         time.sleep(0.5)
-    fits = real_fit_and_embed(dataset, params, *args, **kwargs)
-    variants.update({id(U): params.variant for _, U in fits})
-    return fits
+    state, U = real_fit_and_embed(dataset, params, *args, **kwargs)
+    variants[id(U)] = params.variant
+    return state, U
 
 def collapsing(X, k, seed):
     labels, inertia = real_kmeans(X, k, seed)
@@ -557,9 +557,15 @@ def test_missing_manifest_exits_4(tmp_path, capsys):
     ("run", "--dump-graphs", []),
 ], ids=["run", "ablate", "sweep", "run-dump-graphs"])
 def test_output_path_at_a_file_exits_4(command, flag, grid, below, spec_file, tmp_path,
-                                       capsys):
+                                       capsys, monkeypatch):
     # an output directory named by an existing file, or below one, is an
-    # i/o error that names the path, not a traceback
+    # i/o error that names the path, not a traceback, found before the
+    # dataset loads
+    def never(*args, **kwargs):
+        raise AssertionError("called before the output paths were checked")
+
+    monkeypatch.setattr(pipeline, "generate_synthetic", never)
+    monkeypatch.setattr(pipeline, "fit", never)
     blocker = tmp_path / "afile"
     blocker.write_text("kept\n")
     target = blocker / "sub" if below else blocker
@@ -850,6 +856,27 @@ def test_malformed_input_exits_2(source, change, message, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "validation error" in err
     assert message in err
+
+
+@pytest.mark.parametrize("text", ["", "\n\n"], ids=["empty", "blank-lines"])
+@pytest.mark.parametrize("name", ["view0.csv", "labels.csv"])
+def test_matrix_file_without_data_exits_2(name, text, tmp_path, capsys):
+    # numpy would warn on stderr and hand back a (0, 1) matrix, which
+    # failed later on a shape check that did not name the file
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "view0.csv", rng.standard_normal((4, 8)), delimiter=",")
+    np.savetxt(tmp_path / "labels.csv", np.arange(8)[:, None] % 2, fmt="%d")
+    (tmp_path / name).write_text(text)
+    doc = {**MANIFEST, "views": [{"path": "view0.csv"}]}
+    (tmp_path / "input.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--manifest", tmp_path / "input.json",
+                       "--out", tmp_path / "out", "--restarts", 1)
+    assert code == 2
+    assert caught == []
+    assert capsys.readouterr().err == \
+        f"mvsc: validation error: matrix file {tmp_path / name} is empty\n"
 
 
 def test_failed_clustering_exits_3(spec_file, tmp_path, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Restart protocol: one fit per configuration, one clustering per seed."""
 
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -142,21 +143,24 @@ def test_run_restarts_single_view_lrr_bsv_matches_msc_naive(monkeypatch):
 
 @pytest.mark.parametrize("variant", ["grmsc", "lrr-bsv"])
 def test_fit_and_embed_hands_back_no_matrices(variant, lanes):
-    # in_order holds every item's fits until its map ends, so a fit
-    # handed back keeps its histories and its n x c embedding alone: at
-    # n=150 lrr-bsv's three fits retain 0.15 n x n arrays, where keeping
-    # E and Y1 (90 x n each) would add 1.2 and keeping Z 1.0 per fit
+    # in_order holds every fit until its map ends, so a fit handed back
+    # keeps its histories and its n x c embedding alone: at n=150
+    # lrr-bsv's three fits retain 0.15 n x n arrays, where keeping E and
+    # Y1 (90 x n each) would add 1.2 and keeping Z 1.0 per fit
     n = 150
     spec = SyntheticSpec(n=n, clusters=3, dims=(20, 30, 40), subspace_rank=3,
                          noise_sigma=0.05, seed=7)
     ds = normalize_views(generate_synthetic(spec), "unit_column")
+    if variant == "lrr-bsv":
+        datasets = [dataclasses.replace(ds, views=[X]) for X in ds.views]
+    else:
+        datasets = [ds]
     tracemalloc.start()
     try:
-        fits = pipeline.fit_and_embed(ds, HyperParams(variant=variant))
+        fits = [pipeline.fit_and_embed(d, HyperParams(variant=variant)) for d in datasets]
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(fits) == (ds.n_views if variant == "lrr-bsv" else 1)
     for state, U in fits:
         assert [getattr(state, m) for m in ("Z", "Q", "E", "Y1", "Y2")] == [None] * 5
         assert state.converged and len(state.mu_history) == state.iteration > 0
@@ -448,7 +452,7 @@ def test_in_order_takes_no_item_before_the_lane_has_started(lanes, monkeypatch):
 def test_lane_items_log_on_the_caller_in_item_then_restart_order(command, tmp_path,
                                                                  lanes, monkeypatch):
     # every clustering collapses to one cluster and warns; the first
-    # item's fit is slow, so the other lane fits the items after it first
+    # fit is slow, so the other lane fits the items after it first
     if command == "ablate":
         items = [(v, 0.5, 1.0) for v in pipeline.ABLATION_ORDER]
     else:
@@ -459,11 +463,13 @@ def test_lane_items_log_on_the_caller_in_item_then_restart_order(command, tmp_pa
 
     def slow_first(dataset, params, *args, **kwargs):
         item = (params.variant, params.lambda1, params.lambda2)
-        if item == items[0]:
+        # an lrr-bsv fit's one view has 20, 30 or 40 rows
+        k = (20, 30, 40).index(dataset.views[0].shape[0]) if dataset.n_views == 1 else 0
+        if (item, k) == (items[0], 0):
             time.sleep(0.3)
-        fits = real_fit_and_embed(dataset, params, *args, **kwargs)
-        fitted.update({id(U): (item, k) for k, (_, U) in enumerate(fits)})
-        return fits
+        state, U = real_fit_and_embed(dataset, params, *args, **kwargs)
+        fitted[id(U)] = (item, k)
+        return state, U
 
     def collapsing(X, k, seed):
         clustered.append((*fitted[id(X)], seed))
@@ -490,12 +496,35 @@ def test_lane_items_log_on_the_caller_in_item_then_restart_order(command, tmp_pa
             assert pipeline.cmd_sweep(config, (0.5, 1.0), (0.0, 1.0)) == 0
     finally:
         package.removeHandler(handler)
-    assert lanes.jobs == 1  # lrr-bsv's views run their lane inline
+    assert lanes.jobs == 1  # one map runs every fit
     fits = {item: 3 if item[0] == "lrr-bsv" else 1 for item in items}
     assert clustered == [(item, k, seed) for item in items
                          for seed in (0, 1) for k in range(fits[item])]
     # each record follows its clustering, on the caller's thread
     assert emitted == [(caller, "mvsc.spectral", i + 1) for i in range(len(clustered))]
+
+
+def test_ablate_maps_every_fit_in_one_in_order_call(tmp_path, lanes, monkeypatch):
+    # lrr-bsv's views are items of the variants' map, not a map of their own
+    maps = []
+    real_in_order = pipeline.in_order
+
+    def recording(fn, items, n_samples):
+        items = list(items)
+        maps.append([(params.variant, [X.shape[0] for X in data.views])
+                     for data, params, _ in items])
+        return real_in_order(fn, items, n_samples)
+
+    monkeypatch.setattr(pipeline, "in_order", recording)
+    config = pipeline.RunConfig(
+        params=HyperParams(max_iter=20), out_dir=tmp_path / "out",
+        synthetic=write_spec(tmp_path / "spec.json", 150), restarts=1,
+    )
+    assert pipeline.cmd_ablate(config) == 0
+    assert maps == [[("lrr-bsv", [20]), ("lrr-bsv", [30]), ("lrr-bsv", [40]),
+                     ("msc-naive", [20, 30, 40]), ("grmsc-naive", [20, 30, 40]),
+                     ("grmsc", [20, 30, 40])]]
+    assert lanes.jobs == 1
 
 
 def test_lrr_bsv_views_run_on_two_lanes_with_the_bits_of_one(lanes, monkeypatch):
