@@ -2,10 +2,11 @@
 """Compare what two checkouts of mvsc write, byte for byte.
 
 Runs one command set in each checkout, `python -m mvsc.cli` with that
-checkout's src/ on PYTHONPATH, on the same synthetic specs. Each command
-runs in a fresh directory of its own, once with one CPU and once with
-two (by affinity mask). Prints every output file, stdout, stderr or exit
-code that differs between the checkouts and exits 1 if any does, else 0.
+checkout's src/ on PYTHONPATH, on the same synthetic specs, and one of
+that checkout's scripts. Each command runs in a fresh directory of its
+own, once with one CPU and once with two (by affinity mask). Prints
+every output file, stdout, stderr or exit code that differs between the
+checkouts and exits 1 if any does, else 0.
 
     python3 scripts/compare_trees.py PARENT CHANGE [--work DIR] [--only NAME ...]
 
@@ -50,6 +51,9 @@ The command set:
   run-wide-n520      run --restarts 1 --trace-residuals at n=520, four
                      clusters, on views of 1200 and 1400 rows with
                      per-entry noise 0.045 (NMI 0.98)
+  ablation-script    scripts/run_ablation.py --seeds 2, the only entry
+                     that reaches pipeline.run_restarts; its --out is
+                     relative, so the paths it prints match
 """
 
 import argparse
@@ -78,7 +82,8 @@ SPECS = {
     "wide-n520": dict(REFERENCE, n=520, clusters=4, dims=[1200, 1400], noise_sigma=0.045),
 }
 
-# name -> (spec, mvsc arguments after the spec and --out)
+# name -> (spec, mvsc arguments after the spec and --out), or for a
+# script (None, its path in the checkout and its arguments before --out)
 COMMANDS = {
     **{f"ref-{v}": ("reference", ["run", "--restarts", "10", "--trace-residuals",
                                   "--dump-graphs", "--variant", v]) for v in VARIANTS},
@@ -99,18 +104,23 @@ COMMANDS = {
                                     "--lambda1-grid", "0.1,1", "--lambda2-grid", "1"]),
     "ablate-wide": ("wide-n150", ["ablate", "--restarts", "2"]),
     "run-wide-n520": ("wide-n520", ["run", "--restarts", "1", "--trace-residuals"]),
+    "ablation-script": (None, ["scripts/run_ablation.py", "--seeds", "2"]),
 }
 
 
 def run_command(tree, spec_path, argv, cwd, cpus):
-    """Run one mvsc command from tree in the empty directory cwd on the
-    given CPUs; the spec is named by a path relative to cwd, and the
-    output goes to cwd/out. Returns (exit code, stdout, stderr)."""
+    """Run one mvsc command, or with spec_path None one script, from
+    tree in the empty directory cwd on the given CPUs; the spec is named
+    by a path relative to cwd, and the output goes to cwd/out. Returns
+    (exit code, stdout, stderr)."""
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
     command, *rest = argv
-    args = [sys.executable, "-m", "mvsc.cli", command,
-            "--synthetic", os.path.relpath(spec_path, cwd), "--out", "out", *rest]
+    if spec_path is None:
+        args = [sys.executable, str(Path(tree).resolve() / command), *rest, "--out", "out"]
+    else:
+        args = [sys.executable, "-m", "mvsc.cli", command,
+                "--synthetic", os.path.relpath(spec_path, cwd), "--out", "out", *rest]
     proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True,
                           preexec_fn=lambda: os.sched_setaffinity(0, cpus))
     return proc.returncode, proc.stdout, proc.stderr
@@ -173,7 +183,8 @@ def main(argv=None):
             results = []
             for label, tree in (("parent", args.parent), ("change", args.change)):
                 cwd = work / f"{len(cpus)}cpu" / label / name
-                code, out, err = run_command(tree, specs / f"{spec}.json", argv_, cwd, cpus)
+                spec_path = spec and specs / f"{spec}.json"
+                code, out, err = run_command(tree, spec_path, argv_, cwd, cpus)
                 results.append((code, out, err, files_under(cwd / "out")))
             found = differences(*results)
             status = "DIFFERS" if found else "same"

@@ -155,9 +155,9 @@ def load_dataset(manifest_path):
     ).validate()
 
 
-def write_matrix(path, A, fmt="%.18e", delimiter=","):
-    """Write a 2-D array as text, byte for byte what
-    np.savetxt(path, A, fmt=fmt, delimiter=delimiter) writes, with one
+def write_matrix(path, A, fmt="%.18e"):
+    """Write a 2-D array as comma-separated text, byte for byte what
+    np.savetxt(path, A, fmt=fmt, delimiter=",") writes, with one
     % per block of rows over a repeated row template instead of one per
     row."""
     A = np.asarray(A)
@@ -165,7 +165,7 @@ def write_matrix(path, A, fmt="%.18e", delimiter=","):
     # behind, few enough that a block's text and Python floats stay a
     # small fraction of an n x n array
     rows = max(1, 4096 // max(A.shape[1], 1))
-    line = delimiter.join([fmt] * A.shape[1]) + "\n"
+    line = ",".join([fmt] * A.shape[1]) + "\n"
     with open(path, "w") as fh:
         for i in range(0, A.shape[0], rows):
             block = A[i:i + rows]
@@ -292,6 +292,8 @@ class SyntheticSpec:
             raise ValidationError(
                 f"noise_sigma must be nonnegative, got {self.noise_sigma}"
             )
+        if self.seed < 0:
+            raise ValidationError(f"seed must be nonnegative, got {self.seed}")
 
 
 def load_synthetic_spec(path):

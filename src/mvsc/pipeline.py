@@ -3,9 +3,10 @@
 A command lists its configurations and chains pure stages: graphs once
 per (knn, alpha, mode), one fit per (variant, lambda), one spectral
 embedding per fit, then one k-means per restart. One function,
-_graph_terms, runs the graph stage before the first fit: it builds the
-sets a fit reads (an effective lambda2 > 0) or a dump asks for, and
-hands each fit its set's S0 = sum_k (L_k + L_k^T) alone. A
+_graph_terms, runs the graph stage before the first fit, and nothing
+else builds a graph set: it builds the sets a fit reads (an effective
+lambda2 > 0) or a dump asks for, and hands each fit its set's
+S0 = sum_k (L_k + L_k^T) alone. A
 configuration is a convex problem with one solution, so a restart is
 only a k-means seed: restart r clusters the shared embedding with seed
 base_seed + r. Every restart clusters the same finite embedding, so a
@@ -19,8 +20,9 @@ environment either. Inside that pin the fit's large products run in two
 parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
 so outputs do not depend on the CPU count.
 
-Every fit of a command, one per configuration or per view for lrr-bsv,
-is an item of one in_order map (_clustered). Below matmul's split size
+The commands and run_restarts each chain the stages through one call of
+_clustered. Every fit of that call, one per configuration or per view
+for lrr-bsv, is an item of one in_order map. Below matmul's split size
 it runs over two lanes, the caller and blas.pair's extra thread. Each
 fit runs whole on one lane, so every output keeps its bits. The caller
 then clusters, scores, logs and writes each configuration in turn, so
@@ -45,7 +47,8 @@ from .data import (
 )
 from .errors import ValidationError
 from .metrics import METRIC_FIELDS, aggregate, evaluate, format_mean_std, nmi
-from .solver import GRAPH_MODES, HyperParams, fit, variant_graphs, variant_label
+from .graphs import build_graph_set
+from .solver import GRAPH_MODES, HyperParams, fit, variant_label
 from .spectral import affinity_from_representation, cluster_embedding, spectral_embedding
 
 LAMBDA_GRID = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
@@ -223,19 +226,21 @@ def fit_and_embed(dataset, params, laplacian_sum=None, trace=False):
     return state, spectral_embedding(affinity_from_representation(Z), dataset.n_clusters)
 
 
-def _clustered(dataset, configs, restarts, seed, trace=False):
-    """The restart results of each (params, laplacian_sum) in configs, in
-    turn. Every fit of every configuration (one over all views, or for
-    lrr-bsv one per view) is an item of one in_order map; the caller
+def _clustered(dataset, configs, restarts, seed, dump_dir=None, trace=False):
+    """(params, restart results) of each HyperParams in configs, in turn.
+    The graph stage (_graph_terms, which dump_dir goes to) runs first.
+    Then every fit of every configuration (one over all views, or for
+    lrr-bsv one per view) is an item of one in_order map, and the caller
     clusters a configuration's fits in its turn (_restarts), where the
     error of the lowest failed fit is raised."""
+    terms = _graph_terms(dataset, configs, dump_dir)
     datasets = [[replace(dataset, views=[X]) for X in dataset.views]
-                if params.variant == "lrr-bsv" else [dataset] for params, _ in configs]
-    items = [(data, params, S0) for (params, S0), each in zip(configs, datasets)
+                if params.variant == "lrr-bsv" else [dataset] for params in configs]
+    items = [(data, params, S0) for params, S0, each in zip(configs, terms, datasets)
              for data in each]
     fits = in_order(lambda item: fit_and_embed(*item, trace), items, dataset.n_samples)
-    for each in datasets:
-        yield _restarts(dataset, [next(fits) for _ in each], restarts, seed)
+    for params, each in zip(configs, datasets):
+        yield params, _restarts(dataset, [next(fits) for _ in each], restarts, seed)
 
 
 def _restarts(dataset, fits, restarts, seed):
@@ -260,22 +265,14 @@ def _restarts(dataset, fits, restarts, seed):
 
 
 @single_thread()
-def run_restarts(dataset, params, restarts, laplacian_sum=None, trace=False,
-                 seed=0):
-    """One configuration's fit stage, then its clustering stage
-    (_clustered): one seeded k-means per restart of each fit's embedding,
-    where lrr-bsv keeps, per restart, the view whose clustering scores
-    the best NMI. Any failure raises."""
+def run_restarts(dataset, params, restarts, seed=0):
+    """One configuration through the commands' stages (_clustered): its
+    graph set, its fit, then one seeded k-means per restart of each
+    fit's embedding, where lrr-bsv keeps, per restart, the view whose
+    clustering scores the best NMI. Any failure raises."""
     _require_labels(dataset)
-    return next(_clustered(dataset, [(params, laplacian_sum)], restarts, seed, trace))
-
-
-def _each_clustered(dataset, configs, config, dump_dir=None, trace=False):
-    """(params, restart results) of each configuration in turn, after
-    the graph stage (dump_dir goes to _graph_terms)."""
-    terms = _graph_terms(dataset, configs, dump_dir)
-    pairs = [(p, terms.get(GRAPH_MODES.get(p.variant))) for p in configs]
-    return zip(configs, _clustered(dataset, pairs, config.restarts, config.seed, trace))
+    [(_, results)] = _clustered(dataset, [params], restarts, seed)
+    return results
 
 
 def summarize(results):
@@ -370,28 +367,27 @@ def write_traces(out_dir, results):
 
 
 def _graph_terms(dataset, configs, dump_dir=None):
-    """{mode: S0} for each build_graph_set mode that a fit among configs
-    (HyperParams sharing knn and alpha) reads: a graph variant's at an
-    effective lambda2 > 0. The sets share one build of the first-order
-    graphs. dump_dir receives the CSVs of configs[0]'s set (grmsc's for
-    a graph-free variant), built for the dump alone if no fit reads it.
+    """The S0 of each of configs (HyperParams sharing knn and alpha), in
+    order: that of its variant's build_graph_set mode, or None where no
+    fit among configs reads that set. A graph variant's fit reads it at
+    an effective lambda2 > 0; a graph-free variant has none. A set
+    depends on (views, knn, alpha, mode), not on lambda2, and the sets
+    share one build of the first-order graphs. dump_dir receives the
+    CSVs of configs[0]'s set (grmsc's for a graph-free variant), built
+    for the dump alone if no fit reads it.
     """
-    builds = {GRAPH_MODES[p.variant]: p for p in configs if p.effective_lambda2 > 0}
-    read, dump_mode = set(builds), None
-    if dump_dir is not None:
-        dump = configs[0]
-        if dump.variant not in GRAPH_MODES:
-            dump = replace(dump, variant="grmsc")
-        dump_mode = GRAPH_MODES[dump.variant]
-        builds.setdefault(dump_mode, dump)
+    read = [GRAPH_MODES[p.variant] for p in configs if p.effective_lambda2 > 0]
+    dump_mode = None if dump_dir is None else GRAPH_MODES.get(configs[0].variant, "fused")
+    knn = configs[0].resolve_knn(dataset.n_samples, dataset.n_clusters)
     terms, first = {}, None
-    for mode, params in builds.items():
-        graphs = variant_graphs(dataset, params, first_order=first,
-                                dump_dir=dump_dir if mode == dump_mode else None)
+    for mode in dict.fromkeys([*read, dump_mode] if dump_mode else read):
+        graphs = build_graph_set(dataset.views, knn, configs[0].alpha, mode=mode,
+                                 first_order=first,
+                                 dump_dir=dump_dir if mode == dump_mode else None)
         first = graphs.first_order
         if mode in read:
             terms[mode] = graphs.laplacian_sum
-    return terms
+    return [terms.get(GRAPH_MODES.get(p.variant)) for p in configs]
 
 
 @single_thread()
@@ -401,8 +397,8 @@ def cmd_run(config):
     graphs are dumped before the fit."""
     dataset = resolve_dataset(config)
     out = Path(config.out_dir)
-    [(params, results)] = _each_clustered(dataset, [config.params], config,
-                                          _dump_dir(config), config.trace_residuals)
+    [(params, results)] = _clustered(dataset, [config.params], config.restarts,
+                                     config.seed, _dump_dir(config), config.trace_residuals)
     write_csv(out / "report.csv", report_rows(dataset, params, results))
     write_csv(out / "summary.csv", [summary_row(dataset, params, results)])
     write_labels(out / "labels.csv", results[0].labels)
@@ -421,7 +417,7 @@ def cmd_ablate(config):
     out = Path(config.out_dir)
     configs = [replace(config.params, variant=v) for v in ABLATION_ORDER]
     summaries = []
-    for params, results in _each_clustered(dataset, configs, config):
+    for params, results in _clustered(dataset, configs, config.restarts, config.seed):
         write_csv(out / f"report_{variant_label(params.variant)}.csv",
                   report_rows(dataset, params, results))
         summaries.append(summary_row(dataset, params, results))
@@ -441,7 +437,7 @@ def cmd_sweep(config, grid1=LAMBDA_GRID, grid2=LAMBDA_GRID):
     ]
     dataset = resolve_dataset(config)
     rows = []
-    for params, results in _each_clustered(dataset, configs, config):
+    for params, results in _clustered(dataset, configs, config.restarts, config.seed):
         mean, std, n_runs = summarize(results)
         rows.append({"lambda1": _fmt(params.lambda1), "lambda2": _fmt(params.lambda2),
                      "n_runs": n_runs, **_stat_cells(mean, std)})

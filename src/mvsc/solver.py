@@ -23,11 +23,12 @@ the Z subproblem:
     S0 = sum_k (L_k + L_k^T)
     B = Xs^T (Y1 + mu (Xs - E)) + mu Q - Y2.
 
-S0 is all a fit reads of the graphs, traced or
-not: the graph set carries it (graphs.GraphSet.laplacian_sum), and
-the fit takes S0 alone. Only mu changes between iterations, so the system
-is diagonalized once per fit. R = P^(-1/2) = I + V_r diag((1 + s^2)^(-1/2)
-- 1) V_r^T comes from the thin SVD Xs = U diag(s) V_r^T; S is PSD (each
+S0 is all a fit reads of the graphs, traced or not: the graph set
+carries it (graphs.GraphSet.laplacian_sum), the pipeline's graph stage
+builds the set, and the fit takes S0 alone. Only mu changes between
+iterations, so the system is diagonalized once per fit.
+R = P^(-1/2) = I + V_r diag((1 + s^2)^(-1/2) - 1) V_r^T comes from the
+thin SVD Xs = U diag(s) V_r^T; S is PSD (each
 graph is symmetric and nonnegative), and eigh(R S R) = W diag(lam) W^T
 gives V = R W, so that (mu P + S)^(-1) = V diag(1 / (mu + lam)) V^T.
 R is the identity plus rank d, so R S R and R W are built from S V_r
@@ -97,7 +98,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateInputError, NumericalError, ValidationError
-from .graphs import build_graph_set, row_sq_dists
+from .graphs import row_sq_dists
 from .linalg import (
     _svd, add_transpose, inf_norm, l21_norm, matmul, nuclear_norm, prox_l21, svt_factors,
 )
@@ -107,7 +108,7 @@ from .linalg import solve_spd, svt  # noqa: F401
 
 VARIANTS = ("grmsc", "grmsc-naive", "msc-naive", "lrr-bsv")
 
-# build_graph_set mode of each variant that regularizes with graphs; the
+# graphs.GraphSet mode of each variant that regularizes with graphs; the
 # others have no graph term
 GRAPH_MODES = {"grmsc": "fused", "grmsc-naive": "first_order"}
 
@@ -437,24 +438,6 @@ def _alm_loop(X_list, S0, params, lambda2, trace_objective=False):
     return state.Z, state
 
 
-def variant_graphs(dataset, params, first_order=None, dump_dir=None):
-    """The graph set a variant regularizes with: per-view first-order
-    graphs for grmsc-naive, the fused consensus/second-order set for
-    grmsc, and None for the graph-free variants. The set depends only on
-    (views, knn, alpha, variant), not on lambda2, so one build serves
-    every lambda and restart of a batch; at lambda2 = 0 fit ignores it.
-    first_order, the first-order graphs of another variant's set at the
-    same knn, is reused rather than rebuilt. dump_dir goes to the build."""
-    mode = GRAPH_MODES.get(params.variant)
-    if mode is None:
-        return None
-    knn = params.resolve_knn(dataset.n_samples, dataset.n_clusters)
-    return build_graph_set(
-        dataset.views, knn, params.alpha, mode=mode, first_order=first_order,
-        dump_dir=dump_dir,
-    )
-
-
 def fit(dataset, params, laplacian_sum=None, trace_objective=False):
     """Run the full optimization on a multi-view dataset.
 
@@ -462,14 +445,15 @@ def fit(dataset, params, laplacian_sum=None, trace_objective=False):
     was reached with residuals still above eps (that is a flagged result,
     not an error). The iterations and the objective trace
     (trace_objective) read the graphs only through laplacian_sum,
-    S0 = sum_k (L_k + L_k^T) of the variant's graph set (it must match
-    the dataset and variant); a fit with a graph term that is not given
-    S0 builds the set here and keeps only its S0. Deterministic given
-    (dataset, params). Variant lrr-bsv is plain LRR and takes one view
-    at a time. Raises NumericalError when the data or the iterates
-    overflow, and DegenerateInputError when every entry of the views is
-    below eps in magnitude: the absolute stopping rule would then hold
-    before any fit.
+    S0 = sum_k (L_k + L_k^T) of the variant's graph set, which the
+    pipeline's graph stage builds (it must match the dataset and
+    variant). Deterministic given (dataset, params, laplacian_sum).
+    Variant lrr-bsv is plain LRR and takes one view at a time. Raises
+    ValidationError when a graph variant at an effective lambda2 > 0 is
+    given no S0, NumericalError when the data or the iterates overflow,
+    and DegenerateInputError when every entry of the views is below eps
+    in magnitude: the absolute stopping rule would then hold before any
+    fit.
     """
     if params.variant == "lrr-bsv" and dataset.n_views != 1:
         raise ValidationError(
@@ -483,7 +467,10 @@ def fit(dataset, params, laplacian_sum=None, trace_objective=False):
         )
     lambda2 = params.effective_lambda2
     if lambda2 > 0 and laplacian_sum is None:
-        laplacian_sum = variant_graphs(dataset, params).laplacian_sum
+        raise ValidationError(
+            f"variant {params.variant} at lambda2 = {lambda2:g} needs its graph "
+            "term laplacian_sum; the pipeline's graph stage builds it"
+        )
     return _alm_loop(
         dataset.views, laplacian_sum, params, lambda2,
         trace_objective=trace_objective,

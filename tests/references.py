@@ -4,8 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 
-from mvsc import solver
+from mvsc import pipeline, solver
 from mvsc.linalg import prox_l21
+
+
+def graph_stage_fit(dataset, params, **kwargs):
+    """solver.fit of params on dataset, given the S0 that the pipeline's
+    graph stage hands that fit (None where it reads no graphs)."""
+    [S0] = pipeline._graph_terms(dataset, [params])
+    return solver.fit(dataset, params, laplacian_sum=S0, **kwargs)
 
 
 def laplacian_quadratic(L_list, Z):

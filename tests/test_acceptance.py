@@ -30,10 +30,10 @@ from mvsc.metrics import (
     pairwise_scores,
 )
 from mvsc.pipeline import run_restarts, summarize
-from mvsc.solver import HyperParams, SolverState, _view_rows, fit
+from mvsc.solver import HyperParams, SolverState, _view_rows
 from mvsc.spectral import spectral_cluster
 from mvsc.linalg import l21_norm, nuclear_norm, prox_l21, svt
-from references import as_printed_z_step, z_step
+from references import as_printed_z_step, graph_stage_fit, z_step
 
 
 def report(num, name, ok, detail):
@@ -212,7 +212,7 @@ def test_c04_convergence_speed_on_acceptance_dataset():
     started = time.perf_counter()
     ds = acceptance_dataset()
     params = HyperParams()
-    _, state = fit(ds, params)
+    _, state = graph_stage_fit(ds, params)
     recon = np.array([max(v) for v in state.view_residual_history])
     zq = np.array([r[1] for r in state.residual_history])
     converged = state.converged and state.iteration <= 200

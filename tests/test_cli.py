@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mvsc import linalg, pipeline, solver
+from mvsc import graphs, linalg, pipeline, solver
 from mvsc.cli import build_parser, config_from_args, main
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views, write_dataset
 from mvsc.errors import NumericalError
@@ -482,15 +482,15 @@ def test_runs_without_a_graph_term_dump_the_grmsc_graphs(flags, spec_file, tmp_p
 
 @pytest.fixture
 def counted_builds(monkeypatch):
-    """The modes of every graph set built through solver.build_graph_set."""
+    """The modes of every graph set built through pipeline.build_graph_set."""
     builds = []
-    real_build = solver.build_graph_set
+    real_build = graphs.build_graph_set
 
     def counting_build(*args, **kwargs):
         builds.append(kwargs["mode"])
         return real_build(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "build_graph_set", counting_build)
+    monkeypatch.setattr(pipeline, "build_graph_set", counting_build)
     return builds
 
 
@@ -834,9 +834,11 @@ MANIFEST = {
         ("manifest", {"clusters": 2.7}, "'clusters' must be an integer"),
         ("synthetic", {"dims": "ab"}, "dims must be a list of integers"),
         ("synthetic", {"n": 150.5}, "n must be an integer"),
+        # numpy's generator would raise on it
+        ("synthetic", {"seed": -1}, "seed must be nonnegative, got -1"),
     ],
     ids=["view-without-path", "clusters-string", "clusters-float",
-         "dims-string", "n-float"],
+         "dims-string", "n-float", "seed-negative"],
 )
 def test_malformed_input_exits_2(source, change, message, tmp_path, capsys):
     # malformed fields are validation errors at the boundary, not
@@ -853,8 +855,8 @@ def test_malformed_input_exits_2(source, change, message, tmp_path, capsys):
     code = run_cli("run", "--" + source, path, "--out", tmp_path / "out",
                    "--restarts", 1)
     assert code == 2
-    err = capsys.readouterr().err
-    assert "validation error" in err
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("mvsc: validation error: ")
     assert message in err
 
 

@@ -18,6 +18,7 @@ from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.solver import HyperParams
 from mvsc.spectral import affinity_from_representation, spectral_cluster
+from references import graph_stage_fit
 
 
 def small_dataset(seed=0, dims=(8, 10)):
@@ -55,7 +56,7 @@ def test_run_restarts_fits_once_per_configuration(variant, monkeypatch):
 def test_run_restarts_matches_spectral_cluster_per_restart():
     ds = small_dataset()
     results = pipeline.run_restarts(ds, HyperParams(max_iter=150), 3, seed=5)
-    Z, _ = solver.fit(ds, HyperParams(max_iter=150))
+    Z, _ = graph_stage_fit(ds, HyperParams(max_iter=150))
     A = affinity_from_representation(Z)
     for r in results:
         np.testing.assert_array_equal(r.labels, spectral_cluster(A, ds.n_clusters, r.seed))
@@ -151,13 +152,15 @@ def test_fit_and_embed_hands_back_no_matrices(variant, lanes):
     spec = SyntheticSpec(n=n, clusters=3, dims=(20, 30, 40), subspace_rank=3,
                          noise_sigma=0.05, seed=7)
     ds = normalize_views(generate_synthetic(spec), "unit_column")
+    params = HyperParams(variant=variant)
+    [S0] = pipeline._graph_terms(ds, [params])
     if variant == "lrr-bsv":
         datasets = [dataclasses.replace(ds, views=[X]) for X in ds.views]
     else:
         datasets = [ds]
     tracemalloc.start()
     try:
-        fits = [pipeline.fit_and_embed(d, HyperParams(variant=variant)) for d in datasets]
+        fits = [pipeline.fit_and_embed(d, params, S0) for d in datasets]
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -195,12 +198,10 @@ def test_ablate_shares_first_order_graphs(tmp_path, monkeypatch):
     assert len(calls) == 3
 
     # building every variant's graphs from scratch writes the same bytes
-    real_variant_graphs = solver.variant_graphs
+    real_build = graphs.build_graph_set
     monkeypatch.setattr(
-        pipeline, "variant_graphs",
-        lambda dataset, params, first_order=None, dump_dir=None: real_variant_graphs(
-            dataset, params, dump_dir=dump_dir
-        ),
+        pipeline, "build_graph_set",
+        lambda *args, first_order=None, **kwargs: real_build(*args, **kwargs),
     )
     separate = ablate(tmp_path / "separate")
     assert len(calls) == 3 + 6  # a build per graph variant: two per view
@@ -209,6 +210,30 @@ def test_ablate_shares_first_order_graphs(tmp_path, monkeypatch):
         "report_LRR_BSV.csv", "report_MSC_NAIVE.csv",
     ]
     assert shared == separate
+
+
+@pytest.mark.parametrize("variant", solver.VARIANTS)
+def test_graph_terms_follow_the_variant_and_lambda2(variant, monkeypatch):
+    # a graph variant's fit reads its own mode's set at lambda2 > 0 and
+    # none at lambda2 = 0; a graph-free variant reads none at any lambda2
+    ds = small_dataset()
+    built = []
+    real_build = graphs.build_graph_set
+
+    def recording_build(*args, **kwargs):
+        built.append(real_build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(pipeline, "build_graph_set", recording_build)
+    assert pipeline._graph_terms(ds, [HyperParams(lambda2=0.0, variant=variant)]) == [None]
+    [S0] = pipeline._graph_terms(ds, [HyperParams(lambda2=2.0, variant=variant)])
+    if variant in ("msc-naive", "lrr-bsv"):
+        assert S0 is None and built == []
+    else:
+        [gs] = built
+        assert gs.mode == solver.GRAPH_MODES[variant]
+        assert len(gs.laplacians) == ds.n_views
+        assert S0 is gs.laplacian_sum
 
 
 def write_spec(path, n):
@@ -224,9 +249,9 @@ def write_spec(path, n):
 def test_only_a_traced_run_takes_its_graph_set_into_the_fit(trace, tmp_path, monkeypatch):
     # the fit reads S0 alone, traced or not, so no graph set is alive
     # when it starts; the objective trace evaluates the regularizer from
-    # S0 and matches a fit that builds its own
+    # S0 and matches a fit given the graph stage's S0 outside the command
     sets, alive = [], []
-    real_build, real_fit = solver.build_graph_set, pipeline.fit
+    real_build, real_fit = graphs.build_graph_set, pipeline.fit
 
     def recording_build(*args, **kwargs):
         gs = real_build(*args, **kwargs)
@@ -237,7 +262,7 @@ def test_only_a_traced_run_takes_its_graph_set_into_the_fit(trace, tmp_path, mon
         alive.append([ref() is not None for ref in sets])
         return real_fit(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "build_graph_set", recording_build)
+    monkeypatch.setattr(pipeline, "build_graph_set", recording_build)
     monkeypatch.setattr(pipeline, "fit", checking_fit)
     config = pipeline.RunConfig(
         params=HyperParams(max_iter=150), out_dir=tmp_path / "out",
@@ -248,7 +273,7 @@ def test_only_a_traced_run_takes_its_graph_set_into_the_fit(trace, tmp_path, mon
     assert alive == [[False]]
     if trace:
         ds = pipeline.resolve_dataset(config)
-        _, state = solver.fit(ds, config.params, trace_objective=True)
+        _, state = graph_stage_fit(ds, config.params, trace_objective=True)
         with open(tmp_path / "out" / "residuals_restart0.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["objective"] for r in rows] == [

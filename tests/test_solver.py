@@ -5,11 +5,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mvsc import blas, linalg
+from mvsc import blas, linalg, pipeline
 from mvsc import solver as solver_module
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
-from mvsc.graphs import laplacian_from_weights
+from mvsc.graphs import build_graph_set, laplacian_from_weights
 from mvsc.linalg import inf_norm, l21_norm, nuclear_norm, prox_l21
 from mvsc.solver import (
     HyperParams,
@@ -25,7 +25,9 @@ from mvsc.solver import (
 )
 from mvsc.spectral import affinity_from_representation, spectral_cluster
 import references
-from references import as_printed_z_step, congruence, laplacian_quadratic, z_step
+from references import (
+    as_printed_z_step, congruence, graph_stage_fit, laplacian_quadratic, z_step,
+)
 
 
 def random_state(rng, n, v, mu=None):
@@ -135,7 +137,7 @@ def check_residual_products_reach_the_E_step(n, dims, monkeypatch):
 
     monkeypatch.setattr(solver_module, "update_E", checking_update_E)
     with blas.single_thread():
-        _, state = fit(ds, HyperParams(max_iter=20))
+        _, state = graph_stage_fit(ds, HyperParams(max_iter=20))
     assert calls == [[slice(e - d, e) for d, e in zip(dims, ends)]] * state.iteration
 
 
@@ -465,8 +467,6 @@ def test_objective_cross_module_recomputation():
     # the objective reads S0 alone; its graph term, a pairwise sum over
     # S0, must equal the set's defining double sums at random and at
     # fitted Z, in both graph modes
-    from mvsc.graphs import build_graph_set
-
     rng = np.random.default_rng(15)
     ds = small_dataset()
     for variant, mode in solver_module.GRAPH_MODES.items():
@@ -511,7 +511,7 @@ def small_dataset(seed=0, **kw):
 
 def test_fit_converges_on_small_synthetic():
     ds = small_dataset()
-    Z, state = fit(ds, HyperParams())
+    Z, state = graph_stage_fit(ds, HyperParams())
     assert state.converged
     assert state.iteration <= 200
     last_view, last_zq = state.residual_history[-1]
@@ -521,7 +521,7 @@ def test_fit_converges_on_small_synthetic():
 
 def test_fit_mu_monotone_and_capped():
     ds = small_dataset()
-    _, state = fit(ds, HyperParams())
+    _, state = graph_stage_fit(ds, HyperParams())
     mus = np.array(state.mu_history)
     assert np.all(np.diff(mus) >= 0)
     assert np.all(mus <= 1e6)
@@ -530,8 +530,8 @@ def test_fit_mu_monotone_and_capped():
 def test_fit_deterministic():
     ds = small_dataset()
     p = HyperParams()
-    Z1, s1 = fit(ds, p)
-    Z2, s2 = fit(ds, p)
+    Z1, s1 = graph_stage_fit(ds, p)
+    Z2, s2 = graph_stage_fit(ds, p)
     assert np.array_equal(Z1, Z2)
     assert s1.residual_history == s2.residual_history
 
@@ -540,6 +540,18 @@ def test_fit_lrr_bsv_takes_one_view():
     ds = small_dataset()
     with pytest.raises(ValidationError, match="one view"):
         fit(ds, HyperParams(variant="lrr-bsv"))
+
+
+@pytest.mark.parametrize("variant", ["grmsc", "grmsc-naive"])
+def test_graph_fit_without_its_graph_term_is_a_validation_error(variant):
+    # the solver builds no graphs: a graph variant at lambda2 > 0 that is
+    # not handed S0 would otherwise run as msc-naive
+    ds = small_dataset()
+    with pytest.raises(ValidationError, match=f"variant {variant} at lambda2 = 2 "):
+        fit(ds, HyperParams(lambda2=2.0, variant=variant))
+    # at lambda2 = 0 the fit reads no graphs
+    _, state = fit(ds, HyperParams(lambda2=0.0, variant=variant, max_iter=5))
+    assert state.iteration == 5
 
 
 def test_fit_nonfinite_residuals_name_the_iteration(monkeypatch):
@@ -565,14 +577,14 @@ def test_fit_sketched_svt_matches_full_svd_fit(monkeypatch):
         return real_sketch(M, start, k)
 
     monkeypatch.setattr(linalg, "_sketch_range", counting_sketch)
-    Z, state = fit(ds, HyperParams())
+    Z, state = graph_stage_fit(ds, HyperParams())
     assert sketches and set(sketches) == {14 + linalg.SKETCH_OVERSAMPLE}
     sketched = len(sketches)
     monkeypatch.setattr(
         solver_module, "svt_factors",
         lambda M, tau, rank_hint=None, start=None: linalg.svt_factors(M, tau),
     )
-    Z_full, state_full = fit(ds, HyperParams())
+    Z_full, state_full = graph_stage_fit(ds, HyperParams())
     # no hint, no sketch
     assert len(sketches) == sketched
     assert state.iteration == state_full.iteration
@@ -605,7 +617,7 @@ def test_fit_at_the_sketch_gate_certifies_every_sketch(monkeypatch):
 
     monkeypatch.setattr(linalg, "_sketch_range", sketch)
     monkeypatch.setattr(linalg, "_svd", svd)
-    Z, state = fit(ds, HyperParams())
+    Z, state = graph_stage_fit(ds, HyperParams())
     assert state.converged
     assert starts and max(starts) < 90
     # one small SVD per certified sketch, and none of an n x n M
@@ -614,7 +626,7 @@ def test_fit_at_the_sketch_gate_certifies_every_sketch(monkeypatch):
         solver_module, "svt_factors",
         lambda M, tau, rank_hint=None, start=None: linalg.svt_factors(M, tau),
     )
-    Z_full, state_full = fit(ds, HyperParams())
+    Z_full, state_full = graph_stage_fit(ds, HyperParams())
     assert state.iteration == state_full.iteration
     assert np.abs(Z - Z_full).max() <= 1e-8
 
@@ -648,7 +660,7 @@ def test_carried_steps_allocate_at_most_one_nxn_array(monkeypatch):
     traced("update_Z")
     tracemalloc.start()
     try:
-        _, state = fit(ds, HyperParams())
+        _, state = graph_stage_fit(ds, HyperParams())
     finally:
         tracemalloc.stop()
     assert state.converged
@@ -727,12 +739,12 @@ def test_fit_carried_J_matches_dense_reference(variant, n, carried, monkeypatch)
         return real_update_Z(*args, J=J, **kwargs)
 
     monkeypatch.setattr(solver_module, "update_Z", spying_update_Z)
-    Z, state = fit(ds, params)
+    [S0] = pipeline._graph_terms(ds, [params])
+    Z, state = fit(ds, params, laplacian_sum=S0)
     assert set(seen) == {carried}
-    graphs = solver_module.variant_graphs(ds, params)
-    S = None if graphs is None else params.effective_lambda2 * graphs.laplacian_sum
+    S = None if S0 is None else params.effective_lambda2 * S0
     monkeypatch.setattr(solver_module, "update_Z", _dense_update_Z(ds.views, S))
-    Z_ref, state_ref = fit(ds, params)
+    Z_ref, state_ref = fit(ds, params, laplacian_sum=S0)
     assert state.iteration == state_ref.iteration
     assert state.converged
     assert np.linalg.norm(Z - Z_ref) <= 1e-11 * np.linalg.norm(Z_ref)
@@ -761,7 +773,7 @@ def test_fit_carried_path_forms_Q_once_from_the_last_factors(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(solver_module, name, counting(name))
-    Z, state = fit(ds, HyperParams())
+    Z, state = graph_stage_fit(ds, HyperParams())
     assert state.converged
     assert set(calls.values()) == {state.iteration}
     assert isinstance(state.Q, np.ndarray) and state.Q.shape == Z.shape
@@ -792,7 +804,7 @@ def _z_basis_from_laplacians(Xs, L_list, lambda2):
 def test_fit_from_S0_matches_a_basis_summed_from_the_laplacians(variant, n, monkeypatch):
     ds = small_dataset(seed=3, n=n)
     params = HyperParams(variant=variant)
-    gs = solver_module.variant_graphs(ds, params)
+    gs = build_graph_set(ds.views, 10, params.alpha, mode=solver_module.GRAPH_MODES[variant])
     Z, state = fit(ds, params, laplacian_sum=gs.laplacian_sum)
     L_list = gs.laplacians
     monkeypatch.setattr(
@@ -816,14 +828,14 @@ def test_update_Z_from_laplacians_matches_the_basis_of_their_sum():
 
 def test_fit_nuclear_norm_continuity_after_convergence():
     ds = small_dataset()
-    Z, state = fit(ds, HyperParams())
+    Z, state = graph_stage_fit(ds, HyperParams())
     assert state.converged
     assert abs(nuclear_norm(Z) - nuclear_norm(state.Q)) <= 1e-3
 
 
 def test_fit_objective_trace_length():
     ds = small_dataset()
-    _, state = fit(ds, HyperParams(), trace_objective=True)
+    _, state = graph_stage_fit(ds, HyperParams(), trace_objective=True)
     assert len(state.objective_history) == state.iteration
     assert all(np.isfinite(v) for v in state.objective_history)
 
@@ -879,22 +891,6 @@ def test_hyperparams_effective_lambda2():
     assert HyperParams(lambda2=3.0, variant="lrr-bsv").effective_lambda2 == 0.0
 
 
-@pytest.mark.parametrize("variant", solver_module.VARIANTS)
-def test_variant_graphs_follow_the_variant_not_lambda2(variant):
-    # graphs are chosen by variant alone: a graph variant gets its set
-    # even at lambda2 = 0, a graph-free one never gets one
-    ds = small_dataset()
-    for lambda2 in (0.0, 2.0):
-        graphs = solver_module.variant_graphs(
-            ds, HyperParams(lambda2=lambda2, variant=variant)
-        )
-        if variant in ("msc-naive", "lrr-bsv"):
-            assert graphs is None
-        else:
-            assert graphs.mode == solver_module.GRAPH_MODES[variant]
-            assert len(graphs.laplacians) == ds.n_views
-
-
 def test_hyperparams_knn_resolution():
     p = HyperParams()
     assert p.resolve_knn(150, 3) == 10  # min(10, 50)
@@ -930,11 +926,11 @@ def test_overflowing_graph_term_is_a_numerical_error(monkeypatch):
     ds = small_dataset(seed=3, n=45)
     params = HyperParams(lambda2=1e308)
     with pytest.raises(NumericalError, match=r"graph term lambda2 \* S0 overflows"):
-        fit(ds, params)
+        graph_stage_fit(ds, params)
 
     def fails(A):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fails)
     with pytest.raises(NumericalError, match=r"eigendecomposition of the graph term"):
-        fit(ds, replace(params, lambda2=1.0))
+        graph_stage_fit(ds, replace(params, lambda2=1.0))

@@ -13,7 +13,7 @@ from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
 from mvsc.errors import NumericalError, ValidationError
 from mvsc.linalg import _as_matrix
 from mvsc.metrics import accuracy
-from mvsc.solver import VARIANTS, HyperParams, fit
+from mvsc.solver import VARIANTS, HyperParams
 from mvsc.spectral import (
     KMEANS_STARTS,
     LLOYD_MAX_ITER,
@@ -360,7 +360,7 @@ def fitted_embeddings():
                 parts = [replace(ds, views=[X]) for X in ds.views]
             for part in parts:
                 with single_thread():
-                    Z, _ = fit(part, replace(params, variant=variant))
+                    Z, _ = references.graph_stage_fit(part, replace(params, variant=variant))
                 U = spectral_embedding(affinity_from_representation(Z), ds.n_clusters)
                 embeddings.append(U)
     return embeddings
