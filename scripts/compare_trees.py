@@ -52,8 +52,9 @@ The command set:
                      clusters, on views of 1200 and 1400 rows with
                      per-entry noise 0.045 (NMI 0.98)
   ablation-script    scripts/run_ablation.py --seeds 2, the only entry
-                     that reaches pipeline.run_restarts; its --out is
-                     relative, so the paths it prints match
+                     that reaches pipeline.run_configurations, with
+                     three variants in one call; its --out is relative,
+                     so the paths it prints match
 """
 
 import argparse

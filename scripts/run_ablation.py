@@ -4,8 +4,11 @@
 For each generator seed, draws a fresh three-view dataset with a 0.6
 consensus fraction and runs MSC_NAIVE (no graphs), GRMSC_NAIVE
 (per-view first-order graphs), and GRMSC (fused consensus +
-second-order graphs) on it with shared hyperparameters. The headline
-table reports each variant's mean and std of NMI/ACC across seeds.
+second-order graphs) on it with shared hyperparameters, in one
+pipeline.run_configurations call: the two graph variants share one build
+of the first-order graphs, and the three fits share one map. The
+headline table reports each variant's mean and std of NMI/ACC across
+seeds.
 
 The default setting (noise 0.15, knn=30, lambda2=10) is the frozen
 regime where per-view graphs carry marginal wrong edges: dense enough
@@ -20,13 +23,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+# mvsc before numpy: the package loads numpy itself (see mvsc.blas)
 from mvsc.data import SyntheticSpec, generate_synthetic, normalize_views
-from mvsc.pipeline import run_restarts, summarize
+from mvsc.pipeline import run_configurations, summarize
 from mvsc.solver import HyperParams, variant_label
+
+import numpy as np
 
 VARIANTS = ("msc-naive", "grmsc-naive", "grmsc")
 
@@ -52,11 +56,11 @@ def main():
             seed=seed, name="ablation",
         )
         ds = normalize_views(generate_synthetic(spec), "unit_column")
-        for variant in VARIANTS:
-            results = run_restarts(ds, replace(params, variant=variant), 1)
+        configs = [replace(params, variant=v) for v in VARIANTS]
+        for config, results in run_configurations(ds, configs, 1):
             mean, _, _ = summarize(results)
-            nmi[variant].append(mean.nmi)
-            acc[variant].append(mean.acc)
+            nmi[config.variant].append(mean.nmi)
+            acc[config.variant].append(mean.acc)
         print(f"seed {seed:2d}  " + "  ".join(
             f"{variant_label(v)} nmi={nmi[v][-1]:.4f}" for v in VARIANTS))
 

@@ -3,24 +3,51 @@
 numpy and scipy each bundle an OpenBLAS with its own thread pool. A
 fixed count of one keeps the blocked kernels' summation order, and so
 every output byte, independent of the caller's OPENBLAS_NUM_THREADS; a
-pool of two changes the bits, and its workers spin between calls. The
-pools are found in the process's memory map when the pin starts, a
-caller's scipy among them; commands import numpy alone and use only its
-pool. A pool's size is process-wide: threads of one process that run
-commands at once share one setting.
+pool of two changes the bits, and its idle workers busy-wait before
+they sleep. The pools are found in the process's memory map when the
+pin starts, a caller's scipy among them; commands import numpy alone
+and use only its pool. A pool's size is process-wide: threads of one
+process that run commands at once share one setting.
 
 A command uses the second CPU through pair() instead, which runs
 linalg.matmul's two parts of a large product and pipeline.in_order's
 two lanes. Its one extra thread runs one job at a time, so at most two
 threads are busy, and a one-thread OpenBLAS gives concurrent callers
 the bits it gives one.
+
+Importing this module, which the package does first, loads numpy. When
+numpy is not loaded yet and the caller has not set
+OPENBLAS_THREAD_TIMEOUT, the import sets that variable to 4, OpenBLAS's
+floor, and deletes it again, so os.environ and child processes see the
+caller's environment. OpenBLAS reads it once, when the library loads:
+an idle worker then busy-waits 2**4 cycles before it sleeps, instead of
+about 2**28 (some 0.1 s of a CPU, spent after every load). It decides
+only how long an idle worker waits for work, never how work is split,
+so no output bit depends on it.
 """
 
 import contextlib
 import contextvars
 import ctypes
 import os
+import sys
 import threading
+
+
+def _load_numpy():
+    """Import numpy with OpenBLAS's idle workers set to sleep at once
+    (see the module docstring), unless numpy is loaded already or the
+    caller set OPENBLAS_THREAD_TIMEOUT; the environment is restored."""
+    if "numpy" in sys.modules or "OPENBLAS_THREAD_TIMEOUT" in os.environ:
+        return
+    os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"  # log2 of the spin cycles
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_THREAD_TIMEOUT"]
+
+
+_load_numpy()
 
 # (get, set) thread-count entry points of the 64-bit-integer build numpy
 # bundles, the 32-bit one scipy bundles, and a system OpenBLAS

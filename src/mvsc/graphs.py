@@ -91,10 +91,11 @@ def _kernel_from_sq_dists(d2, X):
 
 
 def _for_view(k, build, *args):
-    """build(*args) for view k, naming the view in a numerical failure."""
+    """build(*args) for view k, naming the view in a numerical failure or
+    a degenerate view (the error keeps its class, so its exit code)."""
     try:
         return build(*args)
-    except NumericalError as exc:
+    except (NumericalError, DegenerateInputError) as exc:
         raise type(exc)(f"view {k}: {exc}") from exc
 
 

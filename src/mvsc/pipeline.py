@@ -14,19 +14,20 @@ failure in one would be a failure in all; any stage that fails raises,
 and the CLI maps the error to its exit code. Rows are emitted in
 restart order, and no timestamps or environment details leak into the
 artifacts, so re-running a command overwrites its outputs
-byte-identically. Commands and run_restarts run BLAS on one thread
-(blas.single_thread), so outputs do not depend on the caller's thread
-environment either. Inside that pin the fit's large products run in two
-parts on two CPUs (linalg.matmul); the parts depend on the shapes alone,
-so outputs do not depend on the CPU count.
+byte-identically. Commands and run_configurations (which run_restarts
+wraps) run BLAS on one thread (blas.single_thread), so outputs do not
+depend on the caller's thread environment either. Inside that pin the
+fit's large products run in two parts on two CPUs (linalg.matmul); the
+parts depend on the shapes alone, so outputs do not depend on the CPU
+count.
 
-The commands and run_restarts each chain the stages through one call of
-_clustered. Every fit of that call, one per configuration or per view
-for lrr-bsv, is an item of one in_order map. Below matmul's split size
-it runs over two lanes, the caller and blas.pair's extra thread. Each
-fit runs whole on one lane, so every output keeps its bits. The caller
-then clusters, scores, logs and writes each configuration in turn, so
-stdout, stderr and the files are those of the plain loop.
+The commands and run_configurations each chain the stages through one
+call of _clustered. Every fit of that call, one per configuration or per
+view for lrr-bsv, is an item of one in_order map. Below matmul's split
+size it runs over two lanes, the caller and blas.pair's extra thread.
+Each fit runs whole on one lane, so every output keeps its bits. The
+caller then clusters, scores, logs and writes each configuration in
+turn, so stdout, stderr and the files are those of the plain loop.
 """
 
 import csv
@@ -219,7 +220,7 @@ def fit_and_embed(dataset, params, laplacian_sum=None, trace=False):
     (nothing downstream reads them) and keeps its histories, converged
     and iteration, so of the fit's n x n arrays only Z stays live through
     the embedding. A failed fit or embedding raises. BLAS runs on the
-    caller's threads: the commands and run_restarts call it pinned.
+    caller's threads: the commands and run_configurations call it pinned.
     """
     Z, state = fit(dataset, params, laplacian_sum=laplacian_sum, trace_objective=trace)
     state.Z = state.Q = state.E = state.Y1 = state.Y2 = None
@@ -265,13 +266,20 @@ def _restarts(dataset, fits, restarts, seed):
 
 
 @single_thread()
-def run_restarts(dataset, params, restarts, seed=0):
-    """One configuration through the commands' stages (_clustered): its
-    graph set, its fit, then one seeded k-means per restart of each
-    fit's embedding, where lrr-bsv keeps, per restart, the view whose
-    clustering scores the best NMI. Any failure raises."""
+def run_configurations(dataset, configs, restarts, seed=0):
+    """[(params, restart results)] of each HyperParams in configs
+    (sharing knn and alpha), in order, through the commands' stages
+    (_clustered): the graph sets, built once, every fit in one map, then
+    one seeded k-means per restart of each fit's embedding, where
+    lrr-bsv keeps, per restart, the view whose clustering scores the
+    best NMI. Any failure raises."""
     _require_labels(dataset)
-    [(_, results)] = _clustered(dataset, [params], restarts, seed)
+    return list(_clustered(dataset, configs, restarts, seed))
+
+
+def run_restarts(dataset, params, restarts, seed=0):
+    """The restart results of one configuration (run_configurations)."""
+    [(_, results)] = run_configurations(dataset, [params], restarts, seed)
     return results
 
 

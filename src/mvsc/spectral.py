@@ -211,12 +211,18 @@ def _kmeans_pp_init(X, k, rngs):
     labels = np.zeros(dist.shape, dtype=np.intp)
     for j in range(1, k):
         total = dist.sum(axis=1)
-        p = dist / np.where(total > 0, total, 1.0)[:, None]
+        if not np.isfinite(total).all():
+            raise NumericalError("k-means++ squared distances overflow; rescale X")
+        # rng.choice(n, p=dist / total)'s own draw, without its per-call
+        # checks: its normalized cdf, searched at one uniform
+        cdf = np.cumsum(dist / np.where(total > 0, total, 1.0)[:, None], axis=1)
+        last = cdf[:, -1:]
+        cdf /= np.where(last > 0, last, 1.0)
         # a start whose points all coincide with its chosen centers draws
         # uniformly
         centers[:, j] = X[[
-            rng.choice(n, p=ps) if t > 0 else rng.integers(n)
-            for rng, ps, t in zip(rngs, p, total)
+            row.searchsorted(rng.random(), side="right") if t > 0 else rng.integers(n)
+            for rng, row, t in zip(rngs, cdf, total)
         ]]
         dist = _closer(labels, dist, _sq_dists_to(X, centers[:, j]), j)
     return centers, labels, dist

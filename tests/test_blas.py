@@ -4,9 +4,12 @@ pair, which runs a second call on the one extra thread."""
 
 import contextlib
 import json
+import os
+import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +142,55 @@ def test_pins_opened_from_many_threads_all_close():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert not blas.pinned()
+
+
+# ------------------------------------------- numpy's load, made by import mvsc
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def in_fresh_interpreter(code, **env):
+    """stdout of code run by a new interpreter that finds mvsc, with no
+    OPENBLAS_THREAD_TIMEOUT in its environment but for env's."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    base["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, base.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.skipif(blas._cpus() < 2, reason="one CPU in the affinity mask")
+def test_idle_blas_workers_sleep_at_once_after_import():
+    # an OpenBLAS worker that busy-waits its default 2**28 cycles after
+    # numpy loads takes some 0.1 s of a second CPU
+    others = in_fresh_interpreter(
+        "import resource, time\n"
+        "import mvsc\n"
+        "time.sleep(0.3)\n"
+        "usage = resource.getrusage(resource.RUSAGE_SELF)\n"
+        "print(usage.ru_utime + usage.ru_stime - time.thread_time())\n"
+    )
+    assert float(others) < 0.020
+
+
+@pytest.mark.parametrize("before, env", [
+    ("", {}),
+    ("", {"OPENBLAS_THREAD_TIMEOUT": "7"}),
+    ("import numpy", {}),
+], ids=["unset", "callers-value", "numpy-first"])
+def test_import_leaves_the_environment_as_it_found_it(before, env):
+    seen = in_fresh_interpreter(
+        "import ctypes, json, os\n"
+        f"{before}\n"
+        "environ = dict(os.environ)\n"
+        "import mvsc\n"
+        "getenv = ctypes.CDLL(None).getenv\n"
+        "getenv.restype, getenv.argtypes = ctypes.c_char_p, [ctypes.c_char_p]\n"
+        "value = getenv(b'OPENBLAS_THREAD_TIMEOUT')\n"
+        "print(json.dumps([dict(os.environ) == environ, value and value.decode()]))\n",
+        **env,
+    )
+    assert json.loads(seen) == [True, env.get("OPENBLAS_THREAD_TIMEOUT")]
 
 
 # ------------------------------------------------------------------- pair

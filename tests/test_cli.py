@@ -796,7 +796,7 @@ def test_identical_columns_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "mvsc: validation error: median pairwise distance is zero; "
+        "mvsc: validation error: view 1: median pairwise distance is zero; "
         "kernel bandwidth undefined"
     ]
 

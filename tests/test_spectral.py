@@ -403,6 +403,33 @@ def test_kmeans_matches_reference_on_identical_points():
     assert_matches_reference(np.zeros((10, 3)), 3)
 
 
+@pytest.mark.parametrize("n, k, dim, duplicates", [
+    (40, 5, 3, False), (150, 3, 3, False), (7, 7, 2, False), (12, 5, 2, True),
+])
+def test_kmeans_pp_draws_are_choices_and_leave_each_stream_where_choice_does(
+        n, k, dim, duplicates):
+    # the batched init draws as rng.choice(n, p=row) does, which the
+    # one-start reference calls, and takes as many numbers from each stream
+    rng = np.random.default_rng(n)
+    X = rng.standard_normal((n, dim))
+    if duplicates:  # two distinct points, so later centers draw uniformly
+        X = X[rng.integers(2, size=n)]
+    seeds = np.random.SeedSequence(n + k).spawn(KMEANS_STARTS)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    centers, _, _ = spectral._kmeans_pp_init(X, k, rngs)
+    for got, used, s in zip(centers, rngs, seeds):
+        ref = np.random.default_rng(s)
+        assert np.array_equal(got, ref_kmeans_pp_init(X, k, ref))
+        assert used.bit_generator.state == ref.bit_generator.state
+
+
+def test_kmeans_pp_overflowing_distances_are_a_numerical_error():
+    # finite points whose squared distances overflow: no cdf to draw from
+    X = np.array([[1e200], [-1e200], [0.0]])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="overflow"):
+        kmeans(X, 2, seed=0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     hnp.arrays(
