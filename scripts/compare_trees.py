@@ -2,11 +2,11 @@
 """Compare what two checkouts of mvsc write, byte for byte.
 
 Runs one command set in each checkout, `python -m mvsc.cli` with that
-checkout's src/ on PYTHONPATH, on the same synthetic specs, and one of
-that checkout's scripts. Each command runs in a fresh directory of its
-own, once with one CPU and once with two (by affinity mask). Prints
-every output file, stdout, stderr or exit code that differs between the
-checkouts and exits 1 if any does, else 0.
+checkout's src/ on PYTHONPATH, on the same synthetic specs and one
+manifest, and one of that checkout's scripts. Each command runs in a
+fresh directory of its own, once with one CPU and once with two (by
+affinity mask). Prints every output file, stdout, stderr or exit code
+that differs between the checkouts and exits 1 if any does, else 0.
 
     python3 scripts/compare_trees.py PARENT CHANGE [--work DIR] [--only NAME ...]
 
@@ -51,6 +51,10 @@ The command set:
   run-wide-n520      run --restarts 1 --trace-residuals at n=520, four
                      clusters, on views of 1200 and 1400 rows with
                      per-entry noise 0.045 (NMI 0.98)
+  run-manifest       run --restarts 10 --manifest on the reference spec,
+                     written once as a manifest by the parent's
+                     data.write_dataset: the input path of the benchmark's
+                     workloads, through load_dataset's np.loadtxt
   ablation-script    scripts/run_ablation.py --seeds 2, the only entry
                      that reaches pipeline.run_configurations, with
                      three variants in one call; its --out is relative,
@@ -83,8 +87,9 @@ SPECS = {
     "wide-n520": dict(REFERENCE, n=520, clusters=4, dims=[1200, 1400], noise_sigma=0.045),
 }
 
-# name -> (spec, mvsc arguments after the spec and --out), or for a
-# script (None, its path in the checkout and its arguments before --out)
+# name -> (input, mvsc arguments after the input and --out), where the
+# input is a SPECS name or "manifest" (write_manifest's), or for a script
+# (None, its path in the checkout and its arguments before --out)
 COMMANDS = {
     **{f"ref-{v}": ("reference", ["run", "--restarts", "10", "--trace-residuals",
                                   "--dump-graphs", "--variant", v]) for v in VARIANTS},
@@ -105,23 +110,42 @@ COMMANDS = {
                                     "--lambda1-grid", "0.1,1", "--lambda2-grid", "1"]),
     "ablate-wide": ("wide-n150", ["ablate", "--restarts", "2"]),
     "run-wide-n520": ("wide-n520", ["run", "--restarts", "1", "--trace-residuals"]),
+    "run-manifest": ("manifest", ["run", "--restarts", "10"]),
     "ablation-script": (None, ["scripts/run_ablation.py", "--seeds", "2"]),
 }
 
+WRITE_MANIFEST = """
+import sys
+from mvsc.data import generate_synthetic, load_synthetic_spec, write_dataset
+write_dataset(generate_synthetic(load_synthetic_spec(sys.argv[1])), sys.argv[2])
+"""
 
-def run_command(tree, spec_path, argv, cwd, cpus):
-    """Run one mvsc command, or with spec_path None one script, from
-    tree in the empty directory cwd on the given CPUs; the spec is named
-    by a path relative to cwd, and the output goes to cwd/out. Returns
-    (exit code, stdout, stderr)."""
+
+def write_manifest(tree, spec_path, out_dir):
+    """Write the dataset of the synthetic spec at spec_path as a manifest
+    in out_dir with tree's data.write_dataset; returns the manifest's
+    path."""
+    env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
+    subprocess.run([sys.executable, "-c", WRITE_MANIFEST, str(spec_path), str(out_dir)],
+                   env=env, check=True)
+    return out_dir / "manifest.json"
+
+
+def run_command(tree, source, argv, cwd, cpus):
+    """Run one mvsc command on source, a (flag, path) such as
+    ("--synthetic", spec), or with source None one script, from tree in
+    the empty directory cwd on the given CPUs; the path is given
+    relative to cwd, and the output goes to cwd/out. Returns (exit
+    code, stdout, stderr)."""
     cwd.mkdir(parents=True)
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"))
     command, *rest = argv
-    if spec_path is None:
+    if source is None:
         args = [sys.executable, str(Path(tree).resolve() / command), *rest, "--out", "out"]
     else:
+        flag, path = source
         args = [sys.executable, "-m", "mvsc.cli", command,
-                "--synthetic", os.path.relpath(spec_path, cwd), "--out", "out", *rest]
+                flag, os.path.relpath(path, cwd), "--out", "out", *rest]
     proc = subprocess.run(args, cwd=cwd, env=env, capture_output=True,
                           preexec_fn=lambda: os.sched_setaffinity(0, cpus))
     return proc.returncode, proc.stdout, proc.stderr
@@ -171,8 +195,12 @@ def main(argv=None):
     work = args.work or Path(tempfile.mkdtemp(prefix="compare-trees-"))
     specs = work / "specs"
     specs.mkdir(parents=True)
+    sources = {}
     for name, spec in SPECS.items():
         (specs / f"{name}.json").write_text(json.dumps(dict(spec, name=name)))
+        sources[name] = ("--synthetic", specs / f"{name}.json")
+    sources["manifest"] = ("--manifest", write_manifest(
+        args.parent, specs / "reference.json", work / "manifest"))
 
     available = sorted(os.sched_getaffinity(0))
     cpu_sets = [set(available[:k]) for k in (1, 2) if len(available) >= k]
@@ -180,12 +208,11 @@ def main(argv=None):
     differing = 0
     for cpus in cpu_sets:
         for name in names:
-            spec, argv_ = COMMANDS[name]
+            source, argv_ = COMMANDS[name]
             results = []
             for label, tree in (("parent", args.parent), ("change", args.change)):
                 cwd = work / f"{len(cpus)}cpu" / label / name
-                spec_path = spec and specs / f"{spec}.json"
-                code, out, err = run_command(tree, spec_path, argv_, cwd, cpus)
+                code, out, err = run_command(tree, sources.get(source), argv_, cwd, cpus)
                 results.append((code, out, err, files_under(cwd / "out")))
             found = differences(*results)
             status = "DIFFERS" if found else "same"

@@ -6,8 +6,10 @@ every output byte, independent of the caller's OPENBLAS_NUM_THREADS; a
 pool of two changes the bits, and its idle workers busy-wait before
 they sleep. The pools are found in the process's memory map when the
 pin starts, a caller's scipy among them; commands import numpy alone
-and use only its pool. A pool's size is process-wide: threads of one
-process that run commands at once share one setting.
+and use only its pool. A pool's size is process-wide, so the blocks
+open at once in one process, from any of its threads, share one pin:
+the first to open saves the sizes and sets one thread, and the last to
+close gives the sizes back.
 
 A command uses the second CPU through pair() instead, which runs
 linalg.matmul's two parts of a large product and pipeline.in_order's
@@ -81,31 +83,38 @@ def openblas_pools():
     return pools
 
 
-# one entry per single_thread() block open in the process (a list's
-# append and pop are atomic)
-_pins = []
+# the single_thread() blocks open in the process and the (set, size) of
+# each pool the first saved, under a lock no block holds while its body runs
+_pin_lock = threading.Lock()
+_pins = 0
+_saved = []
 
 
 def pinned():
     """Whether a single_thread() block is open in this process."""
-    return bool(_pins)
+    return _pins > 0
 
 
 @contextlib.contextmanager
 def single_thread():
     """Run every OpenBLAS pool on one thread inside the block (or the
-    decorated function), then give each pool back its previous size."""
-    pools = openblas_pools()
-    previous = [get() for get, _ in pools]
-    for _, set_ in pools:
-        set_(1)
-    _pins.append(None)
+    decorated function), then give each pool back its previous size;
+    blocks open at once share one pin (see the module docstring)."""
+    global _pins, _saved
+    with _pin_lock:
+        if not _pins:
+            _saved = [(set_, get()) for get, set_ in openblas_pools()]
+            for set_, _ in _saved:
+                set_(1)
+        _pins += 1
     try:
         yield
     finally:
-        _pins.pop()
-        for (_, set_), size in zip(pools, previous):
-            set_(size)
+        with _pin_lock:
+            _pins -= 1
+            if not _pins:
+                for set_, size in _saved:
+                    set_(size)
 
 
 # the extra thread, made on first use, and the lock its job holds; a

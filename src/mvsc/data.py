@@ -144,8 +144,10 @@ def load_dataset(manifest_path):
         if not isinstance(doc["labels"], str):
             raise ValidationError("manifest 'labels' must be a path or null")
         raw = _load_matrix(base / doc["labels"]).ravel()
-        if not np.all(raw == np.round(raw)):
-            raise ValidationError(f"labels file {doc['labels']} has non-integer values")
+        # outside int64 (infinities too) the cast warns and can merge labels
+        if not np.all((raw == np.round(raw)) & (raw >= -2.0**63) & (raw < 2.0**63)):
+            raise ValidationError(f"labels file {doc['labels']} has non-integer values "
+                                  "or values outside int64")
         labels = raw.astype(int)
     return MultiViewDataset(
         views=views,

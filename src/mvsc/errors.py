@@ -17,9 +17,5 @@ class NumericalError(RuntimeError):
     """A numerical routine failed to produce a usable result."""
 
 
-class DecompositionError(NumericalError):
-    """A matrix factorization (Cholesky, SVD, eigen) failed."""
-
-
 class DataIOError(OSError):
     """A dataset file is missing or unreadable."""

@@ -20,15 +20,12 @@ runs. Every path runs on numpy alone: a gesdd that does not converge
 runs again on the transpose.
 """
 
-import logging
 from functools import partial
 
 import numpy as np
 
 from . import blas
-from .errors import DecompositionError, NumericalError, ValidationError
-
-logger = logging.getLogger(__name__)
+from .errors import NumericalError, ValidationError
 
 # Rank-aware svt: the zero skip's relative margin, the sketch's
 # oversampling beyond the rank hint, its size gate
@@ -261,39 +258,3 @@ def inf_norm(M):
         return 0.0
     return float(abs(max(M.max(), -M.min())))
 
-
-def solve_spd(A, B):
-    """Solve A X = B for symmetric positive definite A via Cholesky.
-
-    A must be symmetric within 1e-8 relative tolerance. If the first
-    factorization fails, retries once with diagonal jitter
-    1e-10 * trace(A)/n (finite arithmetic can make a PSD-by-construction
-    matrix slightly indefinite); a second failure raises. The solver does
-    not call it (it imports it only for perfbench/spans.py, which wraps
-    solver.solve_spd).
-    """
-    A = _as_matrix(A, "A")
-    B = np.asarray(B, dtype=float)
-    n = A.shape[0]
-    if A.shape[1] != n:
-        raise ValidationError(f"A must be square, got {A.shape}")
-    if B.shape[0] != n:
-        raise ValidationError(f"B has {B.shape[0]} rows, expected {n}")
-    asym = np.abs(A - A.T).max()
-    if asym > 1e-8 * max(1.0, np.abs(A).max()):
-        raise ValidationError(f"A is not symmetric (max asymmetry {asym:.3e})")
-    try:
-        C = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        jitter = 1e-10 * np.trace(A) / n
-        logger.warning(
-            "Cholesky failed; retrying with diagonal jitter %.3e", jitter
-        )
-        try:
-            C = np.linalg.cholesky(A + jitter * np.eye(n))
-        except np.linalg.LinAlgError as err:
-            raise DecompositionError(
-                f"matrix of size {n} is not positive definite "
-                f"(jitter {jitter:.3e} did not help)"
-            ) from err
-    return np.linalg.solve(C.T, np.linalg.solve(C, B))

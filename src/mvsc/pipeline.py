@@ -375,21 +375,27 @@ def write_traces(out_dir, results):
 
 
 def _graph_terms(dataset, configs, dump_dir=None):
-    """The S0 of each of configs (HyperParams sharing knn and alpha), in
-    order: that of its variant's build_graph_set mode, or None where no
-    fit among configs reads that set. A graph variant's fit reads it at
-    an effective lambda2 > 0; a graph-free variant has none. A set
-    depends on (views, knn, alpha, mode), not on lambda2, and the sets
-    share one build of the first-order graphs. dump_dir receives the
-    CSVs of configs[0]'s set (grmsc's for a graph-free variant), built
-    for the dump alone if no fit reads it.
-    """
+    """The S0 of each of configs (HyperParams sharing knn, resolved, and
+    alpha, else ValidationError), in order: that of its variant's
+    build_graph_set mode, or None where no fit among configs reads that
+    set. A graph variant's fit reads it at an effective lambda2 > 0; a
+    graph-free variant has none. A set depends on (views, knn, alpha,
+    mode), not on lambda2, and the sets share one build of the
+    first-order graphs. dump_dir receives the CSVs of configs[0]'s set
+    (grmsc's for a graph-free variant), built for the dump alone if no
+    fit reads it."""
+    shared = list(dict.fromkeys(
+        (p.resolve_knn(dataset.n_samples, dataset.n_clusters), p.alpha) for p in configs))
+    if len(shared) > 1:
+        named = " against ".join(f"knn {k} and alpha {a:g}" for k, a in shared[:2])
+        raise ValidationError(f"configurations share one graph build, so their knn and "
+                              f"alpha must agree: {named}")
+    [(knn, alpha)] = shared
     read = [GRAPH_MODES[p.variant] for p in configs if p.effective_lambda2 > 0]
     dump_mode = None if dump_dir is None else GRAPH_MODES.get(configs[0].variant, "fused")
-    knn = configs[0].resolve_knn(dataset.n_samples, dataset.n_clusters)
     terms, first = {}, None
     for mode in dict.fromkeys([*read, dump_mode] if dump_mode else read):
-        graphs = build_graph_set(dataset.views, knn, configs[0].alpha, mode=mode,
+        graphs = build_graph_set(dataset.views, knn, alpha, mode=mode,
                                  first_order=first,
                                  dump_dir=dump_dir if mode == dump_mode else None)
         first = graphs.first_order

@@ -2,8 +2,10 @@
 the public functions of TRACED_MODULES and the solver's SOLVER_KERNELS,
 and its launcher patches pipeline.normalize_views. These names must stay
 until the benchmark changes with them; for the same reason the solver
-keeps its unused svt and solve_spd imports. The package must not load
-mvsc.cli, or `python -m mvsc.cli` warns that it is already loaded."""
+keeps its unused svt import, and binds solve_spd to numpy's solve,
+which nothing calls, so that solver.solve_spd.s reads 0. The package
+must not load mvsc.cli, or `python -m mvsc.cli` warns that it is
+already loaded."""
 
 import ast
 import importlib

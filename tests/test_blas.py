@@ -121,13 +121,16 @@ def test_pinned_while_a_pin_is_open():
     assert not blas.pinned()
 
 
-def test_pins_opened_from_many_threads_all_close():
-    # the open pins are shared by every thread
+def test_pins_opened_from_many_threads_all_close(two_threads):
+    # the open pins are shared by every thread: each block runs on one
+    # thread, and the caller's size comes back once all have closed
+    seen = []
+
     def pin_often():
         start.wait()
         for _ in range(50):
             with blas.single_thread():
-                assert blas.pinned()
+                seen.append(blas.pinned() and sizes() == [1] * len(POOLS))
 
     start = threading.Barrier(4)
     interval = sys.getswitchinterval()
@@ -141,6 +144,39 @@ def test_pins_opened_from_many_threads_all_close():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert seen == [True] * 200
+    assert not blas.pinned()
+    assert sizes() == [2] * len(POOLS)
+
+
+@needs_pools
+def test_overlapping_pins_from_two_threads_share_one_pin(two_threads):
+    # a opens, b opens, a closes: b still runs on one thread, and the
+    # caller's size comes back only when b closes
+    a_open, b_open, a_closed = threading.Event(), threading.Event(), threading.Event()
+    seen = []
+
+    def a():
+        with blas.single_thread():
+            a_open.set()
+            assert b_open.wait(timeout=60)
+        a_closed.set()
+
+    def b():
+        assert a_open.wait(timeout=60)
+        with blas.single_thread():
+            b_open.set()
+            assert a_closed.wait(timeout=60)
+            seen.append((sizes(), blas.pinned()))
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [([1] * len(POOLS), True)]
+    assert sizes() == [2] * len(POOLS)
     assert not blas.pinned()
 
 

@@ -881,6 +881,27 @@ def test_matrix_file_without_data_exits_2(name, text, tmp_path, capsys):
         f"mvsc: validation error: matrix file {tmp_path / name} is empty\n"
 
 
+def test_labels_outside_int64_exit_2_without_a_warning(tmp_path, capsys):
+    # 1e20 and 2e20 cast to one int64 value, which made two classes of
+    # three, and numpy warned on stderr
+    rng = np.random.default_rng(0)
+    np.savetxt(tmp_path / "view0.csv", rng.standard_normal((4, 9)), delimiter=",")
+    np.savetxt(tmp_path / "labels.csv", np.repeat([0.0, 1e20, 2e20], 3)[:, None],
+               fmt="%.17g")
+    doc = {**MANIFEST, "views": [{"path": "view0.csv"}]}
+    (tmp_path / "input.json").write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli("run", "--manifest", tmp_path / "input.json",
+                       "--out", tmp_path / "out", "--restarts", 1)
+    assert code == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "mvsc: validation error: labels file labels.csv has non-integer values "
+        "or values outside int64\n"
+    )
+
+
 def test_failed_clustering_exits_3(spec_file, tmp_path, capsys, monkeypatch):
     # one failing k-means seed ends the run through the exit-code map,
     # as a failed fit or embedding does, and writes no partial report

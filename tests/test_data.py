@@ -143,10 +143,13 @@ def test_label_distinct_count_must_match_clusters(tmp_path):
 
 
 def test_non_integer_labels_rejected(tmp_path):
+    # values outside int64 pass the rounding check, and the cast to int
+    # warns and can give distinct labels one value
     manifest = write_dataset(tiny_dataset(), tmp_path)
-    np.savetxt(tmp_path / "labels.csv", np.array([0.5] * 10)[:, None], fmt="%.2f")
-    with pytest.raises(ValidationError, match="non-integer"):
-        load_dataset(manifest)
+    for value in (0.5, np.inf, -np.inf, 9.3e18, -1e19, 1e20):
+        np.savetxt(tmp_path / "labels.csv", np.array([value] * 10)[:, None], fmt="%.17g")
+        with pytest.raises(ValidationError, match="labels file labels.csv has non-integer"):
+            load_dataset(manifest)
 
 
 @pytest.mark.parametrize("views, k", [

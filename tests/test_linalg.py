@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from mvsc import blas, linalg, pipeline
-from mvsc.errors import DecompositionError, NumericalError, ValidationError
+from mvsc.errors import NumericalError, ValidationError
 from mvsc.linalg import (
     add_transpose,
     inf_norm,
     l21_norm,
     nuclear_norm,
     prox_l21,
-    solve_spd,
     svt,
 )
 
@@ -505,43 +504,6 @@ def test_add_transpose_allocates_no_second_nxn_array():
 def test_add_transpose_rejects_a_non_square_matrix():
     with pytest.raises(ValidationError):
         add_transpose(np.zeros((2, 3)))
-
-
-def test_solve_spd_identity_and_diagonal():
-    B = np.array([[1.0, 2.0], [3.0, 4.0]])
-    np.testing.assert_allclose(solve_spd(np.eye(2), B), B)
-    out = solve_spd(np.diag([2.0, 4.0]), np.array([[2.0], [4.0]]))
-    np.testing.assert_allclose(out, np.array([[1.0], [1.0]]))
-
-
-def test_solve_spd_residual():
-    rng = np.random.default_rng(8)
-    G = rng.standard_normal((10, 10))
-    A = G.T @ G + np.eye(10)
-    B = rng.standard_normal((10, 3))
-    X = solve_spd(A, B)
-    assert np.linalg.norm(A @ X - B) <= 1e-8 * np.linalg.norm(B)
-
-
-def test_solve_spd_rejects_asymmetric():
-    A = np.array([[1.0, 0.5], [0.0, 1.0]])
-    with pytest.raises(ValidationError):
-        solve_spd(A, np.eye(2))
-
-
-def test_solve_spd_retries_a_singular_matrix_with_jitter(caplog):
-    # a PSD matrix with a zero eigenvalue fails the first factorization
-    A = np.ones((2, 2))
-    with caplog.at_level("WARNING", logger="mvsc.linalg"):
-        X = solve_spd(A, np.array([[2.0], [2.0]]))
-    assert caplog.messages == ["Cholesky failed; retrying with diagonal jitter 1.000e-10"]
-    np.testing.assert_allclose(X, np.ones((2, 1)), rtol=1e-9)
-
-
-def test_solve_spd_indefinite_fails():
-    A = np.diag([1.0, -1.0])
-    with pytest.raises(DecompositionError):
-        solve_spd(A, np.eye(2))
 
 
 @settings(max_examples=50)

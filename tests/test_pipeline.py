@@ -106,6 +106,25 @@ def test_run_restarts_lrr_bsv_needs_labels():
         pipeline.run_restarts(ds, HyperParams(variant="lrr-bsv"), 1)
 
 
+@pytest.mark.parametrize("second, message", [
+    (HyperParams(alpha=10.0), "knn 10 and alpha 0.001 against knn 10 and alpha 10"),
+    (HyperParams(knn=12), "knn 10 and alpha 0.001 against knn 12 and alpha 0.001"),
+    (HyperParams(knn=3, variant="msc-naive"),
+     "knn 10 and alpha 0.001 against knn 3 and alpha 0.001"),
+], ids=["alpha", "knn", "knn-graph-free"])
+def test_run_configurations_rejects_configurations_with_other_graphs(
+    second, message, monkeypatch
+):
+    # the configurations share one graph build, which would give the
+    # second configuration the graphs of the first
+    def never(*args, **kwargs):
+        raise AssertionError("graphs built before the configurations were checked")
+
+    monkeypatch.setattr(pipeline, "build_graph_set", never)
+    with pytest.raises(ValidationError, match=message):
+        pipeline.run_configurations(small_dataset(), [HyperParams(), second], 1)
+
+
 def test_run_restarts_lrr_bsv_records_selected_view():
     ds = small_dataset()
     results = pipeline.run_restarts(
